@@ -7,6 +7,12 @@ a lumped boundary-mass diagonal supported on the active nodes.  Lumping
 diagonalizes all nodewise nonlinear terms, which is what makes the
 resolvent-based per-step solves well posed.
 
+One array code path serves intervals and triangles alike: barycentric
+gradients come from the inverse of each simplex's edge matrix, and a facet
+with vertices p_0..p_k has measure sqrt(det(E E^T)) for its edge matrix E.
+A point facet (an interval endpoint) has an empty E and thus measure 1, so
+the 1-D boundary mass is the counting measure of the active endpoints.
+
 Both mesh families have nonnegative stiffness edge weights (intervals
 trivially, rectangles because the triangles are right triangles), a fact
 the energy monitors rely on.
@@ -32,6 +38,7 @@ from .errors import (
 INTERIOR = 0
 GAMMA0 = 1
 GAMMA1 = 2
+_LABEL_NAMES = np.array(["interior", "gamma0", "gamma1"])  # indexed by label
 
 _DENSE_EIG_LIMIT = 1400
 
@@ -124,14 +131,10 @@ def build_mesh_rect(lx: float, ly: float, nx: int, ny: int,
     def nid(ix, iy):
         return iy * (nx + 1) + ix
 
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            v00, v10 = nid(ix, iy), nid(ix + 1, iy)
-            v01, v11 = nid(ix, iy + 1), nid(ix + 1, iy + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    elements = np.array(tris, dtype=np.int64)
+    # each cell (ix, iy) splits into (v00, v10, v11) and (v00, v11, v01)
+    v00 = (np.arange(ny, dtype=np.int64)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v10, v01 = v00 + 1, v00 + nx + 1
+    elements = np.column_stack([v00, v10, v01 + 1, v00, v01 + 1, v01]).reshape(-1, 3)
 
     labels = np.zeros(nodes.shape[0], dtype=np.int8)
     on_x = np.isin(np.arange(nodes.shape[0]) % (nx + 1), [0, nx])
@@ -157,54 +160,29 @@ def assemble(mesh: Mesh) -> AssembledOperators:
     """Assemble lumped mass, P1 stiffness and lumped active-boundary mass."""
     if np.any(mesh.element_sizes <= 0.0):
         raise DegenerateElement("element with nonpositive measure")
-    n = mesh.n_nodes
-    mass = np.zeros(n)
-    rows, cols, vals = [], [], []
-
-    if mesh.dim == 1:
-        for (i, j), h in zip(mesh.elements, mesh.element_sizes):
-            mass[i] += h / 2.0
-            mass[j] += h / 2.0
-            k = 1.0 / h
-            rows += [i, i, j, j]
-            cols += [i, j, i, j]
-            vals += [k, -k, -k, k]
-    else:
-        pts = mesh.nodes
-        for tri, area in zip(mesh.elements, mesh.element_sizes):
-            i, j, k = (int(t) for t in tri)
-            p = pts[[i, j, k]]
-            # gradients of barycentric coordinates
-            b = np.array([p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]])
-            c = np.array([p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]])
-            det = b[0] * c[1] - b[1] * c[0]
-            if abs(det) < 1e-300:
-                raise DegenerateElement("triangle with zero area")
-            local = (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-            for a_loc, a_glob in enumerate((i, j, k)):
-                mass[a_glob] += area / 3.0
-                for b_loc, b_glob in enumerate((i, j, k)):
-                    rows.append(a_glob)
-                    cols.append(b_glob)
-                    vals.append(local[a_loc, b_loc])
-
-    stiffness = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    n, d = mesh.n_nodes, mesh.dim
+    pts = mesh.nodes.reshape(n, d)
+    corners = pts[mesh.elements]
+    edges = corners[:, 1:] - corners[:, :1]
+    if np.any(np.abs(np.linalg.det(edges)) < 1e-300):
+        raise DegenerateElement("element with zero measure")
+    # row i of inv(E)^T is the gradient of barycentric coordinate i+1
+    grads = np.linalg.inv(edges).transpose(0, 2, 1)
+    grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
+    local = mesh.element_sizes[:, None, None] * grads @ grads.transpose(0, 2, 1)
+    rows = np.repeat(mesh.elements, d + 1, axis=1)
+    cols = np.tile(mesh.elements, d + 1)
+    stiffness = sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
     stiffness.sum_duplicates()
+    mass = np.bincount(mesh.elements.ravel(), minlength=n,
+                       weights=np.repeat(mesh.element_sizes / (d + 1), d + 1))
 
-    boundary_mass = np.zeros(n)
-    gamma1_measure = 0.0
-    for facet, label in mesh.boundary_facets:
-        if label != GAMMA1:
-            continue
-        if mesh.dim == 1:
-            boundary_mass[facet[0]] += 1.0  # counting measure for endpoints
-            gamma1_measure += 1.0
-        else:
-            i, j = facet
-            ln = float(np.linalg.norm(mesh.nodes[j] - mesh.nodes[i]))
-            boundary_mass[i] += ln / 2.0
-            boundary_mass[j] += ln / 2.0
-            gamma1_measure += ln
+    facets = np.array([f for f, label in mesh.boundary_facets if label == GAMMA1],
+                      dtype=np.int64).reshape(-1, d)
+    spans = pts[facets[:, 1:]] - pts[facets[:, :1]]
+    measure = np.sqrt(np.linalg.det(spans @ spans.transpose(0, 2, 1)))
+    boundary_mass = np.bincount(facets.ravel(), minlength=n,
+                                weights=np.repeat(measure / d, d))
 
     return AssembledOperators(
         mesh=mesh,
@@ -212,7 +190,7 @@ def assemble(mesh: Mesh) -> AssembledOperators:
         stiffness=stiffness,
         boundary_mass=boundary_mass,
         domain_measure=float(mass.sum()),
-        gamma1_measure=gamma1_measure,
+        gamma1_measure=float(measure.sum()),
     )
 
 
@@ -264,21 +242,18 @@ def _power_iteration(bm_diag, h1, v0, iters=5000, tol=1e-13):
 
 def dump_mesh(mesh: Mesh, node_path, element_path) -> None:
     """Write the node list (with boundary labels) and element list as CSV."""
-    label_names = {INTERIOR: "interior", GAMMA0: "gamma0", GAMMA1: "gamma1"}
+    n, d = mesh.n_nodes, mesh.dim
+    table = np.empty((n, d + 2), dtype=object)
+    table[:, 0] = np.arange(n)
+    table[:, 1:-1] = mesh.nodes.reshape(n, d)
+    table[:, -1] = _LABEL_NAMES[mesh.boundary_labels]
     with open(node_path, "w", encoding="utf-8") as fh:
-        if mesh.dim == 1:
-            fh.write("node_id,x,label\n")
-            for i, x in enumerate(mesh.nodes):
-                fh.write(f"{i},{x:.17g},{label_names[int(mesh.boundary_labels[i])]}\n")
-        else:
-            fh.write("node_id,x,y,label\n")
-            for i, (x, y) in enumerate(mesh.nodes):
-                fh.write(f"{i},{x:.17g},{y:.17g},"
-                         f"{label_names[int(mesh.boundary_labels[i])]}\n")
+        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * d + ["%s"], delimiter=",",
+                   header="node_id," + ",".join("xy"[:d]) + ",label", comments="")
     with open(element_path, "w", encoding="utf-8") as fh:
-        fh.write("element_id," + ",".join(f"v{j}" for j in range(mesh.dim + 1)) + "\n")
-        for e, verts in enumerate(mesh.elements):
-            fh.write(f"{e}," + ",".join(str(int(v)) for v in verts) + "\n")
+        np.savetxt(fh, np.column_stack([np.arange(len(mesh.elements)), mesh.elements]),
+                   fmt="%d", delimiter=",", comments="",
+                   header="element_id," + ",".join(f"v{j}" for j in range(d + 1)))
 
 
 def norms(ops: AssembledOperators, f: np.ndarray) -> dict:

@@ -464,6 +464,10 @@ class PhysicalBeta(ScalarGraph):
             raise InvalidArgument("physical graph needs a single-valued inner graph")
         self.label = f"physical(h={self.h_coef:g},s={self.s_coef:g};{self.inner.label})"
 
+    @property
+    def invertible(self):  # type: ignore[override]
+        return self.inner.invertible
+
     def value(self, x):
         w = self.inner.value(x)
         return self.h_coef * w + self.s_coef * np.abs(w) ** 3 * w
@@ -481,16 +485,6 @@ class PhysicalBeta(ScalarGraph):
             return _match(r, val)
         return super().potential(r)
 
-    def inverse(self, y):
-        if not self.inner.invertible:
-            raise Unsupported(f"{self.label} has no invertible selection")
-        y_arr = np.atleast_1d(_asarray(y))
-        # solve h*w + s*|w|^3*w = y for w, then invert the inner graph
-        outer = _OuterRadiation(self.h_coef, self.s_coef)
-        w = _inverse_bisect(outer, y_arr)
-        out = self.inner.inverse(w)
-        return _match(y, out)
-
     def constants(self):
         inner_c = self.inner.constants()
         if not inner_c.bi_lipschitz:
@@ -507,23 +501,6 @@ class PhysicalBeta(ScalarGraph):
 
         w = self.inner.to_sympy(var)
         return self.h_coef * w + self.s_coef * sp.Abs(w) ** 3 * w
-
-
-class _OuterRadiation(ScalarGraph):
-    """Helper graph w -> h*w + s*|w|^3*w used to invert PhysicalBeta."""
-
-    def __init__(self, h_coef, s_coef):
-        self.h_coef = h_coef
-        self.s_coef = s_coef
-        self.label = "radiation"
-
-    def value(self, w):
-        w = _asarray(w)
-        return self.h_coef * w + self.s_coef * np.abs(w) ** 3 * w
-
-    def derivative(self, w):
-        w = _asarray(w)
-        return self.h_coef + 4.0 * self.s_coef * np.abs(w) ** 3
 
 
 class CompositeSum(ScalarGraph):

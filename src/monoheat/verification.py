@@ -18,7 +18,7 @@ continuous-dependence check for linear volume graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -461,27 +461,17 @@ def convergence_order(make_template: Callable[[int], ProblemTemplate],
         raise InsufficientLevels("need at least three refinement levels per axis")
 
     def run(n_elems: int, n_steps: int):
-        template = make_template(n_elems)
-        spec = manufactured_source(exact, template)
-        cfg = SolverConfig(
-            tau=template.T / n_steps, lambda_schedule=config.lambda_schedule,
-            epsilon=config.epsilon, picard_damping=config.picard_damping,
-            picard_tol=config.picard_tol, newton_tol=config.newton_tol,
-            max_iters=config.max_iters, solver_kind=config.solver_kind,
-            use_lambda_mass=config.use_lambda_mass)
+        spec = manufactured_source(exact, make_template(n_elems))
+        cfg = replace(config, tau=spec.T / n_steps)
         ops = assemble(spec.mesh)
         sol = solve_transient(spec, cfg, ops=ops)
         err = sol.u[-1] - exact.sample(spec.mesh, spec.T)
         h = float(np.max(spec.mesh.element_sizes)) if spec.mesh.dim == 1 else \
             math.sqrt(2.0 * float(np.max(spec.mesh.element_sizes)))
-        return h, math.sqrt(float(err @ (ops.mass * err)))
+        return h, cfg.tau, math.sqrt(float(err @ (ops.mass * err)))
 
-    errors_space = [run(n, fine_time) for n in space_levels]
-    errors_time = []
-    for m in time_levels:
-        template = make_template(fine_space)
-        _, e = run(fine_space, m)
-        errors_time.append((template.T / m, e))
+    errors_space = [(h, e) for h, _, e in (run(n, fine_time) for n in space_levels)]
+    errors_time = [(tau, e) for _, tau, e in (run(fine_space, m) for m in time_levels)]
 
     def slope(pairs):
         xs = np.log([p[0] for p in pairs])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from monoheat import fem
-from monoheat.errors import DimensionMismatch, EmptyBoundary, InvalidArgument
+from monoheat.errors import (DegenerateElement, DimensionMismatch, EmptyBoundary,
+                             InvalidArgument)
 from monoheat.fem import GAMMA0, GAMMA1
 
 
@@ -92,6 +93,57 @@ class TestAssemble:
         assert np.allclose(ops_a.boundary_mass, ops_b.boundary_mass)
         assert abs(ops_a.stiffness - ops_b.stiffness).max() < 1e-12
 
+    def test_non_uniform_interval_closed_form(self):
+        x = np.array([0.0, 0.1, 0.35, 0.4, 1.0])
+        h = np.diff(x)
+        base = fem.build_mesh_1d(1.0, 4, "both")
+        mesh = fem.Mesh(1, x, base.elements, base.boundary_labels,
+                        base.boundary_facets, h)
+        ops = fem.assemble(mesh)
+        expected = np.zeros((5, 5))
+        for i, hi in enumerate(h):
+            expected[i:i + 2, i:i + 2] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / hi
+        assert np.allclose(ops.stiffness.toarray(), expected, rtol=1e-13, atol=0.0)
+        assert np.allclose(ops.mass, np.concatenate([[0.0], h]) / 2.0
+                           + np.concatenate([h, [0.0]]) / 2.0, rtol=1e-13, atol=0.0)
+        assert np.array_equal(ops.boundary_mass, [1.0, 0.0, 0.0, 0.0, 1.0])
+        assert ops.gamma1_measure == 2.0
+        assert ops.domain_measure == pytest.approx(1.0, rel=1e-13)
+
+    def test_skewed_triangle_cotangent_formula(self):
+        p = np.array([[0.0, 0.0], [2.0, 0.3], [0.5, 1.5]])
+        e1, e2 = p[1] - p[0], p[2] - p[0]
+        area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
+        mesh = fem.Mesh(2, p, np.array([[0, 1, 2]]), np.array([GAMMA1, GAMMA1, GAMMA0]),
+                        (((0, 1), GAMMA1), ((1, 2), GAMMA0), ((2, 0), GAMMA0)),
+                        np.array([area]))
+        ops = fem.assemble(mesh)
+        expected = np.zeros((3, 3))
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            a, b = p[i] - p[k], p[j] - p[k]
+            half_cot = 0.5 * (a @ b) / abs(a[0] * b[1] - a[1] * b[0])
+            expected[i, j] = expected[j, i] = -half_cot
+        expected -= np.diag(expected.sum(axis=1))
+        assert np.allclose(ops.stiffness.toarray(), expected, rtol=1e-13, atol=1e-15)
+        assert np.allclose(ops.mass, area / 3.0, rtol=1e-13, atol=0.0)
+        length = math.hypot(*e1)
+        assert np.allclose(ops.boundary_mass, [length / 2, length / 2, 0.0],
+                           rtol=1e-13, atol=0.0)
+        assert ops.gamma1_measure == pytest.approx(length, rel=1e-13)
+        assert ops.domain_measure == pytest.approx(area, rel=1e-13)
+
+    def test_degenerate_elements_rejected(self):
+        base = fem.build_mesh_rect(1.0, 1.0, 1, 1, True)
+        flat = base.nodes.copy()
+        flat[3] = [0.5, 0.0]  # triangle (0, 1, 3) collapses onto the bottom edge
+        for nodes, sizes in ((base.nodes, np.array([0.5, 0.0])),
+                             (flat, base.element_sizes)):
+            mesh = fem.Mesh(2, nodes, base.elements, base.boundary_labels,
+                            base.boundary_facets, sizes)
+            with pytest.raises(DegenerateElement):
+                fem.assemble(mesh)
+
 
 class TestTraceConstant:
     def test_against_continuum_value(self):
@@ -159,6 +211,24 @@ class TestMeshDump:
         assert len(elem_rows) == mesh.elements.shape[0] + 1
 
 
+    def test_exact_interval_text(self, tmp_path):
+        nodes, elems = tmp_path / "nodes.csv", tmp_path / "elems.csv"
+        fem.dump_mesh(fem.build_mesh_1d(0.3, 2, "right"), nodes, elems)
+        assert nodes.read_text() == ("node_id,x,label\n0,0,gamma0\n"
+                                     "1,0.14999999999999999,interior\n"
+                                     "2,0.29999999999999999,gamma1\n")
+        assert elems.read_text() == "element_id,v0,v1\n0,0,1\n1,1,2\n"
+
+    def test_exact_rectangle_text(self, tmp_path):
+        nodes, elems = tmp_path / "nodes.csv", tmp_path / "elems.csv"
+        fem.dump_mesh(fem.build_mesh_rect(0.3, 1.0, 1, 1, True), nodes, elems)
+        assert nodes.read_text() == ("node_id,x,y,label\n0,0,0,gamma1\n"
+                                     "1,0.29999999999999999,0,gamma1\n"
+                                     "2,0,1,gamma1\n"
+                                     "3,0.29999999999999999,1,gamma1\n")
+        assert elems.read_text() == "element_id,v0,v1,v2\n0,0,1,3\n1,0,3,2\n"
+
+
 class TestLargeMeshTrace:
     def test_sparse_eigensolver_path(self):
         # 41x41 nodes exceeds the dense threshold
@@ -167,3 +237,17 @@ class TestLargeMeshTrace:
         ops_small = fem.assemble(fem.build_mesh_rect(1.0, 1.0, 30, 30, True))
         c_small = fem.trace_constant(ops_small)
         assert c_large == pytest.approx(c_small, rel=0.05)
+
+    def test_power_iteration_fallback_matches_arpack(self, monkeypatch):
+        mesh = fem.build_mesh_rect(1.0, 1.0, 40, 40, True)
+        c_arpack = fem.trace_constant(fem.assemble(mesh))
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(1)
+            raise fem.spla.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(fem.spla, "eigsh", no_convergence)
+        c_power = fem.trace_constant(fem.assemble(mesh))
+        assert calls == [1]
+        assert c_power == pytest.approx(c_arpack, rel=1e-10)

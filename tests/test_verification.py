@@ -238,6 +238,17 @@ class TestConvergenceOrder:
         assert res["saturated"]
         assert res["order_space"] == math.inf
 
+    def test_initial_smoothing_reaches_every_solve(self):
+        exact = ver.ManufacturedSolution("(1 + t/2)*cos(pi*x/2)", 1)
+        plain, smoothed = (
+            ver.convergence_order(
+                self.make_template, exact, [4, 8, 16], [2, 4, 8], fine_space=16,
+                fine_time=8, config=SolverConfig(tau=0.1, lambda_schedule=(0.0,),
+                                                 smooth_u0_lambda=lam))
+            for lam in (0.0, 0.05))
+        for key in ("errors_space", "errors_time"):
+            assert all(p[1] != s[1] for p, s in zip(plain[key], smoothed[key]))
+
     def test_needs_three_levels(self):
         cfg = SolverConfig(tau=0.1, lambda_schedule=(0.0,))
         with pytest.raises(InsufficientLevels):
