@@ -66,17 +66,22 @@ def _sweep_workers() -> int:
 
 
 def _write_state_files(out: Path, state, mesh):
-    rows = []
-    for k, t in enumerate(state.times):
-        for i in range(mesh.n_nodes):
-            rows.append((k, t, i, state.u[k, i], state.v[k, i]))
-    _write_csv(out / "solution.csv", ("k", "t", "node_id", "u", "v"), rows)
-    g1 = mesh.gamma1_nodes
-    rows = []
-    for k, t in enumerate(state.times):
-        for i in g1:
-            rows.append((k, t, int(i), state.xi[k, i]))
-    _write_csv(out / "boundary.csv", ("k", "t", "node_id", "xi"), rows)
+    levels = np.arange(len(state.times))
+    n, g1 = mesh.n_nodes, mesh.gamma1_nodes
+    _write_columns(out / "solution.csv", ("k", "t", "node_id", "u", "v"),
+                   [np.repeat(levels, n), np.repeat(state.times, n),
+                    np.tile(np.arange(n), len(levels)), state.u.ravel(), state.v.ravel()])
+    _write_columns(out / "boundary.csv", ("k", "t", "node_id", "xi"),
+                   [np.repeat(levels, len(g1)), np.repeat(state.times, len(g1)),
+                    np.tile(g1, len(levels)), state.xi[:, g1].ravel()])
+
+
+def _write_columns(path: Path, header, columns):
+    """Columns k, t, node_id, values... in ``_fmt``'s number format."""
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, np.column_stack(columns), delimiter=",", comments="",
+                   fmt=["%d", "%.17g", "%d"] + ["%.17g"] * (len(columns) - 3),
+                   header=",".join(header))
 
 
 _CONST_COLS = ("C1", "C2", "A1", "A2", "A3", "M1", "M2", "L", "C_tr",

@@ -39,6 +39,7 @@ _BISECT_REL_WIDTH = 1e-13
 _NEWTON_POLISH_STEPS = 3
 _SIMPSON_TOL = 1e-11
 _SIMPSON_MAX_DEPTH = 48
+_SIMPSON_BLOCK = 1024
 
 
 def _asarray(x):
@@ -118,10 +119,7 @@ class ScalarGraph:
         """Convex potential ``int_0^r A0(s) ds``, normalized to 0 at 0."""
         r_arr = _asarray(r)
         self._check_domain(r_arr)
-        flat = np.atleast_1d(r_arr).ravel()
-        vals = np.array([_adaptive_simpson(lambda s: float(self.minimal_section(s)), t)
-                         for t in flat])
-        return _match(r, vals.reshape(np.atleast_1d(r_arr).shape) if np.ndim(r) else vals[0])
+        return _match(r, _adaptive_simpson(self.minimal_section, r_arr))
 
     # -- resolvent machinery ---------------------------------------------------
 
@@ -159,32 +157,62 @@ class ScalarGraph:
         return f"<{type(self).__name__} {self.label}>"
 
 
+def _simpson(x0, x2, f0, f1, f2):
+    return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
+
+
 def _adaptive_simpson(f, r, tol=_SIMPSON_TOL):
-    """Adaptive Simpson quadrature of f over [0, r] (r may be negative)."""
-    if r == 0.0:
-        return 0.0
-    a, b, sign = (0.0, r, 1.0) if r > 0 else (r, 0.0, -1.0)
+    """Adaptive Simpson quadrature of f over [0, r] for every entry of r.
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth >= _SIMPSON_MAX_DEPTH:
-            raise QuadratureFailure("adaptive Simpson refinement stalled")
-        if abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, xm, f0, fl, f1, left, eps / 2.0, depth + 1)
-                + recurse(xm, x2, f1, fr, f2, right, eps / 2.0, depth + 1))
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simpson(a, b, fa, fm, fb)
-    return sign * recurse(a, b, fa, fm, fb, whole, tol, 0)
+    ``f`` maps arrays to arrays.  The refinement is breadth first: each
+    pass advances every open panel of every point one level, and a panel
+    is accepted when ``|L + R - W| <= 15*eps`` for its halves L, R and
+    whole W, contributing ``L + R + (L + R - W)/15``.  Each point starts
+    from ``eps = tol*max(1, |W0|)`` with W0 its whole-interval estimate,
+    and eps halves at every split.  Points are integrated in blocks of
+    ``_SIMPSON_BLOCK`` to bound the memory of the open panels.  A panel
+    with a non-finite estimate can never pass the test, so it raises
+    QuadratureFailure at once, as does reaching ``_SIMPSON_MAX_DEPTH``.
+    """
+    r = _asarray(r)
+    flat = r.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _SIMPSON_BLOCK):
+        block = flat[start:start + _SIMPSON_BLOCK]
+        n = block.size
+        x0, x2 = np.minimum(block, 0.0), np.maximum(block, 0.0)
+        f0, f1, f2 = f(x0), f(0.5 * (x0 + x2)), f(x2)
+        whole = _simpson(x0, x2, f0, f1, f2)
+        eps = tol * np.maximum(1.0, np.abs(whole))
+        owner = np.arange(n)
+        total = np.zeros(n)
+        for depth in range(_SIMPSON_MAX_DEPTH + 1):
+            xm = 0.5 * (x0 + x2)
+            fl, fr = f(0.5 * (x0 + xm)), f(0.5 * (xm + x2))
+            left = _simpson(x0, xm, f0, fl, f1)
+            right = _simpson(xm, x2, f1, fr, f2)
+            if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
+                raise QuadratureFailure("adaptive Simpson met a non-finite integrand")
+            if depth >= _SIMPSON_MAX_DEPTH:
+                raise QuadratureFailure("adaptive Simpson refinement stalled")
+            diff = left + right - whole
+            done = np.abs(diff) <= 15.0 * eps
+            total += np.bincount(owner[done], weights=(left + right + diff / 15.0)[done],
+                                 minlength=n)
+            split = ~done
+            if not np.any(split):
+                break
+            # open panels continue as their halves [x0, xm] and [xm, x2]
+            x0, xm, x2, f0, f1, f2, fl, fr = (
+                v[split] for v in (x0, xm, x2, f0, f1, f2, fl, fr))
+            x0, x2 = np.concatenate([x0, xm]), np.concatenate([xm, x2])
+            f0, f2 = np.concatenate([f0, f1]), np.concatenate([f1, f2])
+            f1 = np.concatenate([fl, fr])
+            whole = np.concatenate([left[split], right[split]])
+            eps = np.tile(eps[split] / 2.0, 2)
+            owner = np.tile(owner[split], 2)
+        out[start:start + n] = np.where(block < 0.0, -total, total)
+    return out.reshape(r.shape)
 
 
 def _resolvent_bisect(graph, lam, x):
@@ -819,10 +847,10 @@ class PropertyReport:
 
 
 def _grid_conjugate(graph, xi, anchor):
-    """Conjugate value by finite supremum over a grid plus the anchor point."""
-    grid = np.concatenate([np.linspace(-12.0, 12.0, 2001), [anchor]])
-    vals = grid * xi - _asarray(graph.potential(grid))
-    return float(np.max(vals))
+    """Conjugate values by finite supremum over a grid plus each anchor point."""
+    grid = np.linspace(-12.0, 12.0, 2001)
+    on_grid = np.max(np.outer(xi, grid) - _asarray(graph.potential(grid)), axis=1)
+    return np.maximum(on_grid, anchor * xi - _asarray(graph.potential(anchor)))
 
 
 def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
@@ -845,8 +873,12 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
     if tol is None:
         tol = 1e-10 if graph.closed_form else 1e-8
     rep = PropertyReport()
-    add = rep.checks.append
     name = graph.label
+
+    def add(prop, lam, passed, error):
+        """One check per sample point: passed flags and errors are arrays over xs."""
+        for x, ok, e in zip(xs, passed, error):
+            rep.checks.append(PropertyCheck(name, prop, lam, float(x), bool(ok), float(e)))
 
     a0 = np.abs(_asarray(graph.minimal_section(xs)))
     j_by_lam = {l: _asarray(graph.resolvent(l, xs)) for l in lams}
@@ -856,42 +888,29 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
         for l in lams
     }
     pot = _asarray(graph.potential(xs))
+    scale = np.maximum(1.0, np.abs(xs))
+    pot_scale = np.maximum(1.0, np.abs(pot))
+    dxs = np.abs(xs[:, None] - xs[None, :])
 
     for l in lams:
         j = j_by_lam[l]
         a = a_by_lam[l]
-        scale = np.maximum(1.0, np.abs(xs))
         # resolvent nonexpansive / Yosida 1/lam-Lipschitz, worst partner per x
-        dxs = np.abs(xs[:, None] - xs[None, :])
-        dj = np.abs(j[:, None] - j[None, :])
-        da = np.abs(a[:, None] - a[None, :])
-        exp_excess = np.max(dj - dxs, axis=1)
-        lip_excess = np.max(da - dxs / l, axis=1)
-        for i, x in enumerate(xs):
-            e = float(exp_excess[i])
-            add(PropertyCheck(name, "resolvent_nonexpansive", l, float(x),
-                              e <= tol * scale[i], max(e, 0.0)))
-            e = float(lip_excess[i])
-            add(PropertyCheck(name, "yosida_lipschitz", l, float(x),
-                              e <= tol * scale[i] / l, max(e, 0.0)))
+        e = np.max(np.abs(j[:, None] - j[None, :]) - dxs, axis=1)
+        add("resolvent_nonexpansive", l, e <= tol * scale, np.maximum(e, 0.0))
+        e = np.max(np.abs(a[:, None] - a[None, :]) - dxs / l, axis=1)
+        add("yosida_lipschitz", l, e <= tol * scale / l, np.maximum(e, 0.0))
         # A_lam(x) lands in graph(J_lam(x))
         lo, hi = graph.section_bounds(j)
-        dist = np.maximum(lo - a, a - hi)
-        for i, x in enumerate(xs):
-            e = float(max(dist[i], 0.0))
-            add(PropertyCheck(name, "yosida_in_graph", l, float(x), e <= tol * scale[i], e))
+        e = np.maximum(np.maximum(lo - a, a - hi), 0.0)
+        add("yosida_in_graph", l, e <= tol * scale, e)
         # dominated by the minimal section
-        over = np.abs(a) - a0
-        for i, x in enumerate(xs):
-            e = float(max(over[i], 0.0))
-            add(PropertyCheck(name, "yosida_dominated", l, float(x), e <= tol * scale[i], e))
+        e = np.maximum(np.abs(a) - a0, 0.0)
+        add("yosida_dominated", l, e <= tol * scale, e)
         # nested regularization collapses: (A_mu)_lam == A_{mu+lam}
         nested = _asarray(yosida(YosidaGraph(graph, l), l, xs))
-        direct = _asarray(yosida(graph, 2.0 * l, xs))
-        err = np.abs(nested - direct)
-        for i, x in enumerate(xs):
-            e = float(err[i])
-            add(PropertyCheck(name, "resolvent_semigroup", l, float(x), e <= tol * scale[i], e))
+        e = np.abs(nested - _asarray(yosida(graph, 2.0 * l, xs)))
+        add("resolvent_semigroup", l, e <= tol * scale, e)
         # envelope gradient matches the Yosida approximation; checked as a
         # limit: the central difference either sits at tolerance already or
         # shrinks by the expected factor when h is reduced
@@ -900,52 +919,32 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
             env_m = _asarray(moreau_envelope(graph, l, xs - h))
             return np.abs((env_p - env_m) / (2.0 * h) - a)
 
-        h1 = 1e-3 * np.maximum(1.0, np.abs(xs))
+        h1 = 1e-3 * scale
         err1 = _fd_error(h1)
         err2 = _fd_error(h1 / 8.0)
         gtol = tol * np.maximum(1.0, np.abs(a))
-        for i, x in enumerate(xs):
-            converging = err2[i] <= max(0.35 * err1[i], gtol[i])
-            add(PropertyCheck(name, "envelope_gradient", l, float(x),
-                              bool(converging), float(err2[i])))
+        add("envelope_gradient", l, err2 <= np.maximum(0.35 * err1, gtol), err2)
 
-    # |A_lam x| cannot decrease as lam decreases
     for la, lb in zip(lams, lams[1:]):
-        mono = np.abs(a_by_lam[la]) - np.abs(a_by_lam[lb])
-        for i, x in enumerate(xs):
-            e = float(max(mono[i], 0.0))
-            add(PropertyCheck(name, "yosida_dominated", lb, float(x),
-                              e <= tol * max(1.0, abs(x)), e))
-
-    # envelopes increase monotonically to the potential as lam decreases
-    for la, lb in zip(lams, lams[1:]):
-        gap = env_by_lam[la] - env_by_lam[lb]
-        for i, x in enumerate(xs):
-            e = float(max(gap[i], 0.0))
-            add(PropertyCheck(name, "envelope_monotone", lb, float(x),
-                              e <= tol * max(1.0, abs(pot[i])), e))
-    over = env_by_lam[lams[-1]] - pot
-    under = pot - env_by_lam[lams[-1]] - lams[-1] * a0**2
-    for i, x in enumerate(xs):
-        e = float(max(over[i], 0.0))
-        add(PropertyCheck(name, "envelope_monotone", lams[-1], float(x),
-                          e <= tol * max(1.0, abs(pot[i])), e))
-        e = float(max(under[i], 0.0))
-        add(PropertyCheck(name, "envelope_converges", lams[-1], float(x),
-                          e <= max(tol, 1e-8) * max(1.0, abs(pot[i])), e))
+        # |A_lam x| cannot decrease as lam decreases
+        e = np.maximum(np.abs(a_by_lam[la]) - np.abs(a_by_lam[lb]), 0.0)
+        add("yosida_dominated", lb, e <= tol * scale, e)
+        # envelopes increase monotonically to the potential as lam decreases
+        e = np.maximum(env_by_lam[la] - env_by_lam[lb], 0.0)
+        add("envelope_monotone", lb, e <= tol * pot_scale, e)
+    e = np.maximum(env_by_lam[lams[-1]] - pot, 0.0)
+    add("envelope_monotone", lams[-1], e <= tol * pot_scale, e)
+    e = np.maximum(pot - env_by_lam[lams[-1]] - lams[-1] * a0**2, 0.0)
+    add("envelope_converges", lams[-1], e <= max(tol, 1e-8) * pot_scale, e)
 
     # conjugate duality: potential(x) + conjugate(xi) == x*xi on the graph
     sec = _asarray(graph.minimal_section(xs))
-    use_closed = graph.single_valued and graph.invertible
-    for i, x in enumerate(xs):
-        xi = float(sec[i])
-        if use_closed:
-            conj = float(conjugate_potential(graph, xi))
-        else:
-            conj = _grid_conjugate(graph, xi, float(x))
-        e = abs(float(pot[i]) + conj - float(x) * xi)
-        add(PropertyCheck(name, "fenchel_young", None, float(x),
-                          e <= tol * max(1.0, abs(x * xi)), e))
+    if graph.single_valued and graph.invertible:
+        conj = _asarray(conjugate_potential(graph, sec))
+    else:
+        conj = _grid_conjugate(graph, sec, xs)
+    e = np.abs(pot + conj - xs * sec)
+    add("fenchel_young", None, e <= tol * np.maximum(1.0, np.abs(xs * sec)), e)
 
     return rep
 

@@ -40,7 +40,21 @@ def random_problem(rng, n_elems=16, T=0.5, gamma1_side="right", amp=0.6):
     """Random smooth data on an interval mesh, bi-Lipschitz volume graph."""
     mesh = fem.build_mesh_1d(1.0, n_elems, gamma1_side)
     gamma = random_gamma(rng)
-    beta = random_beta(rng, gamma)
+    return _random_data(rng, mesh, gamma, random_beta(rng, gamma), T, amp)
+
+
+def random_problem_2d(rng, n=8, T=0.5, amp=0.6):
+    """Random smooth data on rect(1, 1, n, n, lateral): saturating volume
+    graph and the radiative boundary law around it."""
+    mesh = fem.build_mesh_rect(1.0, 1.0, n, n, True)
+    alpha = float(rng.uniform(0.7, 2.0))
+    gamma = gr.SaturatingBiLipschitz(alpha, alpha * float(rng.uniform(0.1, 0.5)))
+    beta = gr.PhysicalBeta(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.1, 0.5)),
+                           inner=gamma)
+    return _random_data(rng, mesh, gamma, beta, T, amp)
+
+
+def _random_data(rng, mesh, gamma, beta, T, amp):
     g_amp = float(rng.uniform(0.1, amp))
     omega = float(rng.uniform(0.5, 2.0))
     g_shape = smooth_nodal(mesh, rng, amp=g_amp)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from monoheat import graphs as gr
-from monoheat.cli import main
+from monoheat import fem, graphs as gr
+from monoheat.cli import _write_state_files, main
 from monoheat.config import parse_config
 from monoheat.errors import ParseError, ValidationError
+from monoheat.stepper import SolutionState
 
 STEADY = """
 [problem]
@@ -217,3 +218,26 @@ lambda_schedule = [0.0]
         order_space = float([l for l in summary.splitlines()
                              if l.startswith("order_space")][0].split("=")[1])
         assert 1.9 <= order_space <= 2.1
+
+
+def test_state_files_exact_text(tmp_path):
+    # 2-element interval, active boundary on the right (node 2), one step
+    mesh = fem.build_mesh_1d(1.0, 2, "right")
+    u = np.array([[0.0, 0.5, 1.0], [0.1, 1.0 / 3.0, -2.0]])
+    xi = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -1e-20]])
+    state = SolutionState(times=np.array([0.0, 0.1]), u=u, v=2.0 * u, xi=xi,
+                          lam=0.0, tau=0.1, iterations=np.array([1]),
+                          residuals=np.array([0.0]))
+    _write_state_files(tmp_path, state, mesh)
+    assert (tmp_path / "solution.csv").read_text(encoding="utf-8") == (
+        "k,t,node_id,u,v\n"
+        "0,0,0,0,0\n"
+        "0,0,1,0.5,1\n"
+        "0,0,2,1,2\n"
+        "1,0.10000000000000001,0,0.10000000000000001,0.20000000000000001\n"
+        "1,0.10000000000000001,1,0.33333333333333331,0.66666666666666663\n"
+        "1,0.10000000000000001,2,-2,-4\n")
+    assert (tmp_path / "boundary.csv").read_text(encoding="utf-8") == (
+        "k,t,node_id,xi\n"
+        "0,0,2,2\n"
+        "1,0.10000000000000001,2,-9.9999999999999995e-21\n")

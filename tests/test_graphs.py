@@ -1,10 +1,13 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from monoheat import graphs as gr
-from monoheat.errors import GraphAuditError, InvalidArgument, Unsupported
+from monoheat.errors import GraphAuditError, InvalidArgument, QuadratureFailure, Unsupported
 
 
 def oracle_resolvent(beta_fn, lam, x, lo, hi, iters=200):
@@ -97,6 +100,63 @@ class TestPotential:
         expected, _ = quad(lambda s: w(s) + abs(w(s)) ** 3 * w(s), 0.0, 1.3,
                            epsabs=1e-13)
         assert gr.potential(beta, 1.3) == pytest.approx(expected, abs=1e-9)
+
+
+class _Expm1(gr.ScalarGraph):
+    label = "expm1"
+
+    def value(self, x):
+        with np.errstate(over="ignore"):
+            return np.expm1(np.asarray(x, dtype=float))
+
+
+class _Kinked(gr.ScalarGraph):
+    """Piecewise linear: slope 1 on [-1, 1], slope 3 outside."""
+
+    label = "kinked"
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return x + 2.0 * np.sign(x) * np.maximum(np.abs(x) - 1.0, 0.0)
+
+
+class TestArrayQuadrature:
+    @pytest.mark.parametrize("graph", [
+        gr.PhysicalBeta(1.0, 1.0, inner=gr.SaturatingBiLipschitz(1.0, 1.0)),
+        gr.PhysicalBeta(1.0, 1.0, inner=gr.CompositeSum(
+            [gr.Linear(1.0), gr.SaturatingBiLipschitz(1.0, 1.0)])),
+        _Expm1(),
+        _Kinked(),
+    ], ids=lambda g: g.label)
+    def test_matches_scipy_quad(self, graph):
+        r = np.linspace(-8.0, 8.0, 41)
+        got = graph.potential(r)
+        assert got.shape == r.shape
+        for ri, gi in zip(r, got):
+            ref, _ = quad(lambda s: float(graph.value(s)), 0.0, ri, points=[-1.0, 1.0],
+                          epsabs=0.0, epsrel=1e-13, limit=200)
+            assert abs(gi - ref) <= 1e-11 * max(1.0, abs(ref)), ri
+
+    @pytest.mark.parametrize("r", [20.0, -40.0])
+    def test_relative_tolerance_at_large_arguments(self, r):
+        # an absolute 1e-11 target cannot be met once the potential is ~1e6
+        beta = gr.PhysicalBeta(1.0, 1.0, inner=gr.SaturatingBiLipschitz(1.0, 1.0))
+        ref, _ = quad(lambda s: float(beta.value(s)), 0.0, r, epsabs=0.0, epsrel=1e-13,
+                      limit=200)
+        assert gr.potential(beta, r) == pytest.approx(ref, rel=1e-13)
+
+    def test_overflowing_integrand_fails_fast(self):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(QuadratureFailure):
+                _Expm1().potential(800.0)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 10e6
 
 
 class TestMoreauEnvelope:

@@ -11,7 +11,7 @@ from monoheat.errors import (
     InsufficientLevels,
 )
 from monoheat.stepper import ProblemSpec, SolverConfig, solve_transient
-from conftest import random_problem
+from conftest import random_problem, random_problem_2d
 
 
 def uniform_ode_setup():
@@ -104,6 +104,18 @@ class TestAprioriBounds:
             state = solve_transient(spec, cfg)
             rep = ver.verify_solution(state, spec, fem.assemble(spec.mesh))
             assert rep.all_bounds_pass
+
+    def test_randomized_2d_radiative_no_violations(self, rng):
+        # PhysicalBeta around a nonlinear gamma has no closed-form potential,
+        # so B1 and B2 run through the adaptive quadrature
+        for _ in range(10):
+            spec = random_problem_2d(rng)
+            cfg = SolverConfig(tau=0.025, lambda_schedule=(0.125,), newton_tol=1e-13)
+            state = solve_transient(spec, cfg)
+            rep = ver.verify_solution(state, spec, fem.assemble(spec.mesh))
+            assert rep.all_bounds_pass
+            assert {"B1_sup_l1_bpot", "B2_l2_boundary_flux"} <= {
+                c.name for c in rep.bound_checks}
 
     def test_violation_raises_with_time_index(self):
         spec, cfg, ops = uniform_ode_setup()
