@@ -139,18 +139,14 @@ def _verified_report(state, spec, ops, summary):
 
 def _cmd_graph_check(rc: RunConfig, out: Path) -> int:
     opts = rc.graph_check
-    lambdas = opts.get("lambdas") or [1.0, 0.5, 0.25, 0.125]
-    samples = opts.get("samples")
-    if samples is None:
-        samples = np.linspace(-3.0, 3.0, 25)
-    tol = opts.get("tolerance")
     rows = []
     all_pass = True
-    summary = [("command", "graph-check"), ("lambdas", len(lambdas)),
-               ("samples", len(samples))]
+    summary = [("command", "graph-check"), ("lambdas", len(opts["lambdas"])),
+               ("samples", len(opts["samples"]))]
     for graph in gr.builtin_graphs():
         gr.audit_constants(graph)
-        report = gr.graph_property_suite(graph, lambdas, samples, tol=tol)
+        report = gr.graph_property_suite(graph, opts["lambdas"], opts["samples"],
+                                         tol=opts["tolerance"])
         all_pass &= report.passed
         summary.append((f"graph.{graph.label}.pass", report.passed))
         summary.append((f"graph.{graph.label}.worst_error", report.worst_error()))

@@ -306,7 +306,6 @@ _REQUIRED_SECTIONS = {
 @dataclass
 class RunConfig:
     command: str
-    strict: bool = True
     out_dir: str = "."
     dump_mesh: bool = False
     problem: Optional[ProblemSpec] = None
@@ -317,7 +316,7 @@ class RunConfig:
     warnings: list = field(default_factory=list)
 
 
-def _build_problem(entries, strict, warnings) -> ProblemSpec:
+def _build_problem(entries) -> ProblemSpec:
     known = {k: v for k, v in entries.items() if k in _PROBLEM_KEYS}
     missing = {"domain", "gamma", "beta", "T"} - set(known)
     if missing:
@@ -392,11 +391,11 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
         if required not in sections:
             raise ValidationError(f"command {command} needs a [{required}] section")
 
-    rc = RunConfig(command=command, strict=strict, warnings=warnings)
+    rc = RunConfig(command=command, warnings=warnings)
     if "problem" in sections and command != "graph-check":
-        rc.problem = _build_problem(sections["problem"], strict, warnings)
+        rc.problem = _build_problem(sections["problem"])
     if "problem2" in sections and command == "dependence":
-        rc.problem2 = _build_problem(sections["problem2"], strict, warnings)
+        rc.problem2 = _build_problem(sections["problem2"])
     if "solver" in sections and command != "graph-check":
         rc.solver = _build_solver(sections["solver"])
     if command == "continuation" and rc.solver is not None:

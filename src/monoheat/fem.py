@@ -21,7 +21,7 @@ the energy monitors rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -51,7 +51,7 @@ class Mesh:
     nodes: np.ndarray              # (n,) in 1-D, (n, 2) in 2-D
     elements: np.ndarray           # (m, dim+1) vertex indices
     boundary_labels: np.ndarray    # per node: INTERIOR / GAMMA0 / GAMMA1
-    boundary_facets: Tuple[Tuple[Tuple[int, ...], int], ...]  # (vertex ids, label)
+    boundary_facets: np.ndarray    # (k, dim+1): vertex ids, then the label
     element_sizes: np.ndarray      # length / area per element
 
     @property
@@ -106,7 +106,7 @@ def build_mesh_1d(length: float, n_elems: int, gamma1_side: str = "right") -> Me
     right = GAMMA1 if gamma1_side in ("right", "both") else GAMMA0
     labels[0] = left
     labels[-1] = right
-    facets = (((0,), int(left)), ((n - 1,), int(right)))
+    facets = np.array([[0, left], [n - 1, right]])
     sizes = np.full(n_elems, length / n_elems)
     return Mesh(1, nodes, elements, labels, facets, sizes)
 
@@ -128,9 +128,6 @@ def build_mesh_rect(lx: float, ly: float, nx: int, ny: int,
     xx, yy = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
-
     # each cell (ix, iy) splits into (v00, v10, v11) and (v00, v11, v01)
     v00 = (np.arange(ny, dtype=np.int64)[:, None] * (nx + 1) + np.arange(nx)).ravel()
     v10, v01 = v00 + 1, v00 + nx + 1
@@ -142,18 +139,18 @@ def build_mesh_rect(lx: float, ly: float, nx: int, ny: int,
     labels[on_y] = GAMMA0
     labels[on_x] = GAMMA1 if lateral_gamma1 else GAMMA0
 
-    facets = []
-    lateral = GAMMA1 if lateral_gamma1 else GAMMA0
-    for iy in range(ny):
-        facets.append(((nid(0, iy), nid(0, iy + 1)), lateral))
-        facets.append(((nid(nx, iy), nid(nx, iy + 1)), lateral))
-    for ix in range(nx):
-        facets.append(((nid(ix, 0), nid(ix + 1, 0)), GAMMA0))
-        facets.append(((nid(ix, ny), nid(ix + 1, ny)), GAMMA0))
+    # per row iy the sides x=0 and x=Lx, then per column ix the bottom and top
+    left = np.arange(ny) * (nx + 1)
+    bottom, top = np.arange(nx), ny * (nx + 1) + np.arange(nx)
+    sides = np.column_stack([left, left + nx + 1, left + nx, left + 2 * nx + 1])
+    ends = np.column_stack([bottom, bottom + 1, top, top + 1])
+    facets = np.column_stack([
+        np.concatenate([sides.reshape(-1, 2), ends.reshape(-1, 2)]),
+        np.repeat([GAMMA1 if lateral_gamma1 else GAMMA0, GAMMA0], [2 * ny, 2 * nx])])
 
     area = (lx / nx) * (ly / ny) / 2.0
     sizes = np.full(elements.shape[0], area)
-    return Mesh(2, nodes, elements, labels, tuple(facets), sizes)
+    return Mesh(2, nodes, elements, labels, facets, sizes)
 
 
 def assemble(mesh: Mesh) -> AssembledOperators:
@@ -177,8 +174,7 @@ def assemble(mesh: Mesh) -> AssembledOperators:
     mass = np.bincount(mesh.elements.ravel(), minlength=n,
                        weights=np.repeat(mesh.element_sizes / (d + 1), d + 1))
 
-    facets = np.array([f for f, label in mesh.boundary_facets if label == GAMMA1],
-                      dtype=np.int64).reshape(-1, d)
+    facets = mesh.boundary_facets[mesh.boundary_facets[:, -1] == GAMMA1, :-1]
     spans = pts[facets[:, 1:]] - pts[facets[:, :1]]
     measure = np.sqrt(np.linalg.det(spans @ spans.transpose(0, 2, 1)))
     boundary_mass = np.bincount(facets.ravel(), minlength=n,

@@ -377,7 +377,9 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
     """March the full time interval at one regularization parameter.
 
     ``lam`` defaults to the smallest entry of the schedule.  The state
-    stores u, v = c0*gamma(u) and the boundary selection at every level.
+    stores u, v = c0*gamma(u) and the boundary selection at every level;
+    the selection is evaluated once after the march, on the active
+    boundary nodes only.
     """
     ops = ops if ops is not None else assemble(spec.mesh)
     lam = config.lambda_schedule[-1] if lam is None else float(lam)
@@ -389,19 +391,16 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
         u0 = smooth_initial(spec.mesh, ops, u0, config.smooth_u0_lambda)
 
     solver = _StepSolver(spec, ops, config, lam, config.epsilon)
-    gamma1_mask = (spec.mesh.boundary_labels == 2).astype(float)
 
     times = config.tau * np.arange(n_steps + 1)
     u_hist = np.empty((n_steps + 1, n))
     v_hist = np.empty_like(u_hist)
-    xi_hist = np.empty_like(u_hist)
     iters = np.zeros(n_steps, dtype=int)
     resids = np.zeros(n_steps)
     disagreement = 0.0
 
     u_hist[0] = u0
     v_hist[0] = spec.v_of(u0)
-    xi_hist[0] = gamma1_mask * solver.beta_reg(u0)
 
     for k in range(n_steps):
         try:
@@ -411,11 +410,13 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
             raise
         u_hist[k + 1] = u_next
         v_hist[k + 1] = spec.v_of(u_next)
-        xi_hist[k + 1] = gamma1_mask * solver.beta_reg(u_next)
         iters[k] = it_k
         resids[k] = res_k
         disagreement = max(disagreement, gap)
 
+    g1 = spec.mesh.gamma1_nodes
+    xi_hist = np.zeros_like(u_hist)
+    xi_hist[:, g1] = solver.beta_reg(u_hist[:, g1])
     return SolutionState(times=times, u=u_hist, v=v_hist, xi=xi_hist,
                          lam=lam, tau=config.tau, iterations=iters,
                          residuals=resids, disagreement=disagreement)
@@ -423,10 +424,8 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
 
 def space_time_l2(ops: AssembledOperators, tau: float, fields: np.ndarray) -> float:
     """Discrete L2(0,T;L2) norm: trapezoid in time, lumped mass in space."""
-    sq = np.array([float(f @ (ops.mass * f)) for f in fields])
-    w = np.ones(len(sq))
-    w[0] = w[-1] = 0.5
-    return float(np.sqrt(max(tau * float(w @ sq), 0.0)))
+    sq = (fields * fields) @ ops.mass
+    return float(np.sqrt(max(np.trapezoid(sq, dx=tau), 0.0)))
 
 
 def lambda_continuation(spec: ProblemSpec, config: SolverConfig,

@@ -81,71 +81,71 @@ class EstimateReport:
         return bool(self.bound_checks) and all(c.passed for c in self.bound_checks)
 
 
+def _sampled(field_at: Callable[[float], np.ndarray], times) -> np.ndarray:
+    """A time-dependent nodal field with one row per entry of ``times``."""
+    return np.array([field_at(t) for t in times])
+
+
+def _lumped(f: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-row weighted products ``sum_i f[k,i]*g[k,i]*w[i]``."""
+    return (f * g) @ w
+
+
+def _stiffness_form(k_mat: sp.spmatrix, f: np.ndarray) -> np.ndarray:
+    """Per-row energy ``f_k' K f_k``."""
+    return np.sum(f * (k_mat @ f.T).T, axis=1)
+
+
+def _dual_sq(ops: AssembledOperators, f: np.ndarray) -> np.ndarray:
+    """Per-row squared h1-dual norm ``f_k' (M + K)^-1 f_k``, one
+    multi-column solve for all rows."""
+    h1 = spla.splu((sp.diags(ops.mass) + ops.stiffness).tocsc())
+    return np.maximum(np.sum(f * h1.solve(f.T).T, axis=1), 0.0)
+
+
 def energy_monitors(solution: SolutionState, spec: ProblemSpec,
                     ops: AssembledOperators) -> EstimateReport:
     """Evaluate every estimate functional at every time level."""
     m = ops.mass
-    k_mat = ops.stiffness
     bm = ops.boundary_mass
     eff_gamma = spec.gamma.scaled(spec.c0)
-    n_levels = solution.times.shape[0]
+    u, v, xi = solution.u, solution.v, solution.xi
     tau = solution.tau
 
-    l2_u = np.empty(n_levels)
-    h1_sq_u = np.empty(n_levels)
-    grad_sq = np.empty(n_levels)
-    phi_star = np.empty(n_levels)
-    bhat = np.empty(n_levels)
-    bwork = np.empty(n_levels)
-    bflux = np.empty(n_levels)
-    fwork = np.zeros(n_levels)
-    l2_v = np.empty(n_levels)
-    h1_sq_v = np.empty(n_levels)
+    l2_sq = _lumped(u, u, m)
+    g_sq = _stiffness_form(ops.stiffness, u)
+    grad_sq = np.maximum(g_sq, 0.0)
+    vl2_sq = _lumped(v, v, m)
+    # the graph functionals run one level at a time: on the whole history
+    # their resolvent and quadrature temporaries raised the peak RSS of a
+    # solve by 0.5-0.7 MB (6x6 and 96x96 meshes)
+    phi_star = np.array([np.sum(m * np.asarray(
+        gr.conjugate_potential(eff_gamma, v_k), dtype=float)) for v_k in v])
+    bhat = np.array([np.sum(m * np.asarray(
+        gr.regularized_potential(spec.beta, solution.lam, u_k), dtype=float))
+        for u_k in u])
+    bwork = _lumped(xi, u, bm)
 
-    for k in range(n_levels):
-        u = solution.u[k]
-        v = solution.v[k]
-        xi = solution.xi[k]
-        l2_sq = float(u @ (m * u))
-        g_sq = float(u @ (k_mat @ u))
-        l2_u[k] = math.sqrt(max(l2_sq, 0.0))
-        grad_sq[k] = max(g_sq, 0.0)
-        h1_sq_u[k] = max(l2_sq + g_sq, 0.0)
-        phi_star[k] = float(np.sum(m * np.asarray(
-            gr.conjugate_potential(eff_gamma, v), dtype=float)))
-        bhat[k] = float(np.sum(m * np.asarray(
-            gr.regularized_potential(spec.beta, solution.lam, u), dtype=float)))
-        bwork[k] = float(xi @ (bm * u))
-        bflux[k] = float(xi @ (bm * xi))
-        vl2_sq = float(v @ (m * v))
-        l2_v[k] = math.sqrt(max(vl2_sq, 0.0))
-        h1_sq_v[k] = max(vl2_sq + float(v @ (k_mat @ v)), 0.0)
-        if k >= 1:
-            t = solution.times[k]
-            fwork[k] = float(u @ (m * spec.g_at(t))) + float(u @ (bm * spec.h_at(t)))
+    later = solution.times[1:]
+    fwork = (_lumped(u[1:], _sampled(spec.g_at, later), m)
+             + _lumped(u[1:], _sampled(spec.h_at, later), bm))
+    dual_rate = np.sqrt(_dual_sq(ops, m * np.diff(v, axis=0) / tau))
+    step_slack = solution.residuals * (1.0 + np.linalg.norm(u[1:], axis=1))
 
-    dual_rate = np.zeros(n_levels)
-    h1_solve = spla.factorized((sp.diags(m) + k_mat).tocsc())
-    for k in range(1, n_levels):
-        w = (solution.v[k] - solution.v[k - 1]) / tau
-        y = h1_solve(m * w)
-        dual_rate[k] = math.sqrt(max(float(w @ (m * y)), 0.0))
-
-    step_slack = np.zeros(n_levels)
-    for k in range(1, n_levels):
-        step_slack[k] = float(solution.residuals[k - 1]) * (
-            1.0 + float(np.linalg.norm(solution.u[k])))
+    def from_step_one(series):
+        """Series defined for k >= 1, padded with 0 at level 0."""
+        return np.concatenate([[0.0], series])
 
     return EstimateReport(
         times=solution.times, lam=solution.lam, tau=tau,
-        l2_u=l2_u, h1_sq_u=h1_sq_u, grad_sq=grad_sq,
-        grad_sq_cum=np.concatenate([[0.0], np.cumsum(tau * grad_sq[1:])]),
-        phi_star=phi_star, bhat_l1=bhat,
-        boundary_work=bwork,
-        boundary_work_cum=np.concatenate([[0.0], np.cumsum(tau * bwork[1:])]),
-        boundary_flux_sq=bflux,
-        forcing_work=fwork, l2_v=l2_v, h1_sq_v=h1_sq_v,
-        dual_rate=dual_rate, step_slack=step_slack)
+        l2_u=np.sqrt(np.maximum(l2_sq, 0.0)), h1_sq_u=np.maximum(l2_sq + g_sq, 0.0),
+        grad_sq=grad_sq, grad_sq_cum=from_step_one(np.cumsum(tau * grad_sq[1:])),
+        phi_star=phi_star, bhat_l1=bhat, boundary_work=bwork,
+        boundary_work_cum=from_step_one(np.cumsum(tau * bwork[1:])),
+        boundary_flux_sq=_lumped(xi, xi, bm), forcing_work=from_step_one(fwork),
+        l2_v=np.sqrt(np.maximum(vl2_sq, 0.0)),
+        h1_sq_v=np.maximum(vl2_sq + _stiffness_form(ops.stiffness, v), 0.0),
+        dual_rate=from_step_one(dual_rate), step_slack=from_step_one(step_slack))
 
 
 # ---------------------------------------------------------------------------
@@ -173,28 +173,20 @@ def data_norms(spec: ProblemSpec, ops: AssembledOperators,
                solution: SolutionState) -> DataNorms:
     """Norms of the problem data on the solve's own time grid."""
     tau = solution.tau
-    n_steps = solution.n_steps
     m = ops.mass
-    bm = ops.boundary_mass
     u0 = solution.u[0]
     v0 = solution.v[0]
     m1 = math.sqrt(float(v0 @ (m * v0))) * math.sqrt(float(u0 @ (m * u0)))
-    g_l2l2_sq = 0.0
-    m2_sq = 0.0
-    g_linf = np.zeros(n_steps)
-    for k in range(1, n_steps + 1):
-        t = solution.times[k]
-        g_k = spec.g_at(t)
-        h_k = spec.h_at(t)
-        g_l2l2_sq += tau * float(g_k @ (m * g_k))
-        m2_sq += tau * float(h_k @ (bm * h_k))
-        g_linf[k - 1] = float(np.max(np.abs(g_k)))
+    g = _sampled(spec.g_at, solution.times[1:])
+    h = _sampled(spec.h_at, solution.times[1:])
+    g_linf = np.max(np.abs(g), axis=1)
     bpot = float(np.sum(m * np.asarray(spec.beta.potential(u0), dtype=float)))
     return DataNorms(
-        m1=m1, m2_sq=m2_sq, g_l2l2_sq=g_l2l2_sq,
+        m1=m1, m2_sq=tau * float(np.sum(_lumped(h, h, ops.boundary_mass))),
+        g_l2l2_sq=tau * float(np.sum(_lumped(g, g, m))),
         g_linf_steps=g_linf, g_l1linf=float(tau * g_linf.sum()),
         initial_bpot_l1=bpot, omega=ops.domain_measure,
-        T=float(solution.times[-1]), tau=tau, n_steps=n_steps)
+        T=float(solution.times[-1]), tau=tau, n_steps=solution.n_steps)
 
 
 def _implicit_gronwall_factor(q: np.ndarray) -> float:
@@ -316,19 +308,13 @@ def truncation_envelope_diagnostic(solution: SolutionState, spec: ProblemSpec,
     if not eps > 0.0:
         raise ValidationError("diagnostic needs an active truncation level")
     c_tr = trace_constant(ops)
-    h1_solve = spla.factorized((sp.diags(ops.mass) + ops.stiffness).tocsc())
     tau, lam = solution.tau, solution.lam
-    lhs = np.zeros(solution.n_steps)
-    rhs = np.zeros(solution.n_steps)
-    for k in range(1, solution.n_steps + 1):
-        u = solution.u[k]
-        lhs[k - 1] = ((0.5 + lam) * float(u @ (ops.mass * u))
-                      + 1.5 * float(u @ (ops.stiffness @ u)))
-        t = solution.times[k]
-        f_repr = (ops.mass * (solution.v[k - 1] / tau + spec.g_at(t))
-                  + ops.boundary_mass * spec.h_at(t))
-        f_dual = math.sqrt(max(float(f_repr @ h1_solve(f_repr)), 0.0))
-        rhs[k - 1] = 0.5 * (c_tr * ops.gamma1_measure / eps + f_dual) ** 2
+    u = solution.u[1:]
+    lhs = (0.5 + lam) * _lumped(u, u, ops.mass) + 1.5 * _stiffness_form(ops.stiffness, u)
+    later = solution.times[1:]
+    f_repr = (ops.mass * (solution.v[:-1] / tau + _sampled(spec.g_at, later))
+              + ops.boundary_mass * _sampled(spec.h_at, later))
+    rhs = 0.5 * (c_tr * ops.gamma1_measure / eps + np.sqrt(_dual_sq(ops, f_repr))) ** 2
     return {"lhs": lhs, "rhs": rhs, "within": bool(np.all(lhs <= rhs))}
 
 
@@ -395,18 +381,17 @@ class ProblemTemplate:
 
 def _lateral_normal_sign(mesh: Mesh) -> np.ndarray:
     """Outward normal direction (+-1 along x) at each active boundary node."""
-    sign = np.zeros(mesh.n_nodes)
-    coords = mesh.nodes if mesh.dim == 1 else mesh.nodes[:, 0]
+    coords = mesh.nodes.reshape(mesh.n_nodes, -1)[:, 0]
     xmin, xmax = float(np.min(coords)), float(np.max(coords))
-    for i in mesh.gamma1_nodes:
-        xi = float(coords[i])
-        if abs(xi - xmin) <= 1e-12 * max(1.0, abs(xmax)):
-            sign[i] = -1.0
-        elif abs(xi - xmax) <= 1e-12 * max(1.0, abs(xmax)):
-            sign[i] = 1.0
-        else:
-            raise ValidationError(
-                "active boundary node off the lateral sides; cannot orient the normal")
+    tol = 1e-12 * max(1.0, abs(xmax))
+    x = coords[mesh.gamma1_nodes]
+    at_min = np.abs(x - xmin) <= tol
+    at_max = np.abs(x - xmax) <= tol
+    if not np.all(at_min | at_max):
+        raise ValidationError(
+            "active boundary node off the lateral sides; cannot orient the normal")
+    sign = np.zeros(mesh.n_nodes)
+    sign[mesh.gamma1_nodes] = np.where(at_min, -1.0, 1.0)
     return sign
 
 
@@ -544,23 +529,19 @@ def dependence_check(spec1: ProblemSpec, spec2: ProblemSpec,
     sol1 = solve_transient(spec1, config, ops=ops)
     sol2 = solve_transient(spec2, config, ops=ops)
     tau = config.tau
-    n_steps = sol1.n_steps
 
     e = sol1.u - sol2.u
-    sup_sq = max(float(ek @ (ops.mass * ek)) for ek in e)
-    grad_sq = tau * sum(float(ek @ (ops.stiffness @ ek)) for ek in e[1:])
+    l2_sq = _lumped(e, e, ops.mass)
+    sup_sq = float(np.max(l2_sq))
+    grad_sq = tau * float(np.sum(_stiffness_form(ops.stiffness, e[1:])))
     lhs = max(sup_sq, grad_sq)
 
-    e0 = e[0]
-    rhs_initial = 0.5 * alpha * float(e0 @ (ops.mass * e0))
-    rhs_g = 0.0
-    rhs_h = 0.0
-    for k in range(1, n_steps + 1):
-        t = sol1.times[k]
-        dg = spec1.g_at(t) - spec2.g_at(t)
-        dh = spec1.h_at(t) - spec2.h_at(t)
-        rhs_g += tau * float(dg @ (ops.mass * dg))
-        rhs_h += tau * float(dh @ (ops.boundary_mass * dh))
+    rhs_initial = 0.5 * alpha * float(l2_sq[0])
+    later = sol1.times[1:]
+    dg = _sampled(spec1.g_at, later) - _sampled(spec2.g_at, later)
+    dh = _sampled(spec1.h_at, later) - _sampled(spec2.h_at, later)
+    rhs_g = tau * float(np.sum(_lumped(dg, dg, ops.mass)))
+    rhs_h = tau * float(np.sum(_lumped(dh, dh, ops.boundary_mass)))
     c_tr = trace_constant(ops)
     rhs = rhs_initial + rhs_g + c_tr**2 * rhs_h
     c_dep = 2.0 * math.exp(spec1.T / alpha) / (alpha * min(1.0, 1.0 / alpha))

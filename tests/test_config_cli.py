@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -133,6 +136,26 @@ class TestCli:
         header = (out / "estimates.csv").read_text().splitlines()[0]
         assert header == "graph,property,lambda,x,passed,error"
         assert "all_pass = true" in (out / "summary.txt").read_text()
+
+    def test_graph_check_empty_lists_exit_three(self, tmp_path):
+        for key in ("lambdas", "samples"):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"[graph_check]\n{key} = []\n")
+            assert main(["graph-check", "--config", str(cfg),
+                         "--out", str(tmp_path / key)]) == 3
+
+    def test_readme_example_checks_bounds(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        example = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                            re.S).group(1)
+        assert "domain = interval(" in example
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(example)
+        out = tmp_path / "readme"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "bounds.evaluated = true" in summary
+        assert "bounds.all_pass = true" in summary
 
     def test_dependence_exit_zero(self, tmp_path):
         cfg = tmp_path / "dep.cfg"

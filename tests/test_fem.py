@@ -115,7 +115,7 @@ class TestAssemble:
         e1, e2 = p[1] - p[0], p[2] - p[0]
         area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
         mesh = fem.Mesh(2, p, np.array([[0, 1, 2]]), np.array([GAMMA1, GAMMA1, GAMMA0]),
-                        (((0, 1), GAMMA1), ((1, 2), GAMMA0), ((2, 0), GAMMA0)),
+                        np.array([[0, 1, GAMMA1], [1, 2, GAMMA0], [2, 0, GAMMA0]]),
                         np.array([area]))
         ops = fem.assemble(mesh)
         expected = np.zeros((3, 3))

@@ -13,7 +13,7 @@ from monoheat.stepper import (
     step_newton,
     step_picard,
 )
-from conftest import random_problem, smooth_nodal
+from conftest import random_problem, random_problem_2d, smooth_nodal
 
 
 def steady_spec(n=8, c=1.3, gamma=None, beta=None):
@@ -156,12 +156,15 @@ class TestTransient:
             assert np.abs(state.v[k] - expected).max() == 0.0
 
     def test_xi_matches_regularized_boundary_value(self, rng):
-        spec = random_problem(rng, n_elems=8, T=0.2)
-        state = solve_transient(spec, SolverConfig(tau=0.05, lambda_schedule=(0.125,)))
-        g1 = spec.mesh.gamma1_nodes
-        for k in range(state.n_steps + 1):
-            expected = np.asarray(gr.yosida(spec.beta, 0.125, state.u[k][g1]))
-            assert np.abs(state.xi[k][g1] - expected).max() < 1e-12
+        for spec in (random_problem(rng, n_elems=8, T=0.2),
+                     random_problem_2d(rng, n=4, T=0.2)):
+            state = solve_transient(spec, SolverConfig(tau=0.05, lambda_schedule=(0.125,)))
+            g1 = spec.mesh.gamma1_nodes
+            for k in range(state.n_steps + 1):
+                expected = np.asarray(gr.yosida(spec.beta, 0.125, state.u[k][g1]))
+                assert np.abs(state.xi[k][g1] - expected).max() < 1e-12
+            assert np.any(state.xi[:, g1] != 0.0)
+            assert np.all(np.delete(state.xi, g1, axis=1) == 0.0)
 
     def test_tau_must_divide_horizon(self):
         spec = steady_spec()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -377,3 +378,117 @@ class TestTruncationDiagnostic:
         with pytest.raises(ver.ValidationError):
             ver.truncation_envelope_diagnostic(state, spec,
                                                fem.assemble(spec.mesh), 0.0)
+
+
+def assert_close(actual, expected):
+    """Agreement to 1e-12 relative to the series' largest entry."""
+    expected = np.asarray(expected, dtype=float)
+    scale = max(float(np.max(np.abs(expected), initial=0.0)), 1e-300)
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestWholeHistoryForms:
+    """The monitors read the history as arrays; a plain loop over the time
+    levels must give the same values."""
+
+    def test_monitors_norms_and_envelope_match_per_level_loop(self, rng):
+        spec = random_problem_2d(rng)
+        ops = fem.assemble(spec.mesh)
+        eps = 4.0
+        state = solve_transient(spec, SolverConfig(
+            tau=0.025, lambda_schedule=(0.125,), epsilon=eps), ops=ops)
+        # the clamp at 1/eps binds on some levels but not everywhere
+        assert np.any(np.abs(state.xi) == 1.0 / eps)
+        assert np.any((state.xi != 0.0) & (np.abs(state.xi) < 1.0 / eps))
+        rep = ver.energy_monitors(state, spec, ops)
+        norms = ver.data_norms(spec, ops, state)
+        diag = ver.truncation_envelope_diagnostic(state, spec, ops, eps)
+
+        m, k_mat, bm, tau = ops.mass, ops.stiffness.toarray(), ops.boundary_mass, state.tau
+        h1_inv = np.linalg.inv(np.diag(m) + k_mat)
+        eff_gamma = spec.gamma.scaled(spec.c0)
+        ref = {name: [] for name in (
+            "l2_u", "h1_sq_u", "grad_sq", "phi_star", "bhat_l1", "boundary_work",
+            "boundary_flux_sq", "forcing_work", "l2_v", "h1_sq_v", "dual_rate",
+            "step_slack")}
+        g_l2l2_sq = m2_sq = 0.0
+        g_linf, lhs, rhs = [], [], []
+        for k, t in enumerate(state.times):
+            u, v, xi = state.u[k], state.v[k], state.xi[k]
+            ref["l2_u"].append(math.sqrt(u @ (m * u)))
+            ref["grad_sq"].append(u @ k_mat @ u)
+            ref["h1_sq_u"].append(u @ (m * u) + u @ k_mat @ u)
+            ref["phi_star"].append(m @ gr.conjugate_potential(eff_gamma, v))
+            ref["bhat_l1"].append(m @ gr.regularized_potential(spec.beta, 0.125, u))
+            ref["boundary_work"].append(xi @ (bm * u))
+            ref["boundary_flux_sq"].append(xi @ (bm * xi))
+            ref["l2_v"].append(math.sqrt(v @ (m * v)))
+            ref["h1_sq_v"].append(v @ (m * v) + v @ k_mat @ v)
+            if k == 0:
+                for name in ("forcing_work", "dual_rate", "step_slack"):
+                    ref[name].append(0.0)
+                continue
+            g, h = spec.g_at(t), spec.h_at(t)
+            ref["forcing_work"].append(u @ (m * g) + u @ (bm * h))
+            w = m * (v - state.v[k - 1]) / tau
+            ref["dual_rate"].append(math.sqrt(w @ h1_inv @ w))
+            ref["step_slack"].append(state.residuals[k - 1] * (1.0 + np.linalg.norm(u)))
+            g_l2l2_sq += tau * (g @ (m * g))
+            m2_sq += tau * (h @ (bm * h))
+            g_linf.append(np.max(np.abs(g)))
+            lhs.append((0.5 + 0.125) * (u @ (m * u)) + 1.5 * (u @ k_mat @ u))
+            f = m * (state.v[k - 1] / tau + g) + bm * h
+            rhs.append(0.5 * (fem.trace_constant(ops) * ops.gamma1_measure / eps
+                              + math.sqrt(f @ h1_inv @ f)) ** 2)
+
+        for name, series in ref.items():
+            assert_close(getattr(rep, name), series)
+        assert_close(rep.grad_sq_cum[1:], np.cumsum(tau * np.array(ref["grad_sq"][1:])))
+        assert_close(rep.boundary_work_cum[1:],
+                     np.cumsum(tau * np.array(ref["boundary_work"][1:])))
+        u0, v0 = state.u[0], state.v[0]
+        assert_close(norms.m1, math.sqrt(v0 @ (m * v0)) * math.sqrt(u0 @ (m * u0)))
+        assert_close(norms.g_l2l2_sq, g_l2l2_sq)
+        assert_close(norms.m2_sq, m2_sq)
+        assert_close(norms.g_linf_steps, g_linf)
+        assert_close(norms.g_l1linf, tau * sum(g_linf))
+        assert_close(norms.initial_bpot_l1, m @ spec.beta.potential(u0))
+        assert (norms.n_steps, norms.T, norms.omega) == (
+            state.n_steps, state.times[-1], ops.domain_measure)
+        assert_close(diag["lhs"], lhs)
+        assert_close(diag["rhs"], rhs)
+        assert diag["within"] == all(a <= b for a, b in zip(lhs, rhs))
+
+    def test_dependence_matches_per_level_loop(self, rng):
+        base = random_problem_2d(rng)
+        spec1 = replace(base, gamma=gr.Linear(1.3), beta=gr.Linear(0.8))
+        spec2 = replace(spec1, g=lambda t: 1.5 * base.g_at(t),
+                        h=lambda t: 0.5 * base.h_at(t), u0=0.9 * base.u0)
+        ops = fem.assemble(base.mesh)
+        cfg = SolverConfig(tau=0.025, lambda_schedule=(0.0,))
+        rep = ver.dependence_check(spec1, spec2, cfg, ops=ops)
+
+        sol1 = solve_transient(spec1, cfg, ops=ops)
+        sol2 = solve_transient(spec2, cfg, ops=ops)
+        m, k_mat, bm, tau = ops.mass, ops.stiffness.toarray(), ops.boundary_mass, cfg.tau
+        sup_sq = grad_sq = rhs_g = rhs_h = 0.0
+        for k, t in enumerate(sol1.times):
+            e = sol1.u[k] - sol2.u[k]
+            sup_sq = max(sup_sq, e @ (m * e))
+            if k == 0:
+                continue
+            grad_sq += tau * (e @ k_mat @ e)
+            dg = spec1.g_at(t) - spec2.g_at(t)
+            dh = spec1.h_at(t) - spec2.h_at(t)
+            rhs_g += tau * (dg @ (m * dg))
+            rhs_h += tau * (dh @ (bm * dh))
+        e0 = sol1.u[0] - sol2.u[0]
+        rhs_initial = 0.5 * spec1.c0 * 1.3 * (e0 @ (m * e0))
+        assert_close(rep.sup_sq_l2, sup_sq)
+        assert_close(rep.grad_sq_l2l2, grad_sq)
+        assert_close(rep.lhs, max(sup_sq, grad_sq))
+        assert_close(rep.rhs_initial, rhs_initial)
+        assert_close(rep.rhs_g, rhs_g)
+        assert_close(rep.rhs_h, rhs_h)
+        assert_close(rep.rhs, rhs_initial + rhs_g + fem.trace_constant(ops) ** 2 * rhs_h)
+        assert rep.rhs_g > 0.0 and rep.rhs_h > 0.0 and rep.rhs_initial > 0.0
