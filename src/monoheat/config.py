@@ -174,6 +174,22 @@ def _parse_sections(text: str):
 # ---------------------------------------------------------------------------
 
 
+def _number(value, line_no, kind=float, listed=False):
+    """A config value as ``kind`` (float or int), or as a list of them when
+    ``listed``; anything else is a ``ValidationError`` naming the line."""
+    if listed:
+        if not isinstance(value, list):
+            raise ValidationError(f"line {line_no}: expected a list of numbers, got {value!r}")
+        return [_number(v, line_no, kind) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"line {line_no}: expected a number, got {value!r}")
+    if kind is int:
+        if not float(value).is_integer():
+            raise ValidationError(f"line {line_no}: expected an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
 def _build_graph(value, line_no, gamma: Optional[gr.ScalarGraph] = None) -> gr.ScalarGraph:
     if isinstance(value, str) and value == "sign":
         return gr.Sign()
@@ -216,7 +232,8 @@ def _build_mesh(value, line_no) -> Mesh:
             if kwargs:
                 raise ValidationError(f"unknown arguments {sorted(kwargs)}")
             length, n = value.args
-            return build_mesh_1d(float(length), int(n), str(side))
+            return build_mesh_1d(_number(length, line_no), _number(n, line_no, int),
+                                 str(side))
         if value.name == "rect":
             args = list(value.args)
             lateral = True
@@ -228,7 +245,9 @@ def _build_mesh(value, line_no) -> Mesh:
             if "lateral" in value.kwargs:
                 lateral = bool(value.kwargs["lateral"])
             lx, ly, nx, ny = args
-            return build_mesh_rect(float(lx), float(ly), int(nx), int(ny), lateral)
+            return build_mesh_rect(_number(lx, line_no), _number(ly, line_no),
+                                   _number(nx, line_no, int), _number(ny, line_no, int),
+                                   lateral)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"line {line_no}: bad domain: {exc}") from exc
     raise ValidationError(f"line {line_no}: unknown domain kind {value.name!r}")
@@ -261,11 +280,11 @@ def _expr_field(expr_text: str, mesh: Mesh, line_no: int, time_dependent: bool):
 
 def _build_data_field(value, mesh, line_no, beta=None, time_dependent=True):
     if isinstance(value, (int, float)):
-        return float(value)
+        return _number(value, line_no)
     if isinstance(value, Call):
         if value.name == "constant":
             (c,) = value.args
-            return float(c)
+            return _number(c, line_no)
         if value.name == "expr":
             (text,) = value.args
             return _expr_field(str(text), mesh, line_no, time_dependent)
@@ -273,7 +292,7 @@ def _build_data_field(value, mesh, line_no, beta=None, time_dependent=True):
             if beta is None:
                 raise ValidationError(f"line {line_no}: beta_of needs a boundary graph")
             (u_b,) = value.args
-            return float(np.asarray(beta.minimal_section(float(u_b))))
+            return float(np.asarray(beta.minimal_section(_number(u_b, line_no))))
     raise ValidationError(f"line {line_no}: expected constant(...), expr(...) or beta_of(...)")
 
 
@@ -324,8 +343,8 @@ def _build_problem(entries) -> ProblemSpec:
     mesh = _build_mesh(*known["domain"])
     gamma = _build_graph(*known["gamma"])
     beta = _build_graph(known["beta"][0], known["beta"][1], gamma=gamma)
-    c0 = float(known["c0"][0]) if "c0" in known else 1.0
-    T = float(known["T"][0])
+    c0 = _number(*known["c0"]) if "c0" in known else 1.0
+    T = _number(*known["T"])
 
     def datum(key, time_dependent=True):
         if key not in known:
@@ -344,15 +363,15 @@ def _build_solver(entries) -> SolverConfig:
     for key, (value, line_no) in entries.items():
         if key == "lambda_schedule":
             sched = value if isinstance(value, list) else [value]
-            kwargs["lambda_schedule"] = tuple(float(v) for v in sched)
+            kwargs["lambda_schedule"] = tuple(_number(sched, line_no, listed=True))
         elif key == "lambda_mass_term":
             kwargs["use_lambda_mass"] = bool(value)
         elif key == "max_iters":
-            kwargs[key] = int(value)
+            kwargs[key] = _number(value, line_no, int)
         elif key == "solver_kind":
             kwargs[key] = str(value)
         else:
-            kwargs[key] = float(value)
+            kwargs[key] = _number(value, line_no)
     if "tau" not in kwargs:
         raise ValidationError("solver section must set tau")
     return SolverConfig(**kwargs)
@@ -403,15 +422,18 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
             raise ValidationError("continuation needs at least two lambda values")
 
     if command == "graph-check":
-        gc = {}
+        gc = {"lambdas": [1.0, 0.5, 0.25, 0.125],
+              "samples": np.linspace(-3.0, 3.0, 25),
+              "tolerance": None}
         entries = sections.get("graph_check", {})
-        lambdas = entries.get("lambdas", ([1.0, 0.5, 0.25, 0.125], 0))[0]
-        gc["lambdas"] = [float(v) for v in (lambdas if isinstance(lambdas, list) else [lambdas])]
-        samples = entries.get("samples", (None, 0))[0]
-        gc["samples"] = (np.linspace(-3.0, 3.0, 25) if samples is None
-                         else np.asarray([float(v) for v in samples]))
-        tol = entries.get("tolerance", (None, 0))[0]
-        gc["tolerance"] = None if tol is None else float(tol)
+        if "lambdas" in entries:
+            lambdas, line_no = entries["lambdas"]
+            gc["lambdas"] = _number(lambdas if isinstance(lambdas, list) else [lambdas],
+                                    line_no, listed=True)
+        if "samples" in entries:
+            gc["samples"] = np.asarray(_number(*entries["samples"], listed=True))
+        if "tolerance" in entries:
+            gc["tolerance"] = _number(*entries["tolerance"])
         rc.graph_check = gc
 
     if command == "convergence":
@@ -422,25 +444,25 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
                 raise ValidationError(f"[convergence] missing key {key!r}")
             return entries[key]
 
-        dim = int(need("dim")[0])
+        dim = _number(*need("dim"), int)
         if dim not in (1, 2):
             raise ValidationError("[convergence] dim must be 1 or 2")
         gamma = _build_graph(*need("gamma"))
         beta = _build_graph(need("beta")[0], need("beta")[1], gamma=gamma)
         conv = {
             "dim": dim,
-            "length": float(entries.get("length", (1.0, 0))[0]),
+            "length": _number(*entries.get("length", (1.0, 0))),
             "gamma1": str(entries.get("gamma1", ("right", 0))[0]),
-            "c0": float(entries.get("c0", (1.0, 0))[0]),
+            "c0": _number(*entries.get("c0", (1.0, 0))),
             "gamma": gamma,
             "beta": beta,
-            "T": float(need("T")[0]),
+            "T": _number(*need("T")),
             "exact_space": str(need("exact_space")[0]),
             "exact_time": str(need("exact_time")[0]),
-            "space_levels": [int(v) for v in need("space_levels")[0]],
-            "time_levels": [int(v) for v in need("time_levels")[0]],
-            "fine_space": int(need("fine_space")[0]),
-            "fine_time": int(need("fine_time")[0]),
+            "space_levels": _number(*need("space_levels"), int, listed=True),
+            "time_levels": _number(*need("time_levels"), int, listed=True),
+            "fine_space": _number(*need("fine_space"), int),
+            "fine_time": _number(*need("fine_time"), int),
         }
         rc.convergence = conv
 

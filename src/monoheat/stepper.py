@@ -11,10 +11,15 @@ optional ``lam``-mass term is the coercivity correction carried by the
 regularized operator.  The primary unknown relation ``v = c0*gamma(u)``
 is enforced exactly at the nodes after every accepted step.
 
-Two per-step solvers are provided: a damped fixed-point sweep that
-freezes the nonlinear remainders at the current iterate and solves one
-SPD system per sweep, and a semismooth Newton iteration.  They satisfy
-the same residual contract and are cross-checked in the tests.
+``beta_reg`` and its slope are evaluated on the active boundary nodes
+(Gamma1) only, the support of ``Mb``, and scattered into the nodal vector.
+
+Two per-step solvers are provided: a damped fixed-point sweep
+``U <- U - theta * P^{-1} r(U)``, where ``r`` is the step residual and
+``P`` the SPD Picard matrix (a constant slope in place of ``gamma'``, no
+boundary term) factorized once, so each sweep costs one residual and one
+triangular solve; and a semismooth Newton iteration.  They satisfy the
+same residual contract and are cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -204,16 +209,20 @@ class _StepSolver:
         self.tau = config.tau
         self.mass = ops.mass
         self.bmass = ops.boundary_mass
+        # Mb is supported on the Gamma1 nodes, so beta_reg is needed only there
+        self.g1 = spec.mesh.gamma1_nodes
+        self.tau_bmass_g1 = self.tau * self.bmass[self.g1]
         self.k_tau = (config.tau * ops.stiffness).tocsr()
         self.lam_mass = (config.use_lambda_mass and self.lam > 0.0)
 
         consts = spec.gamma.constants()
         # SPD proxy slope for the volume nonlinearity; equals the exact slope
-        # for a linear gamma, so the sweep then freezes only the boundary term
+        # for a linear gamma, so the sweep then lags only the boundary term
         self.split_slope = 0.5 * (consts.lipschitz_lower + consts.lipschitz_upper)
         diag = spec.c0 * self.split_slope * self.mass
         if self.lam_mass:
             diag = diag + self.tau * self.lam * self.mass
+        # P u - r(u) = b - M c0 (gamma(u) - split_slope u) - tau Mb beta_reg(u)
         self._picard_matrix = (sp.diags(diag) + self.k_tau).tocsc()
         self._picard_solve = None
 
@@ -225,8 +234,7 @@ class _StepSolver:
                 cd_beta = base_cd / (1.0 + self.lam * base_cd) if self.lam > 0.0 else base_cd
         self._const_jacobian_solve = None
         if cd_gamma is not None and cd_beta is not None:
-            jac = self._jacobian_matrix(
-                np.full(ops.n_nodes, cd_gamma), np.full(ops.n_nodes, cd_beta))
+            jac = self._jacobian_matrix(np.full(ops.n_nodes, cd_gamma), cd_beta)
             self._const_jacobian_solve = spla.factorized(jac.tocsc())
 
     # -- building blocks ----------------------------------------------------
@@ -244,19 +252,26 @@ class _StepSolver:
                 + self.tau * self.mass * self.spec.g_at(t_next)
                 + self.tau * self.bmass * self.spec.h_at(t_next))
 
+    def boundary_term(self, u: np.ndarray) -> np.ndarray:
+        """``tau*Mb*beta_reg(u)`` as a nodal vector, zero off Gamma1."""
+        out = np.zeros_like(u)
+        out[self.g1] = self.tau_bmass_g1 * self.beta_reg(u[self.g1])
+        return out
+
     def residual(self, u: np.ndarray, b: np.ndarray) -> np.ndarray:
         spec = self.spec
         r = (self.mass * (spec.c0 * np.asarray(spec.gamma.value(u), dtype=float))
              + self.k_tau @ u
-             + self.tau * self.bmass * self.beta_reg(u)
+             + self.boundary_term(u)
              - b)
         if self.lam_mass:
             r = r + self.tau * self.lam * self.mass * u
         return r
 
-    def _jacobian_matrix(self, gamma_deriv, beta_deriv):
-        diag = (self.spec.c0 * self.mass * gamma_deriv
-                + self.tau * self.bmass * beta_deriv)
+    def _jacobian_matrix(self, gamma_deriv, beta_deriv_g1):
+        """SPD Jacobian; ``beta_deriv_g1`` is the boundary slope on Gamma1."""
+        diag = self.spec.c0 * self.mass * gamma_deriv
+        diag[self.g1] += self.tau_bmass_g1 * beta_deriv_g1
         if self.lam_mass:
             diag = diag + self.tau * self.lam * self.mass
         return sp.diags(diag) + self.k_tau
@@ -264,21 +279,19 @@ class _StepSolver:
     # -- solvers --------------------------------------------------------------
 
     def picard(self, u_init: np.ndarray, b: np.ndarray):
-        """Damped fixed-point sweeps; one SPD solve each."""
+        """Damped fixed-point sweeps ``u <- u - theta P^{-1} r(u)``; the
+        residual of the convergence test drives the next sweep."""
         if self._picard_solve is None:
             self._picard_solve = spla.factorized(self._picard_matrix)
-        spec = self.spec
         theta = self.config.picard_damping
         tol = self.config.picard_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
+        r = self.residual(u, b)
         history = self.last_residual_history = []
         for it in range(1, self.config.max_iters + 1):
-            remainder = self.mass * spec.c0 * (
-                np.asarray(spec.gamma.value(u), dtype=float) - self.split_slope * u)
-            frozen = b - remainder - self.tau * self.bmass * self.beta_reg(u)
-            u_solve = self._picard_solve(frozen)
-            u = (1.0 - theta) * u + theta * u_solve
-            res = float(np.linalg.norm(self.residual(u, b)))
+            u = u - theta * self._picard_solve(r)
+            r = self.residual(u, b)
+            res = float(np.linalg.norm(r))
             history.append(res)
             if not math.isfinite(res):
                 raise NonConvergence("fixed-point sweep diverged", history)
@@ -306,7 +319,8 @@ class _StepSolver:
                 if not np.all(np.isfinite(gamma_d)) or np.any(gamma_d <= 0.0):
                     raise SingularJacobian(
                         "gamma derivative not positive; graph mis-declared as bi-Lipschitz")
-                jac = self._jacobian_matrix(gamma_d, self.beta_reg_deriv(u)).tocsc()
+                jac = self._jacobian_matrix(
+                    gamma_d, self.beta_reg_deriv(u[self.g1])).tocsc()
                 try:
                     delta = spla.spsolve(jac, -r)
                 except Exception as exc:
@@ -349,26 +363,6 @@ class _StepSolver:
             raise SolverDisagreement(
                 f"fixed-point and Newton answers differ by {gap:.3e} (allowed {allowed:.3e})")
         return u_n, max(it_p, it_n), res_n, gap
-
-
-def step_picard(spec: ProblemSpec, ops: AssembledOperators, config: SolverConfig,
-                u_prev: np.ndarray, v_prev: np.ndarray, t_next: float,
-                lam: float, eps: Optional[float] = None) -> np.ndarray:
-    """One backward Euler step via damped fixed-point sweeps."""
-    eps = config.epsilon if eps is None else eps
-    solver = _StepSolver(spec, ops, config, lam, eps)
-    u, _, _ = solver.picard(np.asarray(u_prev, float), solver.rhs(np.asarray(v_prev, float), t_next))
-    return u
-
-
-def step_newton(spec: ProblemSpec, ops: AssembledOperators, config: SolverConfig,
-                u_prev: np.ndarray, v_prev: np.ndarray, t_next: float,
-                lam: float, eps: Optional[float] = None) -> np.ndarray:
-    """One backward Euler step via semismooth Newton."""
-    eps = config.epsilon if eps is None else eps
-    solver = _StepSolver(spec, ops, config, lam, eps)
-    u, _, _ = solver.newton(np.asarray(u_prev, float), solver.rhs(np.asarray(v_prev, float), t_next))
-    return u
 
 
 def solve_transient(spec: ProblemSpec, config: SolverConfig,
@@ -414,7 +408,7 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
         resids[k] = res_k
         disagreement = max(disagreement, gap)
 
-    g1 = spec.mesh.gamma1_nodes
+    g1 = solver.g1
     xi_hist = np.zeros_like(u_hist)
     xi_hist[:, g1] = solver.beta_reg(u_hist[:, g1])
     return SolutionState(times=times, u=u_hist, v=v_hist, xi=xi_hist,

@@ -11,11 +11,10 @@ from monoheat import verification as ver
 from monoheat.stepper import (
     ProblemSpec,
     SolverConfig,
+    _StepSolver,
     lambda_continuation,
     solve_transient,
     space_time_l2,
-    step_newton,
-    step_picard,
 )
 from conftest import random_beta, random_gamma, random_problem, smooth_nodal
 
@@ -232,8 +231,10 @@ def test_criterion_7_solver_cross_validation():
                            picard_tol=1e-12, newton_tol=1e-12, max_iters=800)
         ops = fem.assemble(mesh)
         v0 = spec.v_of(spec.u0)
-        u_p = step_picard(spec, ops, cfg, spec.u0, v0, tau, lam)
-        u_n = step_newton(spec, ops, cfg, spec.u0, v0, tau, lam)
+        solver = _StepSolver(spec, ops, cfg, lam, cfg.epsilon)
+        b = solver.rhs(v0, tau)
+        u_p, _, _ = solver.picard(spec.u0, b)
+        u_n, _, _ = solver.newton(spec.u0, b)
         worst_gap = max(worst_gap, float(np.abs(u_p - u_n).max()))
 
     rng2 = np.random.default_rng(708)

@@ -177,6 +177,26 @@ class TestCli:
         cfg.write_text("[problem]\nnot_a_key = 1\n")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("command,old,bad", [
+        ("graph-check", "samples = [0.0, 1.0]", "samples = 0.5"),
+        ("graph-check", "samples = [0.0, 1.0]", "lambdas = [fast]"),
+        ("graph-check", "samples = [0.0, 1.0]", "tolerance = fast"),
+        ("solve", "tau = 0.1", "tau = fast"),
+        ("solve", "lambda_schedule = [0.0]", "lambda_schedule = [fast]"),
+        ("solve", "T = 0.5", "T = fast"),
+        ("solve", "solver_kind = newton", "max_iters = 2.5"),
+        ("solve", "interval(1.0, 8, gamma1=right)", "interval(1.0, 8.5, gamma1=right)"),
+    ], ids=["samples", "lambdas", "tolerance", "tau", "lambda_schedule", "T", "max_iters",
+            "interval"])
+    def test_bad_number_exit_three(self, tmp_path, capsys, command, old, bad):
+        base = "[graph_check]\nsamples = [0.0, 1.0]\n" if command == "graph-check" else STEADY
+        text = base.replace(old, bad)
+        line_no = next(i for i, line in enumerate(text.splitlines(), 1) if bad in line)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        assert f"line {line_no}:" in capsys.readouterr().err
+
     def test_missing_config_exit_three(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "x")]) == 3

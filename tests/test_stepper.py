@@ -10,8 +10,6 @@ from monoheat.stepper import (
     lambda_continuation,
     smooth_initial,
     solve_transient,
-    step_newton,
-    step_picard,
 )
 from conftest import random_problem, random_problem_2d, smooth_nodal
 
@@ -23,6 +21,23 @@ def steady_spec(n=8, c=1.3, gamma=None, beta=None):
         mesh=mesh, c0=1.0,
         gamma=gamma or gr.SaturatingBiLipschitz(1.0, 1.0),
         beta=beta, g=None, h=float(beta.value(c)), u0=c, T=0.5)
+
+
+def full_residuals(spec, ops, tau, lam, state):
+    """Step residuals rebuilt on every node, the Yosida term included:
+    ``(residual, rhs)`` for each accepted level."""
+    for k in range(1, state.n_steps + 1):
+        t = state.times[k]
+        u = state.u[k]
+        b = (ops.mass * state.v[k - 1]
+             + tau * ops.mass * spec.g_at(t)
+             + tau * ops.boundary_mass * spec.h_at(t))
+        res = (ops.mass * spec.c0 * np.asarray(spec.gamma.value(u))
+               + tau * (ops.stiffness @ u)
+               + tau * lam * ops.mass * u
+               + tau * ops.boundary_mass * np.asarray(gr.yosida(spec.beta, lam, u))
+               - b)
+        yield res, b
 
 
 class TestSmoothInitial:
@@ -94,8 +109,10 @@ class TestSingleStep:
             ops = fem.assemble(spec.mesh)
             cfg = SolverConfig(tau=0.02, lambda_schedule=(0.25,),
                                picard_tol=1e-12, newton_tol=1e-12, max_iters=500)
-            u_p = step_picard(spec, ops, cfg, spec.u0, spec.v_of(spec.u0), 0.02, 0.25)
-            u_n = step_newton(spec, ops, cfg, spec.u0, spec.v_of(spec.u0), 0.02, 0.25)
+            solver = _StepSolver(spec, ops, cfg, 0.25, cfg.epsilon)
+            b = solver.rhs(spec.v_of(spec.u0), 0.02)
+            u_p, _, _ = solver.picard(spec.u0, b)
+            u_n, _, _ = solver.newton(spec.u0, b)
             assert np.abs(u_p - u_n).max() < 1e-10
 
     def test_residual_contract_recomputed_independently(self, rng):
@@ -103,20 +120,34 @@ class TestSingleStep:
         ops = fem.assemble(spec.mesh)
         cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), newton_tol=1e-12)
         state = solve_transient(spec, cfg, ops=ops)
-        lam = 0.125
-        for k in range(1, state.n_steps + 1):
-            t = state.times[k]
-            u = state.u[k]
-            b = (ops.mass * state.v[k - 1]
-                 + cfg.tau * ops.mass * spec.g_at(t)
-                 + cfg.tau * ops.boundary_mass * spec.h_at(t))
-            res = (ops.mass * spec.c0 * np.asarray(spec.gamma.value(u))
-                   + cfg.tau * (ops.stiffness @ u)
-                   + cfg.tau * lam * ops.mass * u
-                   + cfg.tau * ops.boundary_mass * np.asarray(
-                       gr.yosida(spec.beta, lam, u))
-                   - b)
+        for res, b in full_residuals(spec, ops, cfg.tau, 0.125, state):
             assert np.linalg.norm(res) <= cfg.newton_tol * (1 + np.linalg.norm(b))
+
+    def test_residual_contract_2d_picard(self, rng):
+        spec = random_problem_2d(rng, n=6, T=0.2)
+        ops = fem.assemble(spec.mesh)
+        cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), solver_kind="picard",
+                           picard_tol=1e-10)
+        state = solve_transient(spec, cfg, ops=ops)
+        for res, b in full_residuals(spec, ops, cfg.tau, 0.125, state):
+            assert np.linalg.norm(res) <= cfg.picard_tol * (1 + np.linalg.norm(b))
+
+    def test_insulated_mesh_with_nonlinear_beta(self, rng):
+        mesh = fem.build_mesh_1d(1.0, 8, "none")
+        assert mesh.gamma1_nodes.size == 0
+        gamma = gr.SaturatingBiLipschitz(1.0, 0.5)
+        spec = ProblemSpec(mesh=mesh, c0=1.0, gamma=gamma,
+                           beta=gr.PhysicalBeta(1.0, 0.5, inner=gamma),
+                           g=smooth_nodal(mesh, rng, amp=0.5), h=1.0,
+                           u0=smooth_nodal(mesh, rng, amp=0.6), T=0.2)
+        ops = fem.assemble(mesh)
+        for kind in ("picard", "newton"):
+            cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), solver_kind=kind)
+            state = solve_transient(spec, cfg, ops=ops)
+            tol = cfg.picard_tol if kind == "picard" else cfg.newton_tol
+            for res, b in full_residuals(spec, ops, cfg.tau, 0.125, state):
+                assert np.linalg.norm(res) <= tol * (1 + np.linalg.norm(b))
+            assert np.all(state.xi == 0.0)
 
     def test_nonconvergence_reports_history_and_index(self):
         spec = steady_spec(c=2.0)
@@ -128,6 +159,31 @@ class TestSingleStep:
             solve_transient(spec, cfg)
         assert info.value.time_index == 1
         assert len(info.value.residual_history) == 3
+
+
+class TestActiveBoundaryOnly:
+    @pytest.mark.parametrize("kind", ["picard", "newton", "both"])
+    def test_boundary_graph_evaluated_on_gamma1_only(self, rng, monkeypatch, kind):
+        shapes = []
+        for name in ("regularized_value", "regularized_derivative"):
+            def spy(graph, lam, eps, r, real=getattr(gr, name), name=name):
+                shapes.append((name, np.shape(r)))
+                return real(graph, lam, eps, r)
+            monkeypatch.setattr(gr, name, spy)
+        for spec in (random_problem(rng, n_elems=8, T=0.2),
+                     random_problem_2d(rng, n=4, T=0.2)):
+            shapes.clear()
+            cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), solver_kind=kind,
+                               picard_tol=1e-12, newton_tol=1e-12, max_iters=500)
+            state = solve_transient(spec, cfg)
+            n_g1 = len(spec.mesh.gamma1_nodes)
+            assert shapes
+            # every call works on the Gamma1 nodes; the one 2-D call is the
+            # selection over the whole history, (levels, Gamma1 nodes)
+            assert all(shape[-1] == n_g1 for _, shape in shapes), shapes
+            assert [s for _, s in shapes if len(s) != 1] == [(state.n_steps + 1, n_g1)]
+            if spec.mesh.dim == 2 and kind != "picard":
+                assert any(name == "regularized_derivative" for name, _ in shapes)
 
 
 class TestTransient:
