@@ -4,8 +4,9 @@ Commands: ``graph-check``, ``solve``, ``continuation``, ``convergence``
 and ``dependence``.  Diagnostics go to standard error; data goes to files
 in the output directory (``solution.csv``, ``boundary.csv``,
 ``estimates.csv``, ``summary.txt``).  Exit codes: 0 success, 1 solver
-failure, 2 violated bound or dependence margin or graph property,
-3 configuration error.
+failure or any other package error (``DomainError``, ``Unsupported``,
+``EmptyBoundary``, ...; one ``error:`` line, no traceback), 2 violated
+bound or dependence margin or graph property, 3 configuration error.
 
 Identical configuration and build produce byte-identical outputs; floats
 are written with 17 significant digits so files round-trip exactly.
@@ -14,7 +15,6 @@ are written with 17 significant digits so files round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -26,6 +26,7 @@ from .config import COMMANDS, RunConfig, parse_config
 from .errors import (
     ConfigError,
     EmptyBoundary,
+    MonoheatError,
     SolverError,
     ValidationError,
     ViolationError,
@@ -57,14 +58,6 @@ def _write_summary(path: Path, items):
             fh.write(f"{key} = {_fmt(value)}\n")
 
 
-def _sweep_workers() -> int:
-    raw = os.environ.get("MONOHEAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _write_state_files(out: Path, state, mesh):
     levels = np.arange(len(state.times))
     n, g1 = mesh.n_nodes, mesh.gamma1_nodes
@@ -73,7 +66,7 @@ def _write_state_files(out: Path, state, mesh):
                     np.tile(np.arange(n), len(levels)), state.u.ravel(), state.v.ravel()])
     _write_columns(out / "boundary.csv", ("k", "t", "node_id", "xi"),
                    [np.repeat(levels, len(g1)), np.repeat(state.times, len(g1)),
-                    np.tile(g1, len(levels)), state.xi[:, g1].ravel()])
+                    np.tile(g1, len(levels)), state.xi.ravel()])
 
 
 def _write_columns(path: Path, header, columns):
@@ -184,7 +177,7 @@ def _cmd_solve(rc: RunConfig, out: Path) -> int:
 def _cmd_continuation(rc: RunConfig, out: Path) -> int:
     spec, cfg = rc.problem, rc.solver
     ops = assemble(spec.mesh)
-    runs = lambda_continuation(spec, cfg, ops=ops, workers=_sweep_workers())
+    runs = lambda_continuation(spec, cfg, ops=ops)
     lam_final, state, _ = runs[-1]
     _write_state_files(out, state, spec.mesh)
     summary = [("command", "continuation"), ("nodes", spec.mesh.n_nodes),
@@ -286,6 +279,9 @@ def run(rc: RunConfig) -> int:
     except ViolationError as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 2
+    except MonoheatError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def _parse_args(argv):

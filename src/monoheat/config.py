@@ -298,8 +298,7 @@ def _build_data_field(value, mesh, line_no, beta=None, time_dependent=True):
 
 _PROBLEM_KEYS = {"domain", "c0", "gamma", "beta", "g", "h", "u0", "T"}
 _SOLVER_KEYS = {"tau", "lambda_schedule", "epsilon", "picard_damping", "picard_tol",
-                "newton_tol", "max_iters", "solver_kind", "lambda_mass_term",
-                "smooth_u0_lambda"}
+                "newton_tol", "max_iters", "solver_kind", "smooth_u0_lambda"}
 _GRAPH_CHECK_KEYS = {"lambdas", "samples", "tolerance"}
 _CONVERGENCE_KEYS = {"dim", "length", "gamma1", "c0", "gamma", "beta", "T",
                      "exact_space", "exact_time", "space_levels", "time_levels",
@@ -361,11 +360,11 @@ def _build_problem(entries) -> ProblemSpec:
 def _build_solver(entries) -> SolverConfig:
     kwargs = {}
     for key, (value, line_no) in entries.items():
+        if key not in _SOLVER_KEYS:
+            continue  # reported by parse_config; an error in strict mode
         if key == "lambda_schedule":
             sched = value if isinstance(value, list) else [value]
             kwargs["lambda_schedule"] = tuple(_number(sched, line_no, listed=True))
-        elif key == "lambda_mass_term":
-            kwargs["use_lambda_mass"] = bool(value)
         elif key == "max_iters":
             kwargs[key] = _number(value, line_no, int)
         elif key == "solver_kind":
@@ -444,6 +443,14 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
                 raise ValidationError(f"[convergence] missing key {key!r}")
             return entries[key]
 
+        def levels(key):
+            value, line_no = need(key)
+            out = _number(value, line_no, int, listed=True)
+            if len(out) < 3:
+                raise ValidationError(
+                    f"line {line_no}: {key} needs at least three refinement levels")
+            return out
+
         dim = _number(*need("dim"), int)
         if dim not in (1, 2):
             raise ValidationError("[convergence] dim must be 1 or 2")
@@ -459,8 +466,8 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
             "T": _number(*need("T")),
             "exact_space": str(need("exact_space")[0]),
             "exact_time": str(need("exact_time")[0]),
-            "space_levels": _number(*need("space_levels"), int, listed=True),
-            "time_levels": _number(*need("time_levels"), int, listed=True),
+            "space_levels": levels("space_levels"),
+            "time_levels": levels("time_levels"),
             "fine_space": _number(*need("fine_space"), int),
             "fine_time": _number(*need("fine_time"), int),
         }

@@ -3,6 +3,7 @@
 Three top branches matter for the CLI exit-code mapping: ``ConfigError``
 (bad input, exit 3), ``SolverError`` (numerical failure, exit 1) and
 ``ViolationError`` (a checked property failed on actual output, exit 2).
+Every other ``MonoheatError`` exits 1.
 """
 
 

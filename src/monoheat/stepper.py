@@ -7,12 +7,13 @@ Each step solves the lumped nodal system
 
 where ``beta_reg`` is the Yosida approximation of the boundary graph at
 the working regularization parameter (optionally hard-clamped), and the
-optional ``lam``-mass term is the coercivity correction carried by the
-regularized operator.  The primary unknown relation ``v = c0*gamma(u)``
-is enforced exactly at the nodes after every accepted step.
+``lam``-mass term is the coercivity correction carried by the regularized
+operator.  The primary unknown relation ``v = c0*gamma(u)`` is enforced
+exactly at the nodes after every accepted step.
 
 ``beta_reg`` and its slope are evaluated on the active boundary nodes
-(Gamma1) only, the support of ``Mb``, and scattered into the nodal vector.
+(Gamma1) only, the support of ``Mb``, and scattered into the nodal vector;
+the stored boundary selection ``xi`` holds the Gamma1 columns only.
 
 Two per-step solvers are provided: a damped fixed-point sweep
 ``U <- U - theta * P^{-1} r(U)``, where ``r`` is the step residual and
@@ -123,7 +124,6 @@ class SolverConfig:
     newton_tol: float = 1e-12
     max_iters: int = 200
     solver_kind: str = "newton"
-    use_lambda_mass: bool = True
     smooth_u0_lambda: float = 0.0
 
     def __post_init__(self):
@@ -164,7 +164,7 @@ class SolutionState:
     times: np.ndarray          # (K+1,)
     u: np.ndarray              # (K+1, n)
     v: np.ndarray              # (K+1, n)
-    xi: np.ndarray             # (K+1, n), zero off the active boundary
+    xi: np.ndarray             # (K+1, |Gamma1|), on mesh.gamma1_nodes
     lam: float
     tau: float
     iterations: np.ndarray     # per accepted step
@@ -213,7 +213,7 @@ class _StepSolver:
         self.g1 = spec.mesh.gamma1_nodes
         self.tau_bmass_g1 = self.tau * self.bmass[self.g1]
         self.k_tau = (config.tau * ops.stiffness).tocsr()
-        self.lam_mass = (config.use_lambda_mass and self.lam > 0.0)
+        self.lam_mass = self.lam > 0.0
 
         consts = spec.gamma.constants()
         # SPD proxy slope for the volume nonlinearity; equals the exact slope
@@ -372,8 +372,9 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
 
     ``lam`` defaults to the smallest entry of the schedule.  The state
     stores u, v = c0*gamma(u) and the boundary selection at every level;
-    the selection is evaluated once after the march, on the active
-    boundary nodes only.
+    the selection is evaluated once after the march and stored on the
+    active boundary nodes only, one column per ``mesh.gamma1_nodes``
+    entry.
     """
     ops = ops if ops is not None else assemble(spec.mesh)
     lam = config.lambda_schedule[-1] if lam is None else float(lam)
@@ -408,10 +409,8 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
         resids[k] = res_k
         disagreement = max(disagreement, gap)
 
-    g1 = solver.g1
-    xi_hist = np.zeros_like(u_hist)
-    xi_hist[:, g1] = solver.beta_reg(u_hist[:, g1])
-    return SolutionState(times=times, u=u_hist, v=v_hist, xi=xi_hist,
+    xi = solver.beta_reg(u_hist[:, solver.g1])
+    return SolutionState(times=times, u=u_hist, v=v_hist, xi=xi,
                          lam=lam, tau=config.tau, iterations=iters,
                          residuals=resids, disagreement=disagreement)
 
@@ -423,37 +422,22 @@ def space_time_l2(ops: AssembledOperators, tau: float, fields: np.ndarray) -> fl
 
 
 def lambda_continuation(spec: ProblemSpec, config: SolverConfig,
-                        ops: Optional[AssembledOperators] = None,
-                        workers: int = 1):
-    """Solve along the decreasing regularization schedule.
+                        ops: Optional[AssembledOperators] = None):
+    """Solve along the decreasing regularization schedule, one level after
+    another.
 
     Returns a list of ``(lam, state, cauchy_diff)`` where ``cauchy_diff``
     is the space-time distance to the previous (larger-lam) solution and
-    ``None`` for the first entry.  Independent solves may run on a small
-    thread pool; the result order is fixed by the schedule.
+    ``None`` for the first entry.
     """
     if len(config.lambda_schedule) < 2:
         raise ValidationError("continuation needs at least two lambda values")
     ops = ops if ops is not None else assemble(spec.mesh)
-
-    def solve_one(lam):
-        return solve_transient(spec, config, ops=ops, lam=lam)
-
-    lams = config.lambda_schedule
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(lams))) as pool:
-            states = list(pool.map(solve_one, lams))
-    else:
-        states = [solve_one(l) for l in lams]
-
     out = []
     prev = None
-    for lam, state in zip(lams, states):
-        diff = None
-        if prev is not None:
-            diff = space_time_l2(ops, config.tau, state.u - prev.u)
+    for lam in config.lambda_schedule:
+        state = solve_transient(spec, config, ops=ops, lam=lam)
+        diff = None if prev is None else space_time_l2(ops, config.tau, state.u - prev.u)
         out.append((lam, state, diff))
         prev = state
     return out

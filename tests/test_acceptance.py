@@ -91,7 +91,7 @@ def test_criterion_3_lambda_continuation():
                        beta=beta, g=0.4, h=float(beta.value(0.6)), u0=0.2, T=0.0625)
     cfg = SolverConfig(tau=1.0 / 128.0,
                        lambda_schedule=tuple(2.0 ** -k for k in range(1, 7)),
-                       use_lambda_mass=True, newton_tol=1e-13)
+                       newton_tol=1e-13)
     ops = fem.assemble(mesh)
     runs = lambda_continuation(spec, cfg, ops=ops)
     diffs = [r[2] for r in runs[1:]]

@@ -4,10 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monoheat import fem, graphs as gr
+from monoheat import cli, fem, graphs as gr
 from monoheat.cli import _write_state_files, main
 from monoheat.config import parse_config
-from monoheat.errors import ParseError, ValidationError
+from monoheat.errors import (
+    DegenerateElement,
+    DimensionMismatch,
+    DomainError,
+    InsufficientLevels,
+    ParseError,
+    ValidationError,
+)
 from monoheat.stepper import SolutionState
 
 STEADY = """
@@ -51,6 +58,27 @@ tau = 0.05
 lambda_schedule = [0.0]
 """
 
+CONVERGENCE = """
+[convergence]
+dim = 1
+length = 1.0
+gamma1 = right
+c0 = 1.0
+gamma = linear(2.0)
+beta = linear(1.0)
+T = 0.5
+exact_space = "(1 + t/2)*cos(pi*x/2)"
+exact_time = "exp(-t)*cos(pi*x/2)"
+space_levels = [16, 32, 64]
+time_levels = [8, 16, 32]
+fine_space = 128
+fine_time = 64
+
+[solver]
+tau = 0.1
+lambda_schedule = [0.0]
+"""
+
 
 class TestGrammar:
     def test_graph_constructors(self):
@@ -91,6 +119,16 @@ class TestGrammar:
         bad = STEADY.replace("c0 = 1.0", "c0 = 1.0\nwhatever = 3")
         rc = parse_config(bad, command="solve", strict=False)
         assert rc.warnings
+
+    def test_removed_solver_key_is_unknown(self):
+        # the lambda mass term is always on for lam > 0; its old switch is
+        # an unknown key like any other
+        text = STEADY.replace("tau = 0.1", "tau = 0.1\nlambda_mass_term = on")
+        with pytest.raises(ValidationError, match="lambda_mass_term"):
+            parse_config(text, command="solve")
+        rc = parse_config(text, command="solve", strict=False)
+        assert rc.warnings == ["unknown keys in [solver]: ['lambda_mass_term']"]
+        assert rc.solver.tau == 0.1
 
     def test_duplicate_key_rejected(self):
         bad = STEADY.replace("c0 = 1.0", "c0 = 1.0\nc0 = 2.0")
@@ -235,26 +273,7 @@ class TestCli:
 
     def test_convergence_command(self, tmp_path):
         cfg = tmp_path / "conv.cfg"
-        cfg.write_text("""
-[convergence]
-dim = 1
-length = 1.0
-gamma1 = right
-c0 = 1.0
-gamma = linear(2.0)
-beta = linear(1.0)
-T = 0.5
-exact_space = "(1 + t/2)*cos(pi*x/2)"
-exact_time = "exp(-t)*cos(pi*x/2)"
-space_levels = [16, 32, 64]
-time_levels = [8, 16, 32]
-fine_space = 128
-fine_time = 64
-
-[solver]
-tau = 0.1
-lambda_schedule = [0.0]
-""")
+        cfg.write_text(CONVERGENCE)
         out = tmp_path / "conv"
         assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
         summary = (out / "summary.txt").read_text()
@@ -262,12 +281,53 @@ lambda_schedule = [0.0]
                              if l.startswith("order_space")][0].split("=")[1])
         assert 1.9 <= order_space <= 2.1
 
+    def test_convergence_saturating_gamma_exit_zero(self, tmp_path):
+        # the manufactured source differentiates gamma's Abs symbolically
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(CONVERGENCE.replace("gamma = linear(2.0)",
+                                           "gamma = saturating(1.0, 1.0)"))
+        out = tmp_path / "conv"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "order_time = " in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("command,base,old,new,code,message", [
+        ("convergence", CONVERGENCE, "space_levels = [16, 32, 64]",
+         "space_levels = [8, 16]", 3, "error: line {line}: space_levels"),
+        ("convergence", CONVERGENCE, "time_levels = [8, 16, 32]",
+         "time_levels = [8]", 3, "error: line {line}: time_levels"),
+        ("convergence", CONVERGENCE, "gamma = linear(2.0)",
+         "gamma = composite(linear(2.0), sign)", 1, "error: Unsupported: "),
+        ("dependence", DEPENDENCE, "gamma1=right", "gamma1=none", 1,
+         "error: EmptyBoundary: "),
+    ], ids=["space_levels", "time_levels", "unsupported", "empty_boundary"])
+    def test_package_error_exit_code(self, tmp_path, capsys, command, base, old, new,
+                                     code, message):
+        text = base.replace(old, new)
+        line_no = next(i for i, line in enumerate(text.splitlines(), 1) if new in line)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(line=line_no))
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("error", [DomainError, DegenerateElement, DimensionMismatch,
+                                       InsufficientLevels])
+    def test_any_package_error_exit_one(self, tmp_path, monkeypatch, capsys, error):
+        def fail(rc, out):
+            raise error("cannot go on")
+        monkeypatch.setitem(cli._DISPATCH, "solve", fail)
+        cfg = tmp_path / "steady.cfg"
+        cfg.write_text(STEADY)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: {error.__name__}: cannot go on\n"
+
 
 def test_state_files_exact_text(tmp_path):
     # 2-element interval, active boundary on the right (node 2), one step
     mesh = fem.build_mesh_1d(1.0, 2, "right")
     u = np.array([[0.0, 0.5, 1.0], [0.1, 1.0 / 3.0, -2.0]])
-    xi = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -1e-20]])
+    xi = np.array([[2.0], [-1e-20]])
     state = SolutionState(times=np.array([0.0, 0.1]), u=u, v=2.0 * u, xi=xi,
                           lam=0.0, tau=0.1, iterations=np.array([1]),
                           residuals=np.array([0.0]))
