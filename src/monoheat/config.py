@@ -8,17 +8,17 @@ sections or keys are errors, so silently ignored physics cannot happen.
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import sympy
 
 from . import graphs as gr
 from .errors import ParseError, ValidationError
 from .fem import Mesh, build_mesh_1d, build_mesh_rect
-from .stepper import ProblemSpec, SolverConfig
+from .stepper import ProblemSpec, SolverConfig, check_volume_graph
 
 COMMANDS = ("graph-check", "solve", "continuation", "convergence", "dependence")
 
@@ -253,29 +253,95 @@ def _build_mesh(value, line_no) -> Mesh:
     raise ValidationError(f"line {line_no}: unknown domain kind {value.name!r}")
 
 
-def _expr_field(expr_text: str, mesh: Mesh, line_no: int, time_dependent: bool):
-    x, y, t = sympy.symbols("x y t")
-    allowed = {x, t} if mesh.dim == 1 else {x, y, t}
-    if not time_dependent:
-        allowed = allowed - {t}
+_EXPR_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+                   "log": np.log, "sqrt": np.sqrt, "tanh": np.tanh, "abs": np.abs}
+_EXPR_OPERATORS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+                   ast.Div: np.divide, ast.Pow: np.power,
+                   ast.UAdd: np.positive, ast.USub: np.negative}
+#: deepest operator nesting accepted; keeps compiling and evaluating the
+#: tree far from the interpreter's recursion limit
+_EXPR_DEPTH = 100
+
+
+def _expr_names(dim: int, time_dependent: bool) -> tuple:
+    return ("x",) + (("y",) if dim == 2 else ()) + (("t",) if time_dependent else ())
+
+
+def _compile_expr(text: str, names: tuple, line_no: int):
+    """Check ``text`` against the ``expr(...)`` grammar and compile it.
+
+    The grammar is numbers, ``pi``, the variables ``names``, ``+ - * / **``,
+    unary ``+``/``-`` and one-argument calls of ``_EXPR_FUNCTIONS``; any
+    other node is a ``ValidationError`` naming the line.  The text is parsed,
+    never evaluated.  Returns a function of the tuple of variable values, in
+    the order of ``names``, that evaluates the checked tree with numpy.
+    """
     try:
-        expr = sympy.sympify(expr_text)
-    except (sympy.SympifyError, SyntaxError) as exc:
-        raise ValidationError(f"line {line_no}: bad expression: {exc}") from exc
-    extra = expr.free_symbols - allowed
-    if extra:
-        raise ValidationError(f"line {line_no}: unexpected symbols {extra} in expression")
-    args = (x, t) if mesh.dim == 1 else (x, y, t)
-    fn = sympy.lambdify(args, expr, "numpy")
+        tree = ast.parse(text.strip(), mode="eval")
+    except (SyntaxError, RecursionError) as exc:
+        raise ValidationError(
+            f"line {line_no}: bad expression {text!r}: {getattr(exc, 'msg', exc)}") from exc
+    node = _expr_node(tree.body, names, line_no, 0)
+    return node if callable(node) else (lambda env: node)
+
+
+def _expr_node(node, names, line_no, depth):
+    """A checked node as an ``np.float64`` when it holds no variable (so
+    constants are folded here, in float64 arithmetic), else as a function
+    of the variable tuple."""
+    if depth > _EXPR_DEPTH:
+        raise ValidationError(
+            f"line {line_no}: expression nested more than {_EXPR_DEPTH} levels deep")
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return _folded(lambda: node.value, node, line_no)
+    if isinstance(node, ast.Name):
+        if node.id == "pi":
+            return np.float64(np.pi)
+        if node.id not in names:
+            raise ValidationError(f"line {line_no}: unknown name {node.id!r} in expression; "
+                                  f"the variables here are {', '.join(names)}")
+        i = names.index(node.id)
+        return lambda env: env[i]
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCTIONS and len(node.args) == 1 and not node.keywords):
+        op, parts = _EXPR_FUNCTIONS[node.func.id], node.args
+    elif isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPERATORS:
+        op, parts = _EXPR_OPERATORS[type(node.op)], [node.left, node.right]
+    elif isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPERATORS:
+        op, parts = _EXPR_OPERATORS[type(node.op)], [node.operand]
+    else:
+        hint = " (the power operator is **)" if isinstance(
+            getattr(node, "op", None), ast.BitXor) else ""
+        raise ValidationError(
+            f"line {line_no}: {ast.unparse(node)!r} is not allowed in an expression{hint}")
+    args = [_expr_node(part, names, line_no, depth + 1) for part in parts]
+    if not any(callable(a) for a in args):
+        return _folded(lambda: op(*args), node, line_no)
+    fns = [a if callable(a) else (lambda env, c=a: c) for a in args]
+    return lambda env: op(*[f(env) for f in fns])
+
+
+def _folded(compute, node, line_no) -> np.float64:
+    try:
+        with np.errstate(all="raise"):
+            value = np.float64(compute())
+    except (FloatingPointError, OverflowError):
+        value = np.float64(np.nan)
+    if not np.isfinite(value):
+        raise ValidationError(f"line {line_no}: {ast.unparse(node)!r} is not a finite number")
+    return value
+
+
+def _expr_field(expr_text: str, mesh: Mesh, line_no: int, time_dependent: bool):
+    fn = _compile_expr(expr_text, _expr_names(mesh.dim, time_dependent), line_no)
     coords = (mesh.nodes,) if mesh.dim == 1 else (mesh.nodes[:, 0], mesh.nodes[:, 1])
 
+    def values(env) -> np.ndarray:
+        return np.broadcast_to(np.asarray(fn(env), dtype=float), (mesh.n_nodes,)).copy()
+
     if time_dependent:
-        def field_fn(tv: float) -> np.ndarray:
-            return np.broadcast_to(
-                np.asarray(fn(*coords, tv), dtype=float), (mesh.n_nodes,)).copy()
-        return field_fn
-    vals = np.broadcast_to(np.asarray(fn(*coords, 0.0), dtype=float), (mesh.n_nodes,)).copy()
-    return vals
+        return lambda tv: values(coords + (tv,))
+    return values(coords)
 
 
 def _build_data_field(value, mesh, line_no, beta=None, time_dependent=True):
@@ -454,8 +520,19 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
         dim = _number(*need("dim"), int)
         if dim not in (1, 2):
             raise ValidationError("[convergence] dim must be 1 or 2")
-        gamma = _build_graph(*need("gamma"))
+        gamma_value, gamma_line = need("gamma")
+        gamma = _build_graph(gamma_value, gamma_line)
+        try:
+            check_volume_graph(gamma)
+        except ValidationError as exc:
+            raise ValidationError(f"line {gamma_line}: {exc}") from exc
         beta = _build_graph(need("beta")[0], need("beta")[1], gamma=gamma)
+
+        def exact(key):
+            value, line_no = need(key)
+            _compile_expr(str(value), _expr_names(dim, True), line_no)
+            return str(value)
+
         conv = {
             "dim": dim,
             "length": _number(*entries.get("length", (1.0, 0))),
@@ -464,8 +541,8 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
             "gamma": gamma,
             "beta": beta,
             "T": _number(*need("T")),
-            "exact_space": str(need("exact_space")[0]),
-            "exact_time": str(need("exact_time")[0]),
+            "exact_space": exact("exact_space"),
+            "exact_time": exact("exact_time"),
             "space_levels": levels("space_levels"),
             "time_levels": levels("time_levels"),
             "fine_space": _number(*need("fine_space"), int),

@@ -65,6 +65,14 @@ def _as_time_field(data: FieldLike, n_nodes: int, name: str) -> Callable[[float]
     raise ValidationError(f"{name} must be a scalar, nodal array or callable of time")
 
 
+def check_volume_graph(gamma: gr.ScalarGraph) -> None:
+    """Raise ``ValidationError`` unless ``gamma`` declares bi-Lipschitz
+    constants that pass ``audit_constants``: the volume-graph hypothesis."""
+    if not gamma.constants().bi_lipschitz:
+        raise ValidationError(f"gamma must declare bi-Lipschitz constants, got {gamma.label}")
+    gr.audit_constants(gamma)
+
+
 @dataclass
 class ProblemSpec:
     """Full problem data set for one transient run."""
@@ -83,11 +91,7 @@ class ProblemSpec:
             raise ValidationError("c0 must be positive")
         if not self.T > 0.0:
             raise ValidationError("final time must be positive")
-        consts = self.gamma.constants()
-        if not consts.bi_lipschitz:
-            raise ValidationError(
-                f"gamma must declare bi-Lipschitz constants, got {self.gamma.label}")
-        gr.audit_constants(self.gamma)
+        check_volume_graph(self.gamma)
         n = self.mesh.n_nodes
         if np.isscalar(self.u0):
             self.u0 = np.full(n, float(self.u0))

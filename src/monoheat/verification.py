@@ -24,7 +24,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-import sympy
 
 from . import graphs as gr
 from .errors import (
@@ -333,6 +332,8 @@ class ManufacturedSolution:
     """
 
     def __init__(self, expr, dim: int):
+        import sympy  # imported here so that only convergence studies load it
+
         if dim not in (1, 2):
             raise ValidationError("dimension must be 1 or 2")
         self.dim = dim
@@ -406,6 +407,8 @@ def manufactured_source(exact: ManufacturedSolution,
     zero normal derivative on the insulated boundary; that is the caller's
     choice of field, not checked here.
     """
+    import sympy
+
     mesh = template.mesh
     x, t_sym = exact.vars[0], exact.vars[-1]
     gamma_expr = template.gamma.to_sympy(exact.expr)

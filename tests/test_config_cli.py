@@ -1,18 +1,24 @@
+import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monoheat
 from monoheat import cli, fem, graphs as gr
 from monoheat.cli import _write_state_files, main
-from monoheat.config import parse_config
+from monoheat.config import _compile_expr, parse_config
 from monoheat.errors import (
     DegenerateElement,
     DimensionMismatch,
     DomainError,
     InsufficientLevels,
     ParseError,
+    Unsupported,
     ValidationError,
 )
 from monoheat.stepper import SolutionState
@@ -154,6 +160,117 @@ class TestGrammar:
         assert len(rc.problem.mesh.gamma1_nodes) == 8
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_example() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+
+
+def _workload_configs():
+    """The benchmark's generated configurations, every workload and seed."""
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [w.config(seed) for w in workloads.WORKLOADS.values()
+            for seed in range(workloads.VARIANTS)]
+
+
+# every grammar feature once: numbers, pi, the variables, + - * / **, unary
+# +/- and each function
+_ACCEPTED = ["sin(pi*x)*t", "-x + +y", "2.5e-1*x**2 - y/3", "tan(x/2)", "log(1 + x)",
+             "sqrt(x + y)", "tanh(t - x)", "abs(x - 0.5)**1.5", "exp(-(x**2 + y**2)/t)",
+             "cos(pi*x/2)*cos(pi*y)", "7", "-pi"]
+
+
+def _expr_texts():
+    """Every expression string of the README, these configs and the
+    benchmark's workloads, plus the accepted forms above."""
+    texts = [_readme_example(), STEADY, DEPENDENCE, CONVERGENCE] + _workload_configs()
+    found = set(_ACCEPTED)
+    for text in texts:
+        found.update(re.findall(r'expr\("([^"]*)"\)', text))
+        found.update(re.findall(r'exact_(?:space|time) = "([^"]*)"', text))
+    return sorted(found)
+
+
+class TestExprGrammar:
+    @pytest.mark.parametrize("text", _expr_texts())
+    def test_values_match_sympy(self, text):
+        import sympy
+        x, y, t = sympy.symbols("x y t")
+        reference = sympy.lambdify((x, y, t), sympy.sympify(text, locals={"x": x, "y": y, "t": t}),
+                                   "numpy")
+        xs, ys = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7))
+        for tv in (0.3, 1.7):
+            env = (xs.ravel(), ys.ravel(), tv)
+            want = np.broadcast_to(np.asarray(reference(*env), dtype=float), xs.size)
+            got = np.broadcast_to(_compile_expr(text, ("x", "y", "t"), 1)(env), xs.size)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("key,text", [
+        ("g", "np.sin(x)"),
+        ("g", "__import__('os')"),
+        ("g", "eval('x')"),
+        ("g", "lambda: x"),
+        ("g", "sin(x=1)"),
+        ("g", "x^2"),
+        ("g", "z"),
+        ("u0", "t*x"),
+        ("g", "y*x"),
+        ("g", "9**9**9"),
+        ("g", "Abs(x)"),
+        ("g", "x[0]"),
+        ("g", "sin(x, t)"),
+        ("g", "1/0"),
+        ("h", "sin(pi*x"),
+        ("g", "+".join(["x"] * 200)),
+    ], ids=["attribute", "dunder_import", "eval", "lambda", "keyword", "caret", "unknown_name",
+            "t_in_u0", "y_in_1d", "huge_power", "sympy_name", "subscript", "two_args",
+            "zero_division", "unclosed", "too_deep"])
+    def test_rejected_exit_three(self, tmp_path, capsys, key, text):
+        old = {"g": "g = constant(0.0)", "h": "h = beta_of(1.0)", "u0": "u0 = constant(1.0)"}[key]
+        config = STEADY.replace(old, f'{key} = expr("{text}")')
+        line_no = next(i for i, line in enumerate(config.splitlines(), 1)
+                       if line.startswith(f"{key} = expr("))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: line {line_no}: ")
+
+    def test_exact_fields_use_the_dimension(self):
+        # y is a variable of a 2-D exact field and unknown in 1-D
+        text = CONVERGENCE.replace('"exp(-t)*cos(pi*x/2)"', '"exp(-t)*cos(pi*x/2)*cos(pi*y)"')
+        parse_config(text.replace("dim = 1", "dim = 2"), command="convergence")
+        with pytest.raises(ValidationError, match="unknown name 'y'"):
+            parse_config(text, command="convergence")
+
+    def test_solve_path_does_not_load_sympy(self, tmp_path):
+        readme, dependence, bad = (tmp_path / name for name in ("readme.cfg", "dep.cfg",
+                                                                "bad.cfg"))
+        readme.write_text(_readme_example())
+        dependence.write_text(DEPENDENCE)
+        bad.write_text(CONVERGENCE.replace('"(1 + t/2)*cos(pi*x/2)"', '"(1 + t/2)*cos(pi*x/2"'))
+        runs = [("solve", readme, 0), ("dependence", dependence, 0), ("graph-check", None, 0),
+                ("convergence", bad, 3)]
+        script = ["import sys", "import monoheat.cli"]
+        for k, (command, cfg, code) in enumerate(runs):
+            argv = [command, "--out", str(tmp_path / f"out{k}")]
+            argv += [] if cfg is None else ["--config", str(cfg)]
+            script.append(f"assert monoheat.cli.main({argv!r}) == {code}, {command!r}")
+        script.append("print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+        src = str(Path(monoheat.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        result = subprocess.run([sys.executable, "-c", "\n".join(script)], env=env,
+                                capture_output=True, text=True, timeout=600)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
+
 class TestCli:
     def test_solve_steady_exit_zero(self, tmp_path):
         cfg = tmp_path / "steady.cfg"
@@ -183,9 +300,7 @@ class TestCli:
                          "--out", str(tmp_path / key)]) == 3
 
     def test_readme_example_checks_bounds(self, tmp_path):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        example = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
-                            re.S).group(1)
+        example = _readme_example()
         assert "domain = interval(" in example
         cfg = tmp_path / "readme.cfg"
         cfg.write_text(example)
@@ -296,10 +411,14 @@ class TestCli:
         ("convergence", CONVERGENCE, "time_levels = [8, 16, 32]",
          "time_levels = [8]", 3, "error: line {line}: time_levels"),
         ("convergence", CONVERGENCE, "gamma = linear(2.0)",
-         "gamma = composite(linear(2.0), sign)", 1, "error: Unsupported: "),
+         "gamma = composite(linear(2.0), sign)", 3,
+         "error: line {line}: gamma must declare bi-Lipschitz constants"),
+        ("convergence", CONVERGENCE, 'exact_space = "(1 + t/2)*cos(pi*x/2)"',
+         'exact_space = "(1 + t/2)*cos(pi*x/2"', 3, "error: line {line}: bad expression"),
         ("dependence", DEPENDENCE, "gamma1=right", "gamma1=none", 1,
          "error: EmptyBoundary: "),
-    ], ids=["space_levels", "time_levels", "unsupported", "empty_boundary"])
+    ], ids=["space_levels", "time_levels", "non_bilipschitz_gamma", "unclosed_exact",
+            "empty_boundary"])
     def test_package_error_exit_code(self, tmp_path, capsys, command, base, old, new,
                                      code, message):
         text = base.replace(old, new)
@@ -312,7 +431,7 @@ class TestCli:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("error", [DomainError, DegenerateElement, DimensionMismatch,
-                                       InsufficientLevels])
+                                       InsufficientLevels, Unsupported])
     def test_any_package_error_exit_one(self, tmp_path, monkeypatch, capsys, error):
         def fail(rc, out):
             raise error("cannot go on")
