@@ -1,14 +1,19 @@
 """Line-oriented ``key = value`` configuration grammar.
 
-Sections are introduced by ``[name]``; values are numbers, bare words,
-quoted strings, bracketed lists or calls like ``linear(2.0)`` and
-``physical(h=1.0, s=1.0)``.  Parsing is strict by default: unknown
-sections or keys are errors, so silently ignored physics cannot happen.
+Sections are introduced by ``[name]``.  Each value is read with Python's
+``ast`` parser and must be a number (optionally signed), a bare word, a
+quoted string, a bracketed list or a call like ``linear(2.0)`` and
+``physical(h=1.0, s=1.0)``; a call's arguments are bound to the
+constructor's parameters by ``_bind``.  Parsing is strict by default:
+unknown sections or keys are errors, so silently ignored physics cannot
+happen.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,108 +40,55 @@ class Call:
     kwargs: dict
 
 
-_TOKEN_RE = re.compile(r"""
-    \s*(
-        -?\d+\.?\d*(?:[eE][+-]?\d+)?   # number
-      | [A-Za-z_][A-Za-z0-9_\-]*       # word
-      | "[^"]*"                        # string
-      | [()\[\],=]                     # punctuation
-    )
-""", re.VERBOSE)
+def _quoted(text: str, width: int = 40) -> str:
+    return repr(text if len(text) <= width else text[:width - 3] + "...")
 
 
-def _tokenize(text: str, line_no: int):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"cannot tokenize {text[pos:].strip()!r}", line_no)
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+def _parse_text(text: str, line_no: int, what: str) -> ast.AST:
+    """The stripped ``text`` parsed, never evaluated, as one expression; what the
+    parser rejects (on 3.10 a NUL byte is a ``ValueError``, and deep nesting can
+    exhaust its recursion or memory) is a ``ParseError`` naming the line."""
+    try:
+        return ast.parse(text, mode="eval").body
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise ParseError(f"bad {what} {_quoted(text)}: "
+                         f"{getattr(exc, 'msg', None) or repr(exc)}", line_no) from exc
 
 
-class _ValueParser:
-    def __init__(self, tokens, line_no):
-        self.tokens = tokens
-        self.i = 0
-        self.line_no = line_no
+def _not_allowed(text: str, node: ast.AST, line_no: int, where: str, hint: str = ""):
+    # quotes the node's own text: ast.unparse(node) recurses through the node
+    # and can itself overflow the stack
+    segment = _quoted(ast.get_source_segment(text, node))
+    return ParseError(f"{segment} is not allowed in {where}{hint}", line_no)
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ParseError(f"expected {expected or 'a value'}, got {tok!r}", self.line_no)
-        self.i += 1
-        return tok
+def _is_number(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
 
-    def parse(self):
-        value = self.value()
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r}", self.line_no)
-        return value
 
-    def value(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("missing value", self.line_no)
-        if tok == "[":
-            return self.list_value()
-        if tok.startswith('"'):
-            self.take()
-            return tok[1:-1]
-        if re.fullmatch(r"-?\d+\.?\d*(?:[eE][+-]?\d+)?", tok):
-            self.take()
-            return float(tok)
-        word = self.take()
-        if self.peek() == "(":
-            return self.call_value(word)
-        lowered = word.lower()
-        if lowered in ("on", "true", "yes"):
-            return True
-        if lowered in ("off", "false", "no"):
-            return False
-        return word
-
-    def list_value(self):
-        self.take("[")
-        items = []
-        if self.peek() == "]":
-            self.take("]")
-            return items
-        items.append(self.value())
-        while self.peek() == ",":
-            self.take(",")
-            items.append(self.value())
-        self.take("]")
-        return items
-
-    def call_value(self, name):
-        self.take("(")
-        args, kwargs = [], {}
-        if self.peek() != ")":
-            while True:
-                tok = self.peek()
-                if (tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok)
-                        and self.i + 1 < len(self.tokens)
-                        and self.tokens[self.i + 1] == "="):
-                    key = self.take()
-                    self.take("=")
-                    kwargs[key] = self.value()
-                else:
-                    if kwargs:
-                        raise ParseError("positional argument after keyword", self.line_no)
-                    args.append(self.value())
-                if self.peek() == ",":
-                    self.take(",")
-                    continue
-                break
-        self.take(")")
-        return Call(name, args, kwargs)
+def _value(node: ast.AST, text: str, line_no: int):
+    """A parsed right-hand side as a config value: a float, a str (bare
+    word or quoted string), a list or a ``Call``."""
+    if (isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub))
+            and _is_number(node.operand)):
+        sign = -1.0 if isinstance(node.op, ast.USub) else 1.0
+        return sign * _value(node.operand, text, line_no)
+    if _is_number(node):
+        # through the decimal text, so an integer beyond the float range is inf
+        return float(repr(node.value))
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.List):
+        return [_value(item, text, line_no) for item in node.elts]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        args = [_value(arg, text, line_no) for arg in node.args]  # rejects a *starred one
+        kwargs = {kw.arg: _value(kw.value, text, line_no) for kw in node.keywords}
+        if None in kwargs or len(kwargs) < len(node.keywords):
+            raise ParseError(f"**keywords or a repeated keyword in {node.func.id}(...)", line_no)
+        return Call(node.func.id, args, kwargs)
+    raise _not_allowed(text, node, line_no, "a value")
 
 
 def _parse_sections(text: str):
@@ -163,9 +115,9 @@ def _parse_sections(text: str):
             raise ParseError(f"bad key {key!r}", line_no)
         if key in sections[current]:
             raise ParseError(f"duplicate key {key!r}", line_no)
-        tokens = _tokenize(rhs.strip(), line_no)
-        value = _ValueParser(tokens, line_no).parse()
-        sections[current][key] = (value, line_no)
+        rhs = rhs.strip()
+        sections[current][key] = (_value(_parse_text(rhs, line_no, "value"), rhs, line_no),
+                                  line_no)
     return sections
 
 
@@ -174,83 +126,97 @@ def _parse_sections(text: str):
 # ---------------------------------------------------------------------------
 
 
+def _bind(call: Call, params, line_no: int, **defaults) -> list:
+    """The arguments of ``call`` bound to ``params`` by position, then by
+    keyword, then from ``defaults``, in the order of ``params``; a ``*name``
+    parameter takes the other positional arguments as a tuple.  A missing,
+    extra or repeated argument is a ``ValidationError`` naming the line."""
+    P = inspect.Parameter
+    signature = inspect.Signature([
+        P(p.lstrip("*"), P.VAR_POSITIONAL if p.startswith("*") else P.POSITIONAL_OR_KEYWORD,
+          default=defaults.get(p, P.empty)) for p in params])
+    try:
+        bound = signature.bind(*call.args, **call.kwargs)
+    except TypeError as exc:
+        raise ValidationError(f"line {line_no}: {call.name}(...): {exc}") from exc
+    bound.apply_defaults()
+    return list(bound.arguments.values())
+
+
 def _number(value, line_no, kind=float, listed=False):
-    """A config value as ``kind`` (float or int), or as a list of them when
-    ``listed``; anything else is a ``ValidationError`` naming the line."""
+    """A config value as a finite ``kind`` (float or int), or a list of them
+    when ``listed``; anything else is a ``ValidationError`` naming the line."""
     if listed:
         if not isinstance(value, list):
             raise ValidationError(f"line {line_no}: expected a list of numbers, got {value!r}")
         return [_number(v, line_no, kind) for v in value]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"line {line_no}: expected a number, got {value!r}")
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ValidationError(f"line {line_no}: expected a finite number, got {value!r}")
     if kind is int:
-        if not float(value).is_integer():
+        if not value.is_integer():
             raise ValidationError(f"line {line_no}: expected an integer, got {value!r}")
         return int(value)
-    return float(value)
+    return value
+
+
+def _at_line(line_no, what, build, *args):
+    """``build(*args)``, with a ``ValidationError`` it raises naming the line."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"line {line_no}: {what}{exc}") from exc
+
+
+#: graph constructors by name: their parameters, all numbers except
+#: composite's graphs, and a builder of the problem's gamma and the arguments
+_GRAPHS = {
+    "linear": (("alpha",), lambda gamma, alpha: gr.Linear(alpha)),
+    "saturating": (("alpha", "b"), lambda gamma, alpha, b: gr.SaturatingBiLipschitz(alpha, b)),
+    "power": (("p",), lambda gamma, p: gr.Power(p)),
+    "physical": (("h", "s"), lambda gamma, h, s: gr.PhysicalBeta(h, s, inner=gamma)),
+    "sign": ((), lambda gamma: gr.Sign()),
+    "composite": (("*graphs",), lambda gamma, *parts: gr.CompositeSum(parts)),
+}
 
 
 def _build_graph(value, line_no, gamma: Optional[gr.ScalarGraph] = None) -> gr.ScalarGraph:
-    if isinstance(value, str) and value == "sign":
-        return gr.Sign()
+    if value == "sign":
+        value = Call("sign", [], {})
     if not isinstance(value, Call):
         raise ValidationError(f"line {line_no}: expected a graph constructor")
-    name = value.name
-    try:
-        if name == "linear":
-            return gr.Linear(*value.args, **value.kwargs)
-        if name == "saturating":
-            return gr.SaturatingBiLipschitz(*value.args, **value.kwargs)
-        if name == "power":
-            return gr.Power(*value.args, **value.kwargs)
-        if name == "sign":
-            return gr.Sign()
-        if name == "physical":
-            kwargs = dict(value.kwargs)
-            h_coef = kwargs.pop("h", value.args[0] if value.args else None)
-            s_coef = kwargs.pop("s", value.args[1] if len(value.args) > 1 else None)
-            if kwargs:
-                raise ValidationError(f"unknown arguments {sorted(kwargs)}")
-            if h_coef is None or s_coef is None:
-                raise ValidationError("physical(...) needs h and s")
-            return gr.PhysicalBeta(h_coef, s_coef, inner=gamma)
-        if name == "composite":
-            parts = [_build_graph(a, line_no, gamma) for a in value.args]
-            return gr.CompositeSum(parts)
-    except (TypeError, ValidationError) as exc:
-        raise ValidationError(f"line {line_no}: bad graph {name}: {exc}") from exc
-    raise ValidationError(f"line {line_no}: unknown graph kind {name!r}")
+    if value.name not in _GRAPHS:
+        raise ValidationError(f"line {line_no}: unknown graph kind {value.name!r}")
+    params, build = _GRAPHS[value.name]
+    args = _bind(value, params, line_no)
+    if value.name == "composite":
+        args = [_build_graph(part, line_no, gamma) for part in args[0]]
+    else:
+        args = [_number(arg, line_no) for arg in args]
+    return _at_line(line_no, f"bad graph {value.name}: ", build, gamma, *args)
+
+
+def _volume_graph(value, line_no) -> gr.ScalarGraph:
+    """A graph built to serve as ``gamma``: bi-Lipschitz, constants audited."""
+    gamma = _build_graph(value, line_no)
+    _at_line(line_no, "", check_volume_graph, gamma)
+    return gamma
 
 
 def _build_mesh(value, line_no) -> Mesh:
-    if not isinstance(value, Call):
-        raise ValidationError(f"line {line_no}: expected interval(...) or rect(...)")
-    try:
-        if value.name == "interval":
-            kwargs = dict(value.kwargs)
-            side = kwargs.pop("gamma1", "right")
-            if kwargs:
-                raise ValidationError(f"unknown arguments {sorted(kwargs)}")
-            length, n = value.args
-            return build_mesh_1d(_number(length, line_no), _number(n, line_no, int),
-                                 str(side))
-        if value.name == "rect":
-            args = list(value.args)
-            lateral = True
-            if args and isinstance(args[-1], str):
-                flag = args.pop()
-                if flag not in ("lateral", "none"):
-                    raise ValidationError(f"rect boundary flag must be lateral or none, got {flag!r}")
-                lateral = flag == "lateral"
-            if "lateral" in value.kwargs:
-                lateral = bool(value.kwargs["lateral"])
-            lx, ly, nx, ny = args
-            return build_mesh_rect(_number(lx, line_no), _number(ly, line_no),
-                                   _number(nx, line_no, int), _number(ny, line_no, int),
-                                   lateral)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"line {line_no}: bad domain: {exc}") from exc
-    raise ValidationError(f"line {line_no}: unknown domain kind {value.name!r}")
+    if isinstance(value, Call) and value.name == "interval":
+        length, n, side = _bind(value, ("length", "n", "gamma1"), line_no, gamma1="right")
+        return _at_line(line_no, "bad domain: ", build_mesh_1d, _number(length, line_no),
+                        _number(n, line_no, int), side)
+    if isinstance(value, Call) and value.name == "rect":
+        lx, ly, nx, ny, boundary = _bind(value, ("lx", "ly", "nx", "ny", "boundary"),
+                                         line_no, boundary="lateral")
+        if boundary not in ("lateral", "none"):
+            raise ValidationError(
+                f"line {line_no}: rect boundary must be lateral or none, got {boundary!r}")
+        return _at_line(line_no, "bad domain: ", build_mesh_rect, _number(lx, line_no),
+                        _number(ly, line_no), _number(nx, line_no, int),
+                        _number(ny, line_no, int), boundary == "lateral")
+    raise ValidationError(f"line {line_no}: expected interval(...) or rect(...)")
 
 
 _EXPR_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
@@ -272,28 +238,24 @@ def _compile_expr(text: str, names: tuple, line_no: int):
 
     The grammar is numbers, ``pi``, the variables ``names``, ``+ - * / **``,
     unary ``+``/``-`` and one-argument calls of ``_EXPR_FUNCTIONS``; any
-    other node is a ``ValidationError`` naming the line.  The text is parsed,
+    other node is a ``ConfigError`` naming the line.  The text is parsed,
     never evaluated.  Returns a function of the tuple of variable values, in
     the order of ``names``, that evaluates the checked tree with numpy.
     """
-    try:
-        tree = ast.parse(text.strip(), mode="eval")
-    except (SyntaxError, RecursionError) as exc:
-        raise ValidationError(
-            f"line {line_no}: bad expression {text!r}: {getattr(exc, 'msg', exc)}") from exc
-    node = _expr_node(tree.body, names, line_no, 0)
+    text = text.strip()
+    node = _expr_node(_parse_text(text, line_no, "expression"), text, names, line_no, 0)
     return node if callable(node) else (lambda env: node)
 
 
-def _expr_node(node, names, line_no, depth):
+def _expr_node(node, text, names, line_no, depth):
     """A checked node as an ``np.float64`` when it holds no variable (so
     constants are folded here, in float64 arithmetic), else as a function
     of the variable tuple."""
     if depth > _EXPR_DEPTH:
         raise ValidationError(
             f"line {line_no}: expression nested more than {_EXPR_DEPTH} levels deep")
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return _folded(lambda: node.value, node, line_no)
+    if _is_number(node):
+        return _folded(lambda: node.value, node, text, line_no)
     if isinstance(node, ast.Name):
         if node.id == "pi":
             return np.float64(np.pi)
@@ -312,23 +274,23 @@ def _expr_node(node, names, line_no, depth):
     else:
         hint = " (the power operator is **)" if isinstance(
             getattr(node, "op", None), ast.BitXor) else ""
-        raise ValidationError(
-            f"line {line_no}: {ast.unparse(node)!r} is not allowed in an expression{hint}")
-    args = [_expr_node(part, names, line_no, depth + 1) for part in parts]
+        raise _not_allowed(text, node, line_no, "an expression", hint)
+    args = [_expr_node(part, text, names, line_no, depth + 1) for part in parts]
     if not any(callable(a) for a in args):
-        return _folded(lambda: op(*args), node, line_no)
+        return _folded(lambda: op(*args), node, text, line_no)
     fns = [a if callable(a) else (lambda env, c=a: c) for a in args]
     return lambda env: op(*[f(env) for f in fns])
 
 
-def _folded(compute, node, line_no) -> np.float64:
+def _folded(compute, node, text, line_no) -> np.float64:
     try:
         with np.errstate(all="raise"):
             value = np.float64(compute())
     except (FloatingPointError, OverflowError):
         value = np.float64(np.nan)
     if not np.isfinite(value):
-        raise ValidationError(f"line {line_no}: {ast.unparse(node)!r} is not a finite number")
+        segment = _quoted(ast.get_source_segment(text, node))
+        raise ValidationError(f"line {line_no}: {segment} is not a finite number")
     return value
 
 
@@ -344,20 +306,20 @@ def _expr_field(expr_text: str, mesh: Mesh, line_no: int, time_dependent: bool):
     return values(coords)
 
 
-def _build_data_field(value, mesh, line_no, beta=None, time_dependent=True):
-    if isinstance(value, (int, float)):
+def _build_data_field(value, line_no, mesh, beta, time_dependent):
+    if isinstance(value, float):
         return _number(value, line_no)
     if isinstance(value, Call):
         if value.name == "constant":
-            (c,) = value.args
+            (c,) = _bind(value, ("c",), line_no)
             return _number(c, line_no)
         if value.name == "expr":
-            (text,) = value.args
-            return _expr_field(str(text), mesh, line_no, time_dependent)
+            (text,) = _bind(value, ("text",), line_no)
+            if not isinstance(text, str):
+                raise ValidationError(f"line {line_no}: expr(...) needs a string, got {text!r}")
+            return _expr_field(text, mesh, line_no, time_dependent)
         if value.name == "beta_of":
-            if beta is None:
-                raise ValidationError(f"line {line_no}: beta_of needs a boundary graph")
-            (u_b,) = value.args
+            (u_b,) = _bind(value, ("u",), line_no)
             return float(np.asarray(beta.minimal_section(_number(u_b, line_no))))
     raise ValidationError(f"line {line_no}: expected constant(...), expr(...) or beta_of(...)")
 
@@ -401,21 +363,19 @@ class RunConfig:
 
 
 def _build_problem(entries) -> ProblemSpec:
-    known = {k: v for k, v in entries.items() if k in _PROBLEM_KEYS}
-    missing = {"domain", "gamma", "beta", "T"} - set(known)
+    missing = {"domain", "gamma", "beta", "T"} - set(entries)
     if missing:
         raise ValidationError(f"problem section missing keys {sorted(missing)}")
-    mesh = _build_mesh(*known["domain"])
-    gamma = _build_graph(*known["gamma"])
-    beta = _build_graph(known["beta"][0], known["beta"][1], gamma=gamma)
-    c0 = _number(*known["c0"]) if "c0" in known else 1.0
-    T = _number(*known["T"])
+    mesh = _build_mesh(*entries["domain"])
+    gamma = _volume_graph(*entries["gamma"])
+    beta = _build_graph(*entries["beta"], gamma=gamma)
+    c0 = _number(*entries["c0"]) if "c0" in entries else 1.0
+    T = _number(*entries["T"])
 
     def datum(key, time_dependent=True):
-        if key not in known:
+        if key not in entries:
             return None
-        return _build_data_field(known[key][0], mesh, known[key][1],
-                                 beta=beta, time_dependent=time_dependent)
+        return _build_data_field(*entries[key], mesh, beta, time_dependent)
 
     u0 = datum("u0", time_dependent=False)
     return ProblemSpec(mesh=mesh, c0=c0, gamma=gamma, beta=beta,
@@ -447,29 +407,15 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
     sections = _parse_sections(text)
-    warnings: list = []
-
-    stray = {k: v for k, v in sections.get("", {}).items()}
-    if stray:
-        msg = f"keys outside any section: {sorted(stray)}"
-        if strict:
-            raise ValidationError(msg)
-        warnings.append(msg)
+    # errors in strict mode, warnings otherwise; the first one is raised
+    warnings = [f"keys outside any section: {sorted(sections[''])}"] if sections[""] else []
     for name, entries in sections.items():
-        if not name:
-            continue
-        if name not in _SECTION_KEYS:
-            msg = f"unknown section [{name}]"
-            if strict:
-                raise ValidationError(msg)
-            warnings.append(msg)
-            continue
-        unknown = set(entries) - _SECTION_KEYS[name]
-        if unknown:
-            msg = f"unknown keys in [{name}]: {sorted(unknown)}"
-            if strict:
-                raise ValidationError(msg)
-            warnings.append(msg)
+        if name and name not in _SECTION_KEYS:
+            warnings.append(f"unknown section [{name}]")
+        elif name and (unknown := set(entries) - _SECTION_KEYS[name]):
+            warnings.append(f"unknown keys in [{name}]: {sorted(unknown)}")
+    if strict and warnings:
+        raise ValidationError(warnings[0])
 
     for required in _REQUIRED_SECTIONS[command]:
         if required not in sections:
@@ -520,20 +466,15 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
         dim = _number(*need("dim"), int)
         if dim not in (1, 2):
             raise ValidationError("[convergence] dim must be 1 or 2")
-        gamma_value, gamma_line = need("gamma")
-        gamma = _build_graph(gamma_value, gamma_line)
-        try:
-            check_volume_graph(gamma)
-        except ValidationError as exc:
-            raise ValidationError(f"line {gamma_line}: {exc}") from exc
-        beta = _build_graph(need("beta")[0], need("beta")[1], gamma=gamma)
+        gamma = _volume_graph(*need("gamma"))
+        beta = _build_graph(*need("beta"), gamma=gamma)
 
         def exact(key):
             value, line_no = need(key)
             _compile_expr(str(value), _expr_names(dim, True), line_no)
             return str(value)
 
-        conv = {
+        rc.convergence = {
             "dim": dim,
             "length": _number(*entries.get("length", (1.0, 0))),
             "gamma1": str(entries.get("gamma1", ("right", 0))[0]),
@@ -548,6 +489,5 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
             "fine_space": _number(*need("fine_space"), int),
             "fine_time": _number(*need("fine_time"), int),
         }
-        rc.convergence = conv
 
     return rc

@@ -252,9 +252,14 @@ class _StepSolver:
             gr.regularized_derivative(self.spec.beta, self.lam, self.eps, u), dtype=float)
 
     def rhs(self, v_prev: np.ndarray, t_next: float) -> np.ndarray:
-        return (self.mass * v_prev
-                + self.tau * self.mass * self.spec.g_at(t_next)
-                + self.tau * self.bmass * self.spec.h_at(t_next))
+        b = (self.mass * v_prev
+             + self.tau * self.mass * self.spec.g_at(t_next)
+             + self.tau * self.bmass * self.spec.h_at(t_next))
+        # the residual test tol*(1 + |b|) would pass anything for an infinite b
+        if not np.all(np.isfinite(b)):
+            raise ValidationError(f"step right-hand side at t = {t_next:g} is not finite "
+                                  "(data g or h)")
+        return b
 
     def boundary_term(self, u: np.ndarray) -> np.ndarray:
         """``tau*Mb*beta_reg(u)`` as a nodal vector, zero off Gamma1."""

@@ -159,6 +159,69 @@ class TestGrammar:
         assert rc.problem.mesh.dim == 2
         assert len(rc.problem.mesh.gamma1_nodes) == 8
 
+    @pytest.mark.parametrize("old,first,second", [
+        ("beta = physical(h=1.0, s=1.0)", "physical(1.0, 1.0)", "physical(h=1.0, s=1.0)"),
+        ("domain = interval(1.0, 8, gamma1=right)", "interval(1.0, 8)",
+         "interval(1.0, 8, gamma1=right)"),
+        ("domain = interval(1.0, 8, gamma1=right)", "rect(1, 1, 3, 3)",
+         "rect(1, 1, 3, 3, lateral)"),
+        ("beta = physical(h=1.0, s=1.0)", "sign", "sign()"),
+    ], ids=["keywords", "gamma1_default", "boundary_default", "bare_sign"])
+    def test_accepted_forms_are_equal(self, old, first, second):
+        key = old.split(" = ")[0]
+        configs = [parse_config(STEADY.replace(old, f"{key} = {form}"), command="solve")
+                   for form in (first, second)]
+        assert _fields(configs[0]) == _fields(configs[1])
+
+    def test_signed_and_bare_decimal_numbers(self):
+        text = STEADY.replace("g = constant(0.0)", "g = -1.5") \
+                     .replace("c0 = 1.0", "c0 = .5").replace("T = 0.5", "T = +1")
+        problem = parse_config(text, command="solve").problem
+        assert (problem.g, problem.c0, problem.T) == (-1.5, 0.5, 1.0)
+
+    @pytest.mark.parametrize("old,new", [
+        ("lambda_schedule = [0.0]", "lambda_schedule = " + "[" * 3000 + "0.0" + "]" * 3000),
+        ("gamma = linear(2.0)", "gamma = " + "composite(" * 3000 + "linear(2.0)" + ")" * 3000),
+        ("c0 = 1.0", "c0 = " + "-" * 3000 + "1.0"),
+        ("c0 = 1.0", "c0 = 1.0\x00"),
+        ("g = constant(0.0)", "g = expr()"),
+        ("g = constant(0.0)", "g = constant(1.0, 2.0)"),
+        ("g = constant(0.0)", 'g = expr("' + "not " * 400 + 'x")'),
+        ("g = constant(0.0)", 'g = expr("x' + ".a" * 400 + '")'),
+        ("gamma = linear(2.0)", "gamma = saturating(on, 1.0)"),
+        ("beta = physical(h=1.0, s=1.0)", "beta = physical(1.0, 1.0, 2.0)"),
+        ("beta = physical(h=1.0, s=1.0)", "beta = physical(h=1.0, h=2.0, s=1.0)"),
+        ("domain = interval(1.0, 8, gamma1=right)", "domain = rect(1.0, 1.0, 3, 3, lateral=maybe)"),
+        ("g = constant(0.0)", "g = expr(3.0)"),
+    ], ids=["deep_list", "deep_call", "deep_sign", "nul_byte", "expr_no_argument",
+            "constant_two_arguments", "deep_not", "deep_attribute", "boolean_word",
+            "physical_three_arguments", "repeated_keyword", "lateral_keyword", "expr_number"])
+    def test_rejected_value_exit_three(self, tmp_path, capsys, old, new):
+        text = STEADY.replace(old, new)
+        line_no = next(i for i, line in enumerate(text.splitlines(), 1) if line == new)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line_no}: ")
+        assert len(err.splitlines()) == 1
+
+
+def _fields(obj):
+    """A comparable view of a parsed configuration: arrays by value, other
+    objects by their attributes, functions by type only."""
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, (list, tuple)):
+        return [_fields(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _fields(value) for key, value in obj.items()}
+    if callable(obj):
+        return type(obj).__name__
+    if hasattr(obj, "__dict__"):
+        return type(obj).__name__, _fields(vars(obj))
+    return obj
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -339,8 +402,12 @@ class TestCli:
         ("solve", "T = 0.5", "T = fast"),
         ("solve", "solver_kind = newton", "max_iters = 2.5"),
         ("solve", "interval(1.0, 8, gamma1=right)", "interval(1.0, 8.5, gamma1=right)"),
+        ("solve", "T = 0.5", "T = 1e999"),
+        ("solve", "c0 = 1.0", "c0 = 1e999"),
+        ("solve", "h = beta_of(1.0)", "h = beta_of(1e999)"),
+        ("solve", "g = constant(0.0)", "g = constant(1e999)"),
     ], ids=["samples", "lambdas", "tolerance", "tau", "lambda_schedule", "T", "max_iters",
-            "interval"])
+            "interval", "infinite_T", "infinite_c0", "infinite_beta_of", "infinite_constant"])
     def test_bad_number_exit_three(self, tmp_path, capsys, command, old, bad):
         base = "[graph_check]\nsamples = [0.0, 1.0]\n" if command == "graph-check" else STEADY
         text = base.replace(old, bad)
@@ -363,6 +430,15 @@ class TestCli:
         cfg = tmp_path / "hard.cfg"
         cfg.write_text(text)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_infinite_step_data_exit_three(self, tmp_path, capsys):
+        # log(x) is -inf at the node x = 0, so no step can meet tol*(1 + |rhs|)
+        cfg = tmp_path / "log.cfg"
+        cfg.write_text(STEADY.replace("g = constant(0.0)", 'g = expr("log(x)")'))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == (
+            "error: step right-hand side at t = 0.1 is not finite (data g or h)\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "steady.cfg"
@@ -417,8 +493,10 @@ class TestCli:
          'exact_space = "(1 + t/2)*cos(pi*x/2"', 3, "error: line {line}: bad expression"),
         ("dependence", DEPENDENCE, "gamma1=right", "gamma1=none", 1,
          "error: EmptyBoundary: "),
+        ("solve", DEPENDENCE, "gamma = linear(2.0)", "gamma = composite(linear(2.0), sign)", 3,
+         "error: line {line}: gamma must declare bi-Lipschitz constants"),
     ], ids=["space_levels", "time_levels", "non_bilipschitz_gamma", "unclosed_exact",
-            "empty_boundary"])
+            "empty_boundary", "problem_non_bilipschitz_gamma"])
     def test_package_error_exit_code(self, tmp_path, capsys, command, base, old, new,
                                      code, message):
         text = base.replace(old, new)
