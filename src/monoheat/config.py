@@ -299,7 +299,10 @@ def _expr_field(expr_text: str, mesh: Mesh, line_no: int, time_dependent: bool):
     coords = (mesh.nodes,) if mesh.dim == 1 else (mesh.nodes[:, 0], mesh.nodes[:, 1])
 
     def values(env) -> np.ndarray:
-        return np.broadcast_to(np.asarray(fn(env), dtype=float), (mesh.n_nodes,)).copy()
+        # a non-finite value is rejected where the field is used, not warned of here
+        with np.errstate(all="ignore"):
+            out = fn(env)
+        return np.broadcast_to(np.asarray(out, dtype=float), (mesh.n_nodes,)).copy()
 
     if time_dependent:
         return lambda tv: values(coords + (tv,))
@@ -378,9 +381,14 @@ def _build_problem(entries) -> ProblemSpec:
         return _build_data_field(*entries[key], mesh, beta, time_dependent)
 
     u0 = datum("u0", time_dependent=False)
-    return ProblemSpec(mesh=mesh, c0=c0, gamma=gamma, beta=beta,
-                       g=datum("g"), h=datum("h"),
-                       u0=0.0 if u0 is None else u0, T=T)
+    try:
+        return ProblemSpec(mesh=mesh, c0=c0, gamma=gamma, beta=beta,
+                           g=datum("g"), h=datum("h"),
+                           u0=0.0 if u0 is None else u0, T=T)
+    except ValidationError as exc:
+        if exc.key not in entries:
+            raise
+        raise ValidationError(f"line {entries[exc.key][1]}: {exc}") from exc
 
 
 def _build_solver(entries) -> SolverConfig:

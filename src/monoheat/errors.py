@@ -24,7 +24,11 @@ class ParseError(ConfigError):
 
 
 class ValidationError(ConfigError):
-    pass
+    """A bad input value; ``key`` names the input, when the raiser knows it."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class InvalidArgument(ValidationError):

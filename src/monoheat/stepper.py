@@ -21,12 +21,19 @@ Two per-step solvers are provided: a damped fixed-point sweep
 boundary term) factorized once, so each sweep costs one residual and one
 triangular solve; and a semismooth Newton iteration.  They satisfy the
 same residual contract and are cross-checked in the tests.
+
+Newton factorizes nothing per iteration: its SPD Jacobian differs from
+``P`` only by a bounded volume slope and a Gamma1 term, so it is solved by
+conjugate gradients preconditioned with the one factor of ``P``, to the
+Eisenstat-Walker relative tolerance (choice 2).  Only a constant Jacobian
+(linear ``gamma`` and ``beta``) is factorized itself, once per solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -88,9 +95,9 @@ class ProblemSpec:
 
     def __post_init__(self):
         if not self.c0 > 0.0:
-            raise ValidationError("c0 must be positive")
+            raise ValidationError("c0 must be positive", key="c0")
         if not self.T > 0.0:
-            raise ValidationError("final time must be positive")
+            raise ValidationError("final time must be positive", key="T")
         check_volume_graph(self.gamma)
         n = self.mesh.n_nodes
         if np.isscalar(self.u0):
@@ -98,11 +105,11 @@ class ProblemSpec:
         else:
             self.u0 = np.asarray(self.u0, dtype=float)
             if self.u0.shape != (n,):
-                raise ValidationError(f"u0 has shape {self.u0.shape}, expected ({n},)")
+                raise ValidationError(f"u0 has shape {self.u0.shape}, expected ({n},)", key="u0")
         if not np.all(np.isfinite(self.gamma.value(self.u0))):
-            raise ValidationError("gamma(u0) is not finite everywhere")
+            raise ValidationError("gamma(u0) is not finite everywhere", key="u0")
         if not np.all(np.isfinite(np.asarray(self.beta.potential(self.u0)))):
-            raise ValidationError("boundary potential of u0 is not summable")
+            raise ValidationError("boundary potential of u0 is not summable", key="u0")
         self._g_fn = _as_time_field(self.g, n, "g")
         self._h_fn = _as_time_field(self.h, n, "h")
 
@@ -192,8 +199,8 @@ def smooth_initial(mesh: Mesh, ops: AssembledOperators, u0: np.ndarray,
     u0 = np.asarray(u0, dtype=float)
     a = (sp.diags(ops.mass) + lam * ops.stiffness).tocsc()
     try:
-        out = spla.spsolve(a, ops.mass * u0)
-    except Exception as exc:  # pragma: no cover - assembly corruption guard
+        out = spla.factorized(a)(ops.mass * u0)
+    except RuntimeError as exc:  # pragma: no cover - assembly corruption guard
         raise LinearSolveFailure(f"smoothing solve failed: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise LinearSolveFailure("smoothing solve produced non-finite values")
@@ -228,7 +235,6 @@ class _StepSolver:
             diag = diag + self.tau * self.lam * self.mass
         # P u - r(u) = b - M c0 (gamma(u) - split_slope u) - tau Mb beta_reg(u)
         self._picard_matrix = (sp.diags(diag) + self.k_tau).tocsc()
-        self._picard_solve = None
 
         cd_gamma = spec.gamma.constant_derivative()
         cd_beta = None
@@ -238,8 +244,14 @@ class _StepSolver:
                 cd_beta = base_cd / (1.0 + self.lam * base_cd) if self.lam > 0.0 else base_cd
         self._const_jacobian_solve = None
         if cd_gamma is not None and cd_beta is not None:
-            jac = self._jacobian_matrix(np.full(ops.n_nodes, cd_gamma), cd_beta)
-            self._const_jacobian_solve = spla.factorized(jac.tocsc())
+            diag = self._jacobian_diagonal(np.full(ops.n_nodes, cd_gamma), cd_beta)
+            self._const_jacobian_solve = spla.factorized((sp.diags(diag) + self.k_tau).tocsc())
+
+    @cached_property
+    def _picard_solve(self):
+        """``P^{-1}``: the Picard sweep's step and Newton's preconditioner,
+        factorized on first use and shared by both."""
+        return spla.factorized(self._picard_matrix)
 
     # -- building blocks ----------------------------------------------------
 
@@ -277,21 +289,34 @@ class _StepSolver:
             r = r + self.tau * self.lam * self.mass * u
         return r
 
-    def _jacobian_matrix(self, gamma_deriv, beta_deriv_g1):
-        """SPD Jacobian; ``beta_deriv_g1`` is the boundary slope on Gamma1."""
+    def _jacobian_diagonal(self, gamma_deriv, beta_deriv_g1):
+        """Diagonal ``d`` of the SPD Jacobian ``diag(d) + tau*K``;
+        ``beta_deriv_g1`` is the boundary slope on Gamma1."""
         diag = self.spec.c0 * self.mass * gamma_deriv
         diag[self.g1] += self.tau_bmass_g1 * beta_deriv_g1
         if self.lam_mass:
             diag = diag + self.tau * self.lam * self.mass
-        return sp.diags(diag) + self.k_tau
+        return diag
+
+    def _jacobian_cg(self, diag, rhs, rtol):
+        """Solve ``(diag(diag) + tau*K) x = rhs`` to ``rtol`` relative to
+        ``|rhs|`` by CG, preconditioned with the Picard factor."""
+        n = rhs.shape[0]
+        jac = spla.LinearOperator((n, n), matvec=lambda p: self.k_tau @ p + diag * p,
+                                  dtype=float)
+        precond = spla.LinearOperator((n, n), matvec=self._picard_solve, dtype=float)
+        x, info = spla.cg(jac, rhs, rtol=rtol, atol=0.0, M=precond)
+        if info != 0 or not np.all(np.isfinite(x)):
+            raise LinearSolveFailure(
+                f"Newton's conjugate gradient solve failed (info {info}, "
+                f"relative tolerance {rtol:.1e})")
+        return x
 
     # -- solvers --------------------------------------------------------------
 
     def picard(self, u_init: np.ndarray, b: np.ndarray):
         """Damped fixed-point sweeps ``u <- u - theta P^{-1} r(u)``; the
         residual of the convergence test drives the next sweep."""
-        if self._picard_solve is None:
-            self._picard_solve = spla.factorized(self._picard_matrix)
         theta = self.config.picard_damping
         tol = self.config.picard_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
@@ -311,7 +336,8 @@ class _StepSolver:
             "iterations (time step or damping too large)", history)
 
     def newton(self, u_init: np.ndarray, b: np.ndarray):
-        """Semismooth Newton with backtracking; the Jacobian is SPD."""
+        """Semismooth Newton with backtracking; the Jacobian is SPD.  Its
+        linear solves are inexact, with Eisenstat-Walker forcing terms."""
         spec = self.spec
         tol = self.config.newton_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
@@ -320,6 +346,7 @@ class _StepSolver:
         history = self.last_residual_history = [res]
         if res <= tol:
             return u, 0, res
+        eta = 0.1
         for it in range(1, self.config.max_iters + 1):
             if self._const_jacobian_solve is not None:
                 delta = self._const_jacobian_solve(-r)
@@ -328,12 +355,8 @@ class _StepSolver:
                 if not np.all(np.isfinite(gamma_d)) or np.any(gamma_d <= 0.0):
                     raise SingularJacobian(
                         "gamma derivative not positive; graph mis-declared as bi-Lipschitz")
-                jac = self._jacobian_matrix(
-                    gamma_d, self.beta_reg_deriv(u[self.g1])).tocsc()
-                try:
-                    delta = spla.spsolve(jac, -r)
-                except Exception as exc:
-                    raise SingularJacobian(f"Newton solve failed: {exc}") from exc
+                diag = self._jacobian_diagonal(gamma_d, self.beta_reg_deriv(u[self.g1]))
+                delta = self._jacobian_cg(diag, -r, eta)
             step = 1.0
             for _ in range(40):
                 u_try = u + step * delta
@@ -344,6 +367,7 @@ class _StepSolver:
                 step *= 0.5
             else:
                 raise NonConvergence("Newton backtracking stalled", history)
+            eta = min(0.1, max(0.9 * (res_try / res) ** 2, 1e-10))
             u, r, res = u_try, r_try, res_try
             history.append(res)
             if res <= tol:
@@ -388,7 +412,13 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
     ops = ops if ops is not None else assemble(spec.mesh)
     lam = config.lambda_schedule[-1] if lam is None else float(lam)
     n_steps = config.n_steps(spec.T)
-    n = ops.n_nodes
+    try:
+        times = config.tau * np.arange(n_steps + 1)
+        u_hist = np.empty((n_steps + 1, ops.n_nodes))
+        v_hist = np.empty_like(u_hist)
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"tau = {config.tau:g} gives {n_steps:.3g} time steps, "
+                              "too many to store their history") from exc
 
     u0 = np.asarray(spec.u0, dtype=float)
     if config.smooth_u0_lambda > 0.0:
@@ -396,9 +426,6 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
 
     solver = _StepSolver(spec, ops, config, lam, config.epsilon)
 
-    times = config.tau * np.arange(n_steps + 1)
-    u_hist = np.empty((n_steps + 1, n))
-    v_hist = np.empty_like(u_hist)
     iters = np.zeros(n_steps, dtype=int)
     resids = np.zeros(n_steps)
     disagreement = 0.0

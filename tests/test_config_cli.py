@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import monoheat
 from monoheat import cli, fem, graphs as gr
@@ -431,7 +432,15 @@ class TestCli:
         cfg.write_text(text)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_linear_solve_failure_exit_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
+        cfg = tmp_path / "cg.cfg"
+        cfg.write_text(STEADY.replace("u0 = constant(1.0)", "u0 = constant(0.0)"))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: Newton's conjugate gradient solve failed")
+        assert len(err.splitlines()) == 1
+
     def test_infinite_step_data_exit_three(self, tmp_path, capsys):
         # log(x) is -inf at the node x = 0, so no step can meet tol*(1 + |rhs|)
         cfg = tmp_path / "log.cfg"
@@ -439,6 +448,15 @@ class TestCli:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
         assert capsys.readouterr().err == (
             "error: step right-hand side at t = 0.1 is not finite (data g or h)\n")
+
+    def test_tiny_tau_exit_three(self, tmp_path, capsys):
+        # 5e299 steps: rejected before any history is allocated or marched
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(STEADY.replace("tau = 0.1", "tau = 1e-300"))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: tau = 1e-300 gives 5e+299 time steps")
+        assert len(err.splitlines()) == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "steady.cfg"
@@ -495,8 +513,14 @@ class TestCli:
          "error: EmptyBoundary: "),
         ("solve", DEPENDENCE, "gamma = linear(2.0)", "gamma = composite(linear(2.0), sign)", 3,
          "error: line {line}: gamma must declare bi-Lipschitz constants"),
+        ("solve", STEADY, "c0 = 1.0", "c0 = -1.0", 3, "error: line {line}: c0 must be positive"),
+        ("solve", STEADY, "T = 0.5", "T = -0.5", 3,
+         "error: line {line}: final time must be positive"),
+        ("solve", STEADY, "u0 = constant(1.0)", 'u0 = expr("log(x)")', 3,
+         "error: line {line}: gamma(u0) is not finite everywhere"),
     ], ids=["space_levels", "time_levels", "non_bilipschitz_gamma", "unclosed_exact",
-            "empty_boundary", "problem_non_bilipschitz_gamma"])
+            "empty_boundary", "problem_non_bilipschitz_gamma", "negative_c0", "negative_T",
+            "infinite_u0"])
     def test_package_error_exit_code(self, tmp_path, capsys, command, base, old, new,
                                      code, message):
         text = base.replace(old, new)

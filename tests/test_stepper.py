@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from monoheat import fem, graphs as gr
-from monoheat.errors import NonConvergence, ValidationError
+from monoheat.errors import LinearSolveFailure, NonConvergence, ValidationError
 from monoheat.stepper import (
     ProblemSpec,
     SolverConfig,
@@ -292,6 +294,70 @@ class TestCrossSolverContracts:
         mat = solver._picard_matrix.toarray()
         assert np.allclose(mat, mat.T)
         assert np.linalg.eigvalsh(mat).min() > 0.0
+
+
+def direct_newton(solver, u, b):
+    """Reference Newton: an exact sparse solve on the assembled Jacobian
+    and the solver's own backtracking rule."""
+    tol = solver.config.newton_tol * (1.0 + np.linalg.norm(b))
+    r = solver.residual(u, b)
+    res = np.linalg.norm(r)
+    for _ in range(solver.config.max_iters):
+        if res <= tol:
+            return u
+        diag = solver._jacobian_diagonal(np.asarray(solver.spec.gamma.derivative(u)),
+                                         solver.beta_reg_deriv(u[solver.g1]))
+        delta = spla.spsolve((sp.diags(diag) + solver.k_tau).tocsc(), -r)
+        step = 1.0
+        while True:
+            r_try = solver.residual(u + step * delta, b)
+            if np.linalg.norm(r_try) <= (1.0 - 1e-4 * step) * res:
+                break
+            step *= 0.5
+            assert step > 1e-12, "reference Newton stalled"
+        u, r = u + step * delta, r_try
+        res = np.linalg.norm(r)
+    raise AssertionError("reference Newton did not converge")
+
+
+class TestNewtonLinearSolve:
+    @pytest.mark.parametrize("kind", ["newton", "both"])
+    def test_one_factorization_per_solver(self, rng, monkeypatch, kind):
+        calls = {"factorized": 0, "spsolve": 0}
+        for name in calls:
+            def spy(*args, real=getattr(spla, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(spla, name, spy)
+        spec = random_problem_2d(rng, n=6, T=0.2)
+        cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), solver_kind=kind)
+        state = solve_transient(spec, cfg)
+        assert np.all(state.iterations >= 1)
+        assert calls == {"factorized": 1, "spsolve": 0}
+
+    def test_cg_failure_is_linear_solve_failure(self, rng, monkeypatch):
+        monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
+        spec = random_problem_2d(rng, n=4, T=0.1)
+        with pytest.raises(LinearSolveFailure):
+            solve_transient(spec, SolverConfig(tau=0.05, lambda_schedule=(0.125,)))
+
+    @pytest.mark.parametrize("dim,lam", [(1, 0.0), (1, 0.125), (2, 0.0), (2, 0.125)])
+    def test_matches_direct_solve_newton(self, rng, dim, lam):
+        for _ in range(4):
+            spec = (random_problem(rng, n_elems=12, T=0.1) if dim == 1
+                    else random_problem_2d(rng, n=6, T=0.1))
+            ops = fem.assemble(spec.mesh)
+            cfg = SolverConfig(tau=0.05, lambda_schedule=(lam,))
+            solver = _StepSolver(spec, ops, cfg, lam, cfg.epsilon)
+            b = solver.rhs(spec.v_of(spec.u0), cfg.tau)
+            u_cg, _, _ = solver.newton(spec.u0, b)
+            u_direct = direct_newton(solver, spec.u0.copy(), b)
+            # the cross-check allowance of _StepSolver.advance
+            sigma_floor = (spec.c0 * spec.gamma.constants().lipschitz_lower
+                           * float(np.min(ops.mass)))
+            allowed = 10.0 * max(cfg.picard_tol, cfg.newton_tol) \
+                * (1.0 + np.linalg.norm(b)) / min(sigma_floor, 1.0)
+            assert np.linalg.norm(u_cg - u_direct) <= allowed
 
 
 class TestNewtonDecay:
