@@ -15,12 +15,14 @@ exactly at the nodes after every accepted step.
 (Gamma1) only, the support of ``Mb``, and scattered into the nodal vector;
 the stored boundary selection ``xi`` holds the Gamma1 columns only.
 
-Two per-step solvers are provided: a damped fixed-point sweep
-``U <- U - theta * P^{-1} r(U)``, where ``r`` is the step residual and
-``P`` the SPD Picard matrix (a constant slope in place of ``gamma'``, no
-boundary term) factorized once, so each sweep costs one residual and one
-triangular solve; and a semismooth Newton iteration.  They satisfy the
-same residual contract and are cross-checked in the tests.
+Two per-step solvers are provided: fixed-point sweeps on the correction
+``f(U) = -P^{-1} r(U)``, where ``r`` is the step residual and ``P`` the SPD
+Picard matrix (a constant slope in place of ``gamma'``, no boundary term)
+factorized once, accelerated by Anderson mixing over the last few sweeps
+(the first sweep is ``U + theta f(U)``, damped by ``picard_damping``), so
+each sweep costs one residual and one triangular solve and needs no
+derivative of either graph; and a semismooth Newton iteration.  They
+satisfy the same residual contract and are cross-checked in the tests.
 
 Newton factorizes nothing per iteration: its SPD Jacobian differs from
 ``P`` only by a bounded volume slope and a Gamma1 term, so it is solved by
@@ -52,6 +54,11 @@ from .errors import (
 from .fem import AssembledOperators, Mesh, assemble
 
 FieldLike = Union[None, float, np.ndarray, Callable[[float], np.ndarray]]
+
+# Anderson history length of the fixed-point sweep, and the relative cutoff
+# below which singular values of its correction differences are dropped
+_ANDERSON_DEPTH = 5
+_ANDERSON_RCOND = 1e-12
 
 
 def _as_time_field(data: FieldLike, n_nodes: int, name: str) -> Callable[[float], np.ndarray]:
@@ -315,15 +322,28 @@ class _StepSolver:
     # -- solvers --------------------------------------------------------------
 
     def picard(self, u_init: np.ndarray, b: np.ndarray):
-        """Damped fixed-point sweeps ``u <- u - theta P^{-1} r(u)``; the
-        residual of the convergence test drives the next sweep."""
-        theta = self.config.picard_damping
+        """Anderson-accelerated fixed-point sweeps on the correction
+        ``f(u) = -P^{-1} r(u)``.
+
+        The first sweep is ``u <- u + theta f(u)`` with ``theta`` the
+        configured damping; every later one is the undamped Anderson step
+        ``u_{k+1} = u_k + f_k - (dU + dF) gamma`` with
+        ``gamma = argmin |f_k - dF gamma|`` over the last ``_ANDERSON_DEPTH``
+        differences of iterates ``dU`` and corrections ``dF`` (Walker & Ni,
+        SIAM J. Numer. Anal. 49, 2011).  The residual of the convergence test
+        gives the next correction, so a sweep costs one residual and one
+        solve with ``P``.  Returns ``(u, sweeps, |r(u)|)``.
+        """
         tol = self.config.picard_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
-        r = self.residual(u, b)
+        f = -self._picard_solve(self.residual(u, b))
+        step = self.config.picard_damping * f
+        depth = _ANDERSON_DEPTH
+        d_u = np.empty((depth, u.shape[0]))
+        d_f = np.empty_like(d_u)
         history = self.last_residual_history = []
         for it in range(1, self.config.max_iters + 1):
-            u = u - theta * self._picard_solve(r)
+            u += step
             r = self.residual(u, b)
             res = float(np.linalg.norm(r))
             history.append(res)
@@ -331,9 +351,19 @@ class _StepSolver:
                 raise NonConvergence("fixed-point sweep diverged", history)
             if res <= tol:
                 return u, it, res
+            f_new = -self._picard_solve(r)
+            slot = (it - 1) % depth
+            d_u[slot] = step
+            np.subtract(f_new, f, out=d_f[slot])
+            f = f_new
+            k = min(it, depth)
+            # the minimum-norm solution keeps gamma finite when dF is
+            # rank-deficient, e.g. zero once the iterate stops moving
+            gamma = np.linalg.lstsq(d_f[:k].T, f, rcond=_ANDERSON_RCOND)[0]
+            step = f - gamma @ d_u[:k] - gamma @ d_f[:k]
         raise NonConvergence(
             f"fixed-point sweeps did not reach tolerance in {self.config.max_iters} "
-            "iterations (time step or damping too large)", history)
+            "iterations (time step too large)", history)
 
     def newton(self, u_init: np.ndarray, b: np.ndarray):
         """Semismooth Newton with backtracking; the Jacobian is SPD.  Its

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,6 +25,35 @@ def steady_spec(n=8, c=1.3, gamma=None, beta=None):
         mesh=mesh, c0=1.0,
         gamma=gamma or gr.SaturatingBiLipschitz(1.0, 1.0),
         beta=beta, g=None, h=float(beta.value(c)), u0=c, T=0.5)
+
+
+def affine_spec():
+    """Linear volume and boundary graphs on an interval, Gamma1 on the right."""
+    mesh = fem.build_mesh_1d(1.0, 8, "right")
+    return ProblemSpec(mesh=mesh, c0=1.0, gamma=gr.Linear(1.5),
+                       beta=gr.Linear(0.7), g=1.0, h=0.2, u0=0.0, T=0.3)
+
+
+def continuation_spec_8x8():
+    """The continuation benchmark's data on rect(1, 1, 8, 8, lateral): a
+    saturating volume graph and the linear-plus-fourth-power boundary law."""
+    mesh = fem.build_mesh_rect(1.0, 1.0, 8, 8, True)
+    beta = gr.CompositeSum([gr.Linear(1.0), gr.Power(4.0)])
+    x = mesh.nodes[:, 0]
+    return ProblemSpec(mesh=mesh, c0=1.0, gamma=gr.SaturatingBiLipschitz(1.0, 1.0),
+                       beta=beta, g=lambda t: np.sin(np.pi * x) * np.exp(-t),
+                       h=float(beta.value(0.5)), u0=np.cos(np.pi * x / 2), T=0.05)
+
+
+CONTINUATION_SCHEDULE = (0.5, 0.25, 0.125, 0.0625)
+
+
+def advance_allowance(spec, ops, cfg, b):
+    """The Picard/Newton cross-check allowance of ``_StepSolver.advance``."""
+    sigma_floor = (spec.c0 * spec.gamma.constants().lipschitz_lower
+                   * float(np.min(ops.mass)))
+    return 10.0 * max(cfg.picard_tol, cfg.newton_tol) \
+        * (1.0 + np.linalg.norm(b)) / min(sigma_floor, 1.0)
 
 
 def full_residuals(spec, ops, tau, lam, state):
@@ -99,11 +130,34 @@ class TestSingleStep:
         assert np.allclose(state.u[-1], 0.25, atol=1e-12)
 
     def test_linear_problem_single_newton_iteration(self):
-        mesh = fem.build_mesh_1d(1.0, 8, "right")
-        spec = ProblemSpec(mesh=mesh, c0=1.0, gamma=gr.Linear(1.5),
-                           beta=gr.Linear(0.7), g=1.0, h=0.2, u0=0.0, T=0.3)
+        spec = affine_spec()
         state = solve_transient(spec, SolverConfig(tau=0.1, lambda_schedule=(0.0,)))
         assert np.all(state.iterations == 1)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.125])
+    def test_affine_picard_converges_in_three_sweeps(self, lam):
+        # with linear graphs the sweep's fixed-point map is affine and P
+        # differs from the Jacobian only at the one Gamma1 node, so the
+        # Anderson step is exact after a few sweeps (plain damped sweeps
+        # took 29); a RuntimeWarning fails the test (pyproject.toml)
+        spec = affine_spec()
+        cfg = SolverConfig(tau=0.1, lambda_schedule=(lam,), solver_kind="picard")
+        state = solve_transient(spec, cfg)
+        assert np.all(state.iterations <= 3), state.iterations
+
+    def test_rank_deficient_anderson_history_stays_finite(self):
+        # below the rounding floor the iterate stops moving, so the stored
+        # differences are all zero: the least-squares step must stay finite
+        # and the sweep must end in NonConvergence, one entry per sweep
+        spec = affine_spec()
+        cfg = SolverConfig(tau=0.1, lambda_schedule=(0.0,), solver_kind="picard",
+                           picard_tol=1e-300, max_iters=20)
+        with pytest.raises(NonConvergence) as info:
+            solve_transient(spec, cfg)
+        history = info.value.residual_history
+        assert len(history) == 20
+        assert np.all(np.isfinite(history))
+        assert max(history[3:]) < 1e-15
 
     def test_picard_newton_agree_on_random_steps(self, rng):
         for _ in range(8):
@@ -264,6 +318,28 @@ class TestLambdaContinuation:
         diffs = [r[2] for r in runs[1:]]
         assert all(b < a for a, b in zip(diffs, diffs[1:])), diffs
 
+    def test_anderson_sweeps_per_step(self):
+        # plain damped sweeps took 29-30 per step on this run
+        spec = continuation_spec_8x8()
+        ops = fem.assemble(spec.mesh)
+        cfg = SolverConfig(tau=0.025, lambda_schedule=CONTINUATION_SCHEDULE,
+                           solver_kind="picard")
+        runs = lambda_continuation(spec, cfg, ops=ops)
+        assert len(runs) == len(CONTINUATION_SCHEDULE)
+        for lam, state, _ in runs:
+            assert np.all(state.iterations <= 12), (lam, state.iterations)
+            for res, b in full_residuals(spec, ops, cfg.tau, lam, state):
+                assert np.linalg.norm(res) <= cfg.picard_tol * (1 + np.linalg.norm(b))
+
+    def test_cross_checked_continuation(self):
+        spec = continuation_spec_8x8()
+        cfg = SolverConfig(tau=0.025, lambda_schedule=CONTINUATION_SCHEDULE,
+                           solver_kind="both")
+        # advance raises SolverDisagreement when the two answers of a step sit
+        # further apart than its allowance; a zero gap would mean no check ran
+        runs = lambda_continuation(spec, cfg)
+        assert all(state.disagreement > 0.0 for _, state, _ in runs)
+
     def test_needs_two_levels(self):
         spec = steady_spec()
         with pytest.raises(ValidationError):
@@ -286,6 +362,21 @@ class TestCrossSolverContracts:
                            picard_tol=1e-12, newton_tol=1e-12, max_iters=500)
         state = solve_transient(spec, cfg)
         assert state.disagreement < 1e-10
+
+    @pytest.mark.parametrize("lam", [0.125, 0.0625])
+    @pytest.mark.parametrize("eps", [0.0, 0.7])
+    def test_picard_newton_agree_2d(self, rng, lam, eps):
+        specs = [random_problem_2d(rng, n=6, T=0.1) for _ in range(3)]
+        specs[-1] = dataclasses.replace(
+            specs[-1], beta=gr.CompositeSum([gr.Linear(1.0), gr.Sign()]))
+        for spec in specs:
+            ops = fem.assemble(spec.mesh)
+            cfg = SolverConfig(tau=0.05, lambda_schedule=(lam,), epsilon=eps)
+            solver = _StepSolver(spec, ops, cfg, lam, eps)
+            b = solver.rhs(spec.v_of(spec.u0), cfg.tau)
+            u_p, _, _ = solver.picard(spec.u0, b)
+            u_n, _, _ = solver.newton(spec.u0, b)
+            assert np.linalg.norm(u_p - u_n) <= advance_allowance(spec, ops, cfg, b)
 
     def test_picard_matrix_is_spd_with_lambda_mass(self, rng):
         spec = random_problem(rng, n_elems=6, T=0.1)
@@ -352,12 +443,7 @@ class TestNewtonLinearSolve:
             b = solver.rhs(spec.v_of(spec.u0), cfg.tau)
             u_cg, _, _ = solver.newton(spec.u0, b)
             u_direct = direct_newton(solver, spec.u0.copy(), b)
-            # the cross-check allowance of _StepSolver.advance
-            sigma_floor = (spec.c0 * spec.gamma.constants().lipschitz_lower
-                           * float(np.min(ops.mass)))
-            allowed = 10.0 * max(cfg.picard_tol, cfg.newton_tol) \
-                * (1.0 + np.linalg.norm(b)) / min(sigma_floor, 1.0)
-            assert np.linalg.norm(u_cg - u_direct) <= allowed
+            assert np.linalg.norm(u_cg - u_direct) <= advance_allowance(spec, ops, cfg, b)
 
 
 class TestNewtonDecay:
