@@ -3,7 +3,10 @@
 Commands: ``graph-check``, ``solve``, ``continuation``, ``convergence``
 and ``dependence``.  Diagnostics go to standard error; data goes to files
 in the output directory (``solution.csv``, ``boundary.csv``,
-``estimates.csv``, ``summary.txt``).  Exit codes: 0 success, 1 solver
+``estimates.csv``, ``summary.txt``).  ``solution.csv`` and
+``boundary.csv`` are written one time level at a time; the ``summary.txt``
+of ``solve`` and ``continuation`` reports the solver's largest iteration
+count, residual and fixed-point/Newton gap over every march.  Exit codes: 0 success, 1 solver
 failure or any other package error (``DomainError``, ``Unsupported``,
 ``EmptyBoundary``, ...; one ``error:`` line, no traceback), 2 violated
 bound or dependence margin or graph property, 3 configuration error.
@@ -59,22 +62,24 @@ def _write_summary(path: Path, items):
 
 
 def _write_state_files(out: Path, state, mesh):
-    levels = np.arange(len(state.times))
-    n, g1 = mesh.n_nodes, mesh.gamma1_nodes
-    _write_columns(out / "solution.csv", ("k", "t", "node_id", "u", "v"),
-                   [np.repeat(levels, n), np.repeat(state.times, n),
-                    np.tile(np.arange(n), len(levels)), state.u.ravel(), state.v.ravel()])
-    _write_columns(out / "boundary.csv", ("k", "t", "node_id", "xi"),
-                   [np.repeat(levels, len(g1)), np.repeat(state.times, len(g1)),
-                    np.tile(g1, len(levels)), state.xi.ravel()])
+    _write_levels(out / "solution.csv", ("k", "t", "node_id", "u", "v"),
+                  state.times, np.arange(mesh.n_nodes), (state.u, state.v))
+    _write_levels(out / "boundary.csv", ("k", "t", "node_id", "xi"),
+                  state.times, mesh.gamma1_nodes, (state.xi,))
 
 
-def _write_columns(path: Path, header, columns):
-    """Columns k, t, node_id, values... in ``_fmt``'s number format."""
+def _write_levels(path: Path, header, times, node_ids, fields):
+    """Rows ``k, t, node_id, fields[0][k, i], ...`` for every level ``k`` and
+    node ``node_ids[i]``, in ``_fmt``'s number format (the text
+    ``np.savetxt`` writes with ``%d``/``%.17g``).  Each level is formatted
+    as one string, so memory stays bounded by one level's text."""
+    rest = ",%d" + ",%.17g" * len(fields) + "\n"
+    ids = node_ids.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        np.savetxt(fh, np.column_stack(columns), delimiter=",", comments="",
-                   fmt=["%d", "%.17g", "%d"] + ["%.17g"] * (len(columns) - 3),
-                   header=",".join(header))
+        fh.write(",".join(header) + "\n")
+        for k, t in enumerate(times.tolist()):
+            row = "%d,%.17g" % (k, t) + rest
+            fh.write("".join(map(row.__mod__, zip(ids, *(f[k].tolist() for f in fields)))))
 
 
 _CONST_COLS = ("C1", "C2", "A1", "A2", "A3", "M1", "M2", "L", "C_tr",
@@ -96,6 +101,15 @@ def _write_estimates(out: Path, report):
         summary.append(report.constants.get(name, ""))
     rows.append(tuple(summary))
     _write_csv(out / "estimates.csv", header, rows)
+
+
+def _solver_items(states):
+    """How the per-step solver behaved over every march in ``states``:
+    the most iterations in a step, the largest accepted residual and the
+    largest fixed-point/Newton gap."""
+    return [("max_iterations", max(int(s.iterations.max(initial=0)) for s in states)),
+            ("max_residual", max(float(s.residuals.max(initial=0.0)) for s in states)),
+            ("solver_disagreement", max(s.disagreement for s in states))]
 
 
 def _report_items(report):
@@ -164,10 +178,7 @@ def _cmd_solve(rc: RunConfig, out: Path) -> int:
         dump_mesh(spec.mesh, out / "mesh_nodes.csv", out / "mesh_elements.csv")
     summary = [("command", "solve"), ("nodes", spec.mesh.n_nodes),
                ("steps", state.n_steps), ("lambda", state.lam),
-               ("tau", state.tau),
-               ("max_iterations", int(state.iterations.max(initial=0))),
-               ("max_residual", float(state.residuals.max(initial=0.0))),
-               ("solver_disagreement", state.disagreement)]
+               ("tau", state.tau)] + _solver_items([state])
     report, code = _verified_report(state, spec, ops, summary)
     _write_estimates(out, report)
     _write_summary(out / "summary.txt", summary)
@@ -182,6 +193,7 @@ def _cmd_continuation(rc: RunConfig, out: Path) -> int:
     _write_state_files(out, state, spec.mesh)
     summary = [("command", "continuation"), ("nodes", spec.mesh.n_nodes),
                ("levels", len(runs)), ("lambda_final", lam_final)]
+    summary += _solver_items([level_state for _, level_state, _ in runs])
     diffs = []
     for lam, _, diff in runs:
         if diff is not None:

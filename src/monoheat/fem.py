@@ -21,6 +21,7 @@ the energy monitors rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -82,6 +83,13 @@ class AssembledOperators:
     @property
     def n_nodes(self) -> int:
         return self.mass.shape[0]
+
+    @cached_property
+    def h1_factor(self) -> spla.SuperLU:
+        """Sparse LU factor of ``M + K``, the Gram matrix of the discrete h1
+        norm, computed on first use.  ``trace_constant`` and the dual norms
+        of the energy monitors share it."""
+        return spla.splu((sp.diags(self.mass) + self.stiffness).tocsc())
 
 
 _GAMMA1_SIDES = ("left", "right", "both", "none")
@@ -194,7 +202,10 @@ def trace_constant(ops: AssembledOperators) -> float:
     """Sharp discrete constant C with ||z||_boundary <= C ||z||_h1.
 
     Square root of the largest generalized eigenvalue of the pair
-    (boundary mass, mass + stiffness).  Cached on the operator set.
+    (boundary mass, mass + stiffness).  Cached on the operator set.  Past
+    ``_DENSE_EIG_LIMIT`` nodes ARPACK solves it in generalized mode with
+    the shared factor ``ops.h1_factor`` as ``M^-1``, falling back to a
+    power iteration with the same factor.
     """
     if ops._trace_cache is not None:
         return ops._trace_cache
@@ -208,23 +219,24 @@ def trace_constant(ops: AssembledOperators) -> float:
         mu = float(w[-1])
     else:
         bm = sp.diags(ops.boundary_mass).tocsc()
+        h1_solve = ops.h1_factor.solve
         v0 = np.ones(n)
         try:
-            w = spla.eigsh(bm, k=1, M=h1.tocsc(), which="LA",
-                           v0=v0, return_eigenvectors=False)
+            w = spla.eigsh(bm, k=1, M=h1.tocsc(),
+                           Minv=spla.LinearOperator((n, n), matvec=h1_solve, dtype=float),
+                           which="LA", v0=v0, return_eigenvectors=False)
             mu = float(w[0])
         except spla.ArpackError:
-            mu = _power_iteration(ops.boundary_mass, h1, v0)
+            mu = _power_iteration(ops.boundary_mass, h1, h1_solve, v0)
     ops._trace_cache = float(np.sqrt(max(mu, 0.0)))
     return ops._trace_cache
 
 
-def _power_iteration(bm_diag, h1, v0, iters=5000, tol=1e-13):
-    solve = spla.factorized(h1.tocsc())
+def _power_iteration(bm_diag, h1, h1_solve, v0, iters=5000, tol=1e-13):
     z = v0 / np.linalg.norm(v0)
     mu = 0.0
     for _ in range(iters):
-        w = solve(bm_diag * z)
+        w = h1_solve(bm_diag * z)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             return 0.0

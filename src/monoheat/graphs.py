@@ -8,6 +8,10 @@ directly; it goes through the resolvent
 
 which is single valued and nonexpansive, and the Yosida approximation
 ``A_lam = (I - J_lam)/lam``, a monotone ``1/lam``-Lipschitz function.
+Graphs without a closed-form resolvent share one vectorized route:
+safeguarded Newton inside the bracket [min(0,x), max(0,x)] for
+single-valued graphs, bisection on the section bounds for multi-valued
+ones (``_resolvent_solve``).
 The module also provides convex potentials (``A = d(potential)``),
 Moreau envelopes, convex conjugates, the hard clamp used to truncate
 the Yosida approximation, and a diagnostic suite that samples the
@@ -36,6 +40,7 @@ from .errors import (
 
 _BISECT_CAP = 200
 _BISECT_REL_WIDTH = 1e-13
+_NEWTON_REL_RESIDUAL = 1e-15
 _NEWTON_POLISH_STEPS = 3
 _SIMPSON_TOL = 1e-11
 _SIMPSON_MAX_DEPTH = 48
@@ -124,9 +129,9 @@ class ScalarGraph:
     # -- resolvent machinery ---------------------------------------------------
 
     def resolvent(self, lam, x):
-        """Unique y with ``x in y + lam*graph(y)``."""
+        """Unique y with ``x in y + lam*graph(y)``, by ``_resolvent_solve``."""
         x_arr = _asarray(x)
-        y = _resolvent_bisect(self, lam, np.atleast_1d(x_arr).astype(float))
+        y = _resolvent_solve(self, lam, np.atleast_1d(x_arr).astype(float))
         return _match(x, y.reshape(np.atleast_1d(x_arr).shape) if np.ndim(x) else y[0])
 
     def inverse(self, y):
@@ -215,13 +220,25 @@ def _adaptive_simpson(f, r, tol=_SIMPSON_TOL):
     return out.reshape(r.shape)
 
 
-def _resolvent_bisect(graph, lam, x):
-    """Vectorized safeguarded bisection for the resolvent inclusion.
+def _resolvent_solve(graph, lam, x):
+    """Vectorized safeguarded root finder for the resolvent inclusion.
 
-    Monotonicity and 0 in graph(0) bracket the root in [min(0,x), max(0,x)];
-    bisection to relative width 1e-13 is followed by a few Newton polish
-    steps when a derivative is available.
+    Monotonicity and 0 in graph(0) bracket the root of
+    ``f(y) = y + lam*graph(y) - x`` in [min(0,x), max(0,x)].  A
+    single-valued graph takes Newton steps on ``f`` from ``y = x``; the
+    sign of ``f`` shrinks the bracket, and a point bisects instead whenever
+    its Newton step is not finite, leaves the bracket or is longer than
+    half its previous step (the ``rtsafe`` rule of Press et al., Numerical
+    Recipes: far from the root of a steep graph, Newton alone shrinks y by
+    a constant factor per step and can exhaust the iteration cap).  A
+    point stops once ``|f| <= _NEWTON_REL_RESIDUAL*max(1,|x|)``
+    or its bracket is narrower than ``_BISECT_REL_WIDTH*max(1,|lo|,|hi|)``,
+    relative to the root rather than to x; never on the step length, which
+    is tiny far from the root where the slope is infinite (``power(p)``
+    with p < 1 at 0).  A multi-valued graph bisects on its section bounds
+    to the same width.
     """
+    x = x.ravel()
     dom_lo, dom_hi = graph.domain
     lo = np.maximum(np.minimum(0.0, x), dom_lo)
     hi = np.minimum(np.maximum(0.0, x), dom_hi)
@@ -229,9 +246,47 @@ def _resolvent_bisect(graph, lam, x):
     _, fhi_hi = graph.section_bounds(hi)
     if np.any(lo + lam * flo_lo - x > 0.0) or np.any(hi + lam * fhi_hi - x < 0.0):
         raise DomainError(f"resolvent of {graph.label} cannot be bracketed")
+    if not graph.single_valued:
+        return _resolvent_bisect(graph, lam, x, lo, hi)
 
-    width_target = _BISECT_REL_WIDTH * np.maximum(1.0, np.abs(x))
-    converged = False
+    res_target = _NEWTON_REL_RESIDUAL * np.maximum(1.0, np.abs(x))
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
+    y = np.where(x < 0.0, lo, hi)
+    last_step = hi - lo
+    for _ in range(_BISECT_CAP):
+        with np.errstate(all="ignore"):
+            f = y + lam * graph.value(y) - x
+            slope = 1.0 + lam * graph.derivative(y)
+        hi = np.where(f > 0.0, y, hi)
+        lo = np.where(f < 0.0, y, lo)
+        done = (np.abs(f) <= res_target) | _bracket_closed(lo, hi)
+        out[todo[done]] = y[done]
+        if np.all(done):
+            return out
+        keep = ~done
+        todo, x, y, f, slope, lo, hi, last_step, res_target = (
+            v[keep] for v in (todo, x, y, f, slope, lo, hi, last_step, res_target))
+        with np.errstate(all="ignore"):
+            step = f / slope
+        y_new = y - step
+        newton = (lo < y_new) & (y_new < hi) & (np.abs(step) <= 0.5 * last_step)
+        y = np.where(newton, y_new, 0.5 * (lo + hi))
+        last_step = np.where(newton, np.abs(step), 0.5 * (hi - lo))
+    raise NonConvergence(
+        f"resolvent iteration for {graph.label} exceeded {_BISECT_CAP} iterations")
+
+
+def _bracket_closed(lo, hi):
+    """Brackets narrower than ``_BISECT_REL_WIDTH`` relative to the larger
+    endpoint magnitude (at least 1)."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return hi - lo <= _BISECT_REL_WIDTH * scale
+
+
+def _resolvent_bisect(graph, lam, x, lo, hi):
+    """Bisection on the section bounds of a multi-valued graph, from the
+    bracket ``[lo, hi]`` until ``_bracket_closed``; returns the midpoint."""
     for _ in range(_BISECT_CAP):
         mid = 0.5 * (lo + hi)
         sec_lo, sec_hi = graph.section_bounds(mid)
@@ -240,21 +295,10 @@ def _resolvent_bisect(graph, lam, x):
         exact = ~too_high & ~too_low
         hi = np.where(too_high | exact, mid, hi)
         lo = np.where(too_low | exact, mid, lo)
-        if np.all(hi - lo <= width_target):
-            converged = True
-            break
-    if not converged:
-        raise NonConvergence(
-            f"resolvent bisection for {graph.label} exceeded {_BISECT_CAP} iterations")
-    y = 0.5 * (lo + hi)
-    if graph.single_valued:
-        for _ in range(_NEWTON_POLISH_STEPS):
-            with np.errstate(all="ignore"):
-                deriv = graph.derivative(y)
-                step = (y + lam * graph.value(y) - x) / (1.0 + lam * deriv)
-            step = np.where(np.isfinite(step), step, 0.0)
-            y = np.clip(y - step, lo, hi)
-    return y
+        if np.all(_bracket_closed(lo, hi)):
+            return 0.5 * (lo + hi)
+    raise NonConvergence(
+        f"resolvent bisection for {graph.label} exceeded {_BISECT_CAP} iterations")
 
 
 def _inverse_bisect(graph, y):

@@ -342,25 +342,30 @@ class _StepSolver:
         d_u = np.empty((depth, u.shape[0]))
         d_f = np.empty_like(d_u)
         history = self.last_residual_history = []
-        for it in range(1, self.config.max_iters + 1):
-            u += step
-            r = self.residual(u, b)
-            res = float(np.linalg.norm(r))
-            history.append(res)
-            if not math.isfinite(res):
-                raise NonConvergence("fixed-point sweep diverged", history)
-            if res <= tol:
-                return u, it, res
-            f_new = -self._picard_solve(r)
-            slot = (it - 1) % depth
-            d_u[slot] = step
-            np.subtract(f_new, f, out=d_f[slot])
-            f = f_new
-            k = min(it, depth)
-            # the minimum-norm solution keeps gamma finite when dF is
-            # rank-deficient, e.g. zero once the iterate stops moving
-            gamma = np.linalg.lstsq(d_f[:k].T, f, rcond=_ANDERSON_RCOND)[0]
-            step = f - gamma @ d_u[:k] - gamma @ d_f[:k]
+        # a diverging sweep overflows; the finiteness tests turn that into
+        # NonConvergence instead of a floating-point warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in range(1, self.config.max_iters + 1):
+                u += step
+                r = self.residual(u, b)
+                res = float(np.linalg.norm(r))
+                history.append(res)
+                if not math.isfinite(res):
+                    raise NonConvergence("fixed-point sweep diverged", history)
+                if res <= tol:
+                    return u, it, res
+                f_new = -self._picard_solve(r)
+                slot = (it - 1) % depth
+                d_u[slot] = step
+                np.subtract(f_new, f, out=d_f[slot])
+                if not np.all(np.isfinite(d_f[slot])):
+                    raise NonConvergence("fixed-point sweep diverged", history)
+                f = f_new
+                k = min(it, depth)
+                # the minimum-norm solution keeps gamma finite when dF is
+                # rank-deficient, e.g. zero once the iterate stops moving
+                gamma = np.linalg.lstsq(d_f[:k].T, f, rcond=_ANDERSON_RCOND)[0]
+                step = f - gamma @ d_u[:k] - gamma @ d_f[:k]
         raise NonConvergence(
             f"fixed-point sweeps did not reach tolerance in {self.config.max_iters} "
             "iterations (time step too large)", history)
@@ -390,8 +395,9 @@ class _StepSolver:
             step = 1.0
             for _ in range(40):
                 u_try = u + step * delta
-                r_try = self.residual(u_try, b)
-                res_try = float(np.linalg.norm(r_try))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    r_try = self.residual(u_try, b)
+                    res_try = float(np.linalg.norm(r_try))
                 if math.isfinite(res_try) and res_try <= (1.0 - 1e-4 * step) * res:
                     break
                 step *= 0.5

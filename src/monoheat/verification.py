@@ -23,7 +23,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import graphs as gr
 from .errors import (
@@ -97,9 +96,8 @@ def _stiffness_form(k_mat: sp.spmatrix, f: np.ndarray) -> np.ndarray:
 
 def _dual_sq(ops: AssembledOperators, f: np.ndarray) -> np.ndarray:
     """Per-row squared h1-dual norm ``f_k' (M + K)^-1 f_k``, one
-    multi-column solve for all rows."""
-    h1 = spla.splu((sp.diags(ops.mass) + ops.stiffness).tocsc())
-    return np.maximum(np.sum(f * h1.solve(f.T).T, axis=1), 0.0)
+    multi-column solve with the operators' shared factor for all rows."""
+    return np.maximum(np.sum(f * ops.h1_factor.solve(f.T).T, axis=1), 0.0)
 
 
 def energy_monitors(solution: SolutionState, spec: ProblemSpec,

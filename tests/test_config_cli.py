@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 import monoheat
 from monoheat import cli, fem, graphs as gr
-from monoheat.cli import _write_state_files, main
+from monoheat.cli import _write_levels, _write_state_files, main
 from monoheat.config import _compile_expr, parse_config
 from monoheat.errors import (
     DegenerateElement,
@@ -22,7 +23,7 @@ from monoheat.errors import (
     Unsupported,
     ValidationError,
 )
-from monoheat.stepper import SolutionState
+from monoheat.stepper import SolutionState, lambda_continuation
 
 STEADY = """
 [problem]
@@ -480,6 +481,21 @@ class TestCli:
         assert "continuation.cauchy_diff.0.25 = 0" in summary
         assert "continuation.monotone_decreasing" in summary
 
+        # solver lines as in `solve`, taken over all levels; no `steps` key
+        text = STEADY.replace("lambda_schedule = [0.0]",
+                              "lambda_schedule = [0.5, 0.25, 0.125]") \
+                     .replace("solver_kind = newton", "solver_kind = both")
+        cfg.write_text(text)
+        assert main(["continuation", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = dict(line.split(" = ", 1)
+                     for line in (out / "summary.txt").read_text().splitlines())
+        rc = parse_config(text, command="continuation")
+        states = [state for _, state, _ in lambda_continuation(rc.problem, rc.solver)]
+        assert int(lines["max_iterations"]) == max(int(s.iterations.max()) for s in states) > 0
+        assert float(lines["max_residual"]) == max(float(s.residuals.max()) for s in states)
+        assert float(lines["solver_disagreement"]) == max(s.disagreement for s in states) > 0.0
+        assert "steps" not in lines
+
     def test_convergence_command(self, tmp_path):
         cfg = tmp_path / "conv.cfg"
         cfg.write_text(CONVERGENCE)
@@ -565,3 +581,31 @@ def test_state_files_exact_text(tmp_path):
         "k,t,node_id,xi\n"
         "0,0,2,2\n"
         "1,0.10000000000000001,2,-9.9999999999999995e-21\n")
+
+
+def _savetxt_levels(header, times, node_ids, fields):
+    """The same table through ``np.savetxt``: the reference text."""
+    n_levels, n = len(times), len(node_ids)
+    columns = [np.repeat(np.arange(n_levels), n), np.repeat(times, n),
+               np.tile(node_ids, n_levels)] + [f.ravel() for f in fields]
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack(columns), delimiter=",", comments="",
+               fmt=["%d", "%.17g", "%d"] + ["%.17g"] * len(fields), header=",".join(header))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n_nodes", [0, 1, 37])
+def test_level_writer_matches_savetxt(tmp_path, n_nodes):
+    # magnitudes from 1e-300 to 1e300 of either sign, signed zeros included
+    rng = np.random.default_rng(11)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 0.3, 4))])
+    node_ids = np.sort(rng.choice(10 * n_nodes + 1, n_nodes, replace=False))
+    fields = [rng.choice([-1.0, 1.0], (times.size, n_nodes))
+              * 10.0 ** rng.uniform(-300.0, 300.0, (times.size, n_nodes)) for _ in range(2)]
+    if n_nodes:
+        fields[0][0, 0], fields[1][-1, -1] = 0.0, -0.0
+    header = ("k", "t", "node_id", "u", "v")
+    _write_levels(tmp_path / "levels.csv", header, times, node_ids, fields)
+    text = (tmp_path / "levels.csv").read_text(encoding="utf-8")
+    assert text == _savetxt_levels(header, times, node_ids, fields)
+    assert len(text.splitlines()) == 1 + times.size * n_nodes

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from monoheat import graphs as gr
-from monoheat.errors import GraphAuditError, InvalidArgument, QuadratureFailure, Unsupported
+from monoheat.errors import (
+    DomainError,
+    GraphAuditError,
+    InvalidArgument,
+    NonConvergence,
+    QuadratureFailure,
+    Unsupported,
+)
 
 
 def oracle_resolvent(beta_fn, lam, x, lo, hi, iters=200):
@@ -47,6 +54,92 @@ class TestResolvent:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(InvalidArgument):
             gr.resolvent(gr.Linear(1.0), 0.0, 1.0)
+
+
+_NEWTON_RESOLVENT_GRAPHS = [
+    gr.Power(0.5),
+    gr.Power(3.0),
+    gr.CompositeSum([gr.Linear(1.0), gr.Power(4.0)]),
+    gr.PhysicalBeta(1.0, 1.0, inner=gr.Linear(2.0)),
+    gr.PhysicalBeta(1.0, 1.0, inner=gr.SaturatingBiLipschitz(1.0, 1.0)),
+]
+
+
+class TestSafeguardedNewtonResolvent:
+    """The generic resolvent of a single-valued graph: Newton inside the
+    bracket [min(0,x), max(0,x)], with bisection as the safeguard."""
+
+    @pytest.mark.parametrize("graph", _NEWTON_RESOLVENT_GRAPHS, ids=lambda g: g.label)
+    @pytest.mark.parametrize("lam", [0.0625, 1.0, 8.0])
+    def test_residual_bracket_and_monotone(self, graph, lam):
+        rng = np.random.default_rng(7)
+        x = np.sort(np.concatenate([rng.uniform(-3.0, 3.0, 400), rng.uniform(-50.0, 50.0, 40),
+                                    [-50.0, -1e-300, 0.0, 1e-300, 50.0]]))
+        y = gr.resolvent(graph, lam, x)
+        residual = y + lam * graph.value(y) - x
+        assert np.all(np.abs(residual) <= 1e-14 * np.maximum(1.0, np.abs(x)))
+        assert np.all((np.minimum(0.0, x) <= y) & (y <= np.maximum(0.0, x)))
+        assert np.all(np.diff(y) >= 0.0)
+        assert y[x == 0.0] == 0.0
+        assert gr.resolvent(graph, lam, 0.0) == 0.0
+
+    def test_infinite_slope_at_origin(self):
+        # power(0.5): Newton's step from 0 is 0, which a step-length test
+        # would accept as converged; y + sqrt(y) = 2 has the root 1
+        assert gr.resolvent(gr.Power(0.5), 1.0, 2.0) == pytest.approx(1.0, rel=1e-15)
+        assert gr.resolvent(gr.Power(0.5), 1.0, -2.0) == pytest.approx(-1.0, rel=1e-15)
+
+    def test_far_outlier_on_steep_power(self):
+        # Newton alone shrinks y by 1/9 per step from x = 1e12 and would need
+        # more than the iteration cap; the halving rule bisects instead, and
+        # the bracket closes relative to the root (about 21.5), not to x
+        y = gr.resolvent(gr.Power(9.0), 1.0, 1e12)
+        assert y + y**9 == pytest.approx(1e12, rel=1e-14)
+
+    def test_matches_bisection_oracle(self):
+        beta = gr.CompositeSum([gr.Linear(1.0), gr.Power(4.0)])
+        for x in (-7.5, -0.3, 0.8, 2.0, 41.0):
+            expected = oracle_resolvent(lambda y: y + abs(y) ** 3 * y, 0.25, x,
+                                        min(0.0, x), max(0.0, x))
+            assert gr.resolvent(beta, 0.25, x) == pytest.approx(expected, rel=1e-14)
+
+    def test_array_shape_preserved(self):
+        x = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        y = gr.resolvent(gr.Power(3.0), 0.5, x)
+        assert y.shape == (3, 4)
+        assert np.array_equal(y.ravel(), gr.resolvent(gr.Power(3.0), 0.5, x.ravel()))
+
+    def test_unbracketable_root_is_domain_error(self):
+        class Clipped(gr.ScalarGraph):
+            # defined on [-1, 1] only, without the vertical ends that would
+            # make it maximal: x = 5 has no resolvent point inside the domain
+            label = "clipped"
+            domain = (-1.0, 1.0)
+
+            def value(self, x):
+                return np.asarray(x, dtype=float)
+
+            def derivative(self, x):
+                return np.ones_like(np.asarray(x, dtype=float))
+
+        assert gr.resolvent(Clipped(), 1.0, 1.0) == pytest.approx(0.5)
+        with pytest.raises(DomainError, match="cannot be bracketed"):
+            gr.resolvent(Clipped(), 1.0, 5.0)
+
+    def test_undefined_graph_hits_iteration_cap(self):
+        class Undefined(gr.ScalarGraph):
+            # zero at the origin and NaN elsewhere, so f never changes sign
+            label = "undefined"
+
+            def value(self, x):
+                x = np.asarray(x, dtype=float)
+                return np.where(x == 0.0, 0.0, np.nan)
+
+            def derivative(self, x):
+                return np.full_like(np.asarray(x, dtype=float), np.nan)
+
+        with pytest.raises(NonConvergence, match="exceeded 200 iterations"):
+            gr.resolvent(Undefined(), 1.0, 2.0)
 
 
 class TestYosida:

@@ -217,6 +217,24 @@ class TestSingleStep:
         assert info.value.time_index == 1
         assert len(info.value.residual_history) == 3
 
+    def test_diverging_sweep_is_nonconvergence(self):
+        # an undamped sweep on a steep boundary overflows power(8) within a
+        # few sweeps; under the suite's error::RuntimeWarning filter that
+        # must surface as NonConvergence, not as a floating-point warning
+        spec = ProblemSpec(mesh=fem.build_mesh_1d(1.0, 8, "right"), c0=1.0,
+                           gamma=gr.Linear(1.0),
+                           beta=gr.CompositeSum([gr.Linear(1.0), gr.Power(8.0)]),
+                           g=0.0, h=500.0, u0=0.0, T=0.4)
+        cfg = SolverConfig(tau=0.2, lambda_schedule=(0.0,), solver_kind="picard",
+                           picard_damping=1.0)
+        with pytest.raises(NonConvergence, match="diverged") as info:
+            solve_transient(spec, cfg)
+        history = info.value.residual_history
+        assert info.value.time_index == 1
+        assert not np.isfinite(history[-1]) and np.all(np.isfinite(history[:-1]))
+        state = solve_transient(spec, dataclasses.replace(cfg, solver_kind="newton"))
+        assert state.n_steps == 2 and np.all(np.isfinite(state.u))
+
 
 class TestActiveBoundaryOnly:
     @pytest.mark.parametrize("kind", ["picard", "newton", "both"])

@@ -1,8 +1,11 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from monoheat import fem, graphs as gr
 from monoheat import verification as ver
@@ -374,6 +377,29 @@ class TestDualRate:
             state = solve_transient(spec, cfg, ops=ops)
             rates.append(ver.dual_rate_l2(ver.energy_monitors(state, spec, ops)))
         assert max(rates) <= 2.0 * min(rates)
+
+    def test_one_h1_factor_for_trace_and_monitors(self, rng, monkeypatch):
+        # 41x41 nodes takes trace_constant's ARPACK path, whose generalized
+        # mode would factorize M + K itself unless it is handed M^-1
+        spec = random_problem_2d(rng, n=40, T=0.1)
+        ops = fem.assemble(spec.mesh)
+        state = solve_transient(spec, SolverConfig(tau=0.05, lambda_schedule=(0.125,)),
+                                ops=ops)
+        factored = []
+        arpack = sys.modules[spla.eigsh.__module__]
+        for module, name in ((spla, "splu"), (spla, "factorized"), (arpack, "splu")):
+            def spy(matrix, *args, real=getattr(module, name), **kwargs):
+                factored.append(matrix.shape)
+                return real(matrix, *args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        c_tr = fem.trace_constant(ops)
+        report = ver.energy_monitors(state, spec, ops)
+        assert factored == [(ops.n_nodes, ops.n_nodes)]
+        assert c_tr > 0.0
+        h1 = (sp.diags(ops.mass) + ops.stiffness).tocsc()
+        dv = ops.mass * np.diff(state.v, axis=0) / state.tau
+        direct = np.sqrt([f @ spla.spsolve(h1, f) for f in dv])
+        assert np.allclose(report.dual_rate[1:], direct, rtol=1e-12, atol=0.0)
 
 
 class TestTruncationDiagnostic:
