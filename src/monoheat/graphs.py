@@ -286,12 +286,22 @@ def _bracket_closed(lo, hi):
 
 def _resolvent_bisect(graph, lam, x, lo, hi):
     """Bisection on the section bounds of a multi-valued graph, from the
-    bracket ``[lo, hi]`` until ``_bracket_closed``; returns the midpoint."""
+    bracket ``[lo, hi]`` until ``_bracket_closed``; returns the midpoint.
+
+    An infinite section bound (a steep part that overflows) still orders
+    the midpoint; a NaN one would read as an exact hit, so it raises
+    ``NonConvergence``, as a NaN value does on the single-valued path."""
     for _ in range(_BISECT_CAP):
         mid = 0.5 * (lo + hi)
-        sec_lo, sec_hi = graph.section_bounds(mid)
-        too_high = mid + lam * sec_lo > x
-        too_low = mid + lam * sec_hi < x
+        with np.errstate(over="ignore", invalid="ignore"):
+            sec_lo, sec_hi = graph.section_bounds(mid)
+            at_lo = mid + lam * sec_lo
+            at_hi = mid + lam * sec_hi
+        if np.any(np.isnan(at_lo) | np.isnan(at_hi)):
+            raise NonConvergence(
+                f"resolvent bisection for {graph.label} met a section bound that is NaN")
+        too_high = at_lo > x
+        too_low = at_hi < x
         exact = ~too_high & ~too_low
         hi = np.where(too_high | exact, mid, hi)
         lo = np.where(too_low | exact, mid, lo)

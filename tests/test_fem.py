@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from monoheat import fem
+from monoheat import fem, graphs as gr
 from monoheat.errors import (DegenerateElement, DimensionMismatch, EmptyBoundary,
                              InvalidArgument)
 from monoheat.fem import GAMMA0, GAMMA1
+from monoheat.stepper import ProblemSpec, SolverConfig, _StepSolver, smooth_initial
 
 
 class TestMesh1d:
@@ -238,6 +242,16 @@ class TestLargeMeshTrace:
         c_small = fem.trace_constant(ops_small)
         assert c_large == pytest.approx(c_small, rel=0.05)
 
+    def test_arpack_matches_dense_generalized_eigh(self):
+        # the same pencil (Mb, M + K) that the dense path solves below the
+        # threshold, solved densely here above it
+        ops = fem.assemble(fem.build_mesh_rect(1.0, 1.0, 40, 40, True))
+        assert ops.n_nodes > fem._DENSE_EIG_LIMIT
+        h1 = (sp.diags(ops.mass) + ops.stiffness).toarray()
+        mu = scipy.linalg.eigh(np.diag(ops.boundary_mass), h1, eigvals_only=True,
+                               subset_by_index=[ops.n_nodes - 1, ops.n_nodes - 1])[0]
+        assert fem.trace_constant(ops) ** 2 == pytest.approx(mu, rel=1e-12)
+
     def test_power_iteration_fallback_matches_arpack(self, monkeypatch):
         mesh = fem.build_mesh_rect(1.0, 1.0, 40, 40, True)
         c_arpack = fem.trace_constant(fem.assemble(mesh))
@@ -251,3 +265,42 @@ class TestLargeMeshTrace:
         c_power = fem.trace_constant(fem.assemble(mesh))
         assert calls == [1]
         assert c_power == pytest.approx(c_arpack, rel=1e-10)
+
+
+def _served_matrices(mesh):
+    """Every matrix that goes through ``spd_factor``, each with the solve
+    that serves it: the h1 Gram matrix, the smoothing matrix ``M + lam*K``,
+    the Picard matrix at lam > 0 and a constant Jacobian (linear gamma and
+    beta), the last two built independently of the solver."""
+    ops = fem.assemble(mesh)
+    mass, stiff = sp.diags(ops.mass), ops.stiffness
+    c0, a_gamma, a_beta, lam, tau = 1.3, 2.0, 3.0, 0.25, 0.05
+    spec = ProblemSpec(mesh=mesh, c0=c0, gamma=gr.Linear(a_gamma), beta=gr.Linear(a_beta),
+                       g=0.0, h=0.0, u0=0.0, T=0.1)
+    solver = _StepSolver(spec, ops, SolverConfig(tau=tau, lambda_schedule=(lam,)), lam, 0.0)
+    picard = (c0 * a_gamma + tau * lam) * mass + tau * stiff
+    jacobian = picard + tau * a_beta / (1.0 + lam * a_beta) * sp.diags(ops.boundary_mass)
+    return {
+        "h1": (mass + stiff, ops.h1_factor.solve),
+        "smoothing": (mass + 0.5 * stiff,
+                      lambda b: smooth_initial(mesh, ops, b / ops.mass, 0.5)),
+        "picard": (picard, solver._picard_solve),
+        "constant_jacobian": (jacobian, solver._const_jacobian_solve),
+    }
+
+
+class TestSpdFactor:
+    @pytest.mark.parametrize("mesh", [fem.build_mesh_1d(2.0, 300, "both"),
+                                      fem.build_mesh_rect(1.0, 0.5, 24, 12, True)],
+                             ids=["1d", "2d"])
+    def test_solves_every_served_matrix(self, mesh, rng):
+        for name, (matrix, solve) in _served_matrices(mesh).items():
+            b = matrix @ rng.normal(size=mesh.n_nodes)
+            x = solve(b)
+            assert np.linalg.norm(matrix @ x - b) <= 1e-12 * np.linalg.norm(b), name
+
+    def test_less_fill_than_default_ordering(self):
+        picard, _ = _served_matrices(fem.build_mesh_rect(1.0, 1.0, 32, 32, True))["picard"]
+        spd = fem.spd_factor(picard)
+        default = spla.splu(picard.tocsc())
+        assert spd.L.nnz + spd.U.nnz < default.L.nnz + default.U.nnz

@@ -127,19 +127,42 @@ class TestSafeguardedNewtonResolvent:
             gr.resolvent(Clipped(), 1.0, 5.0)
 
     def test_undefined_graph_hits_iteration_cap(self):
-        class Undefined(gr.ScalarGraph):
-            # zero at the origin and NaN elsewhere, so f never changes sign
-            label = "undefined"
-
-            def value(self, x):
-                x = np.asarray(x, dtype=float)
-                return np.where(x == 0.0, 0.0, np.nan)
-
-            def derivative(self, x):
-                return np.full_like(np.asarray(x, dtype=float), np.nan)
-
         with pytest.raises(NonConvergence, match="exceeded 200 iterations"):
-            gr.resolvent(Undefined(), 1.0, 2.0)
+            gr.resolvent(_Undefined(), 1.0, 2.0)
+
+
+class TestMultiValuedResolvent:
+    """Bisection on the section bounds, the route of any graph with a
+    vertical segment (``sign`` inside a sum)."""
+
+    def test_nan_section_bound_is_nonconvergence(self):
+        # a NaN bound compares false both ways; read as an exact hit it
+        # returned the first midpoints [0.25, 1.5, -3.5]
+        graph = gr.CompositeSum([_Undefined(), gr.Sign()])
+        with pytest.raises(NonConvergence, match="NaN"):
+            gr.resolvent(graph, 1.0, np.array([0.5, 3.0, -7.0]))
+
+    def test_overflowing_section_bound_still_orders(self):
+        # power(9) overflows to inf at the first midpoints of x = +-1e40; an
+        # infinite bound still says which half holds the root
+        graph = gr.CompositeSum([gr.Power(9.0), gr.Sign()])
+        x = np.array([1e40, -1e40])
+        with np.errstate(over="ignore"):
+            y = gr.resolvent(graph, 1.0, x)
+        assert np.all(np.isfinite(y))
+        assert y + y**9 + np.sign(y) == pytest.approx(x, rel=1e-12)
+
+
+class _Undefined(gr.ScalarGraph):
+    # zero at the origin and NaN elsewhere, so f never changes sign
+    label = "undefined"
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == 0.0, 0.0, np.nan)
+
+    def derivative(self, x):
+        return np.full_like(np.asarray(x, dtype=float), np.nan)
 
 
 class TestYosida:

@@ -429,20 +429,34 @@ def direct_newton(solver, u, b):
     raise AssertionError("reference Newton did not converge")
 
 
+def count_sparse_solves(monkeypatch):
+    """Count calls of ``spla.splu`` and ``spla.spsolve`` from now on."""
+    calls = {"splu": 0, "spsolve": 0}
+    for name in calls:
+        def spy(*args, real=getattr(spla, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(spla, name, spy)
+    return calls
+
+
 class TestNewtonLinearSolve:
     @pytest.mark.parametrize("kind", ["newton", "both"])
     def test_one_factorization_per_solver(self, rng, monkeypatch, kind):
-        calls = {"factorized": 0, "spsolve": 0}
-        for name in calls:
-            def spy(*args, real=getattr(spla, name), name=name):
-                calls[name] += 1
-                return real(*args)
-            monkeypatch.setattr(spla, name, spy)
+        calls = count_sparse_solves(monkeypatch)
         spec = random_problem_2d(rng, n=6, T=0.2)
         cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), solver_kind=kind)
         state = solve_transient(spec, cfg)
         assert np.all(state.iterations >= 1)
-        assert calls == {"factorized": 1, "spsolve": 0}
+        assert calls == {"splu": 1, "spsolve": 0}
+
+    def test_one_factorization_per_continuation_level(self, rng, monkeypatch):
+        calls = count_sparse_solves(monkeypatch)
+        spec = random_problem_2d(rng, n=6, T=0.2)
+        cfg = SolverConfig(tau=0.05, lambda_schedule=(0.5, 0.25, 0.125))
+        runs = lambda_continuation(spec, cfg)
+        assert len(runs) == 3
+        assert calls == {"splu": 3, "spsolve": 0}
 
     def test_cg_failure_is_linear_solve_failure(self, rng, monkeypatch):
         monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
