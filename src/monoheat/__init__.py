@@ -20,7 +20,6 @@ from .graphs import (
     moreau_envelope,
     potential,
     resolvent,
-    truncated_yosida,
     yosida,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "potential",
     "moreau_envelope",
     "conjugate_potential",
-    "truncated_yosida",
     "graph_property_suite",
     "audit_constants",
     "builtin_graphs",

@@ -6,8 +6,11 @@ in the output directory (``solution.csv``, ``boundary.csv``,
 ``estimates.csv``, ``summary.txt``).  ``solution.csv`` and
 ``boundary.csv`` are written one time level at a time; the ``summary.txt``
 of ``solve`` and ``continuation`` reports the solver's largest iteration
-count, residual and fixed-point/Newton gap over every march.  Exit codes: 0 success, 1 solver
-failure or any other package error (``DomainError``, ``Unsupported``,
+count, residual and fixed-point/Newton gap over every march, and the
+bound chain of ``verification.verify_solution`` on the final march (or,
+with ``bounds.evaluated = false``, its ``bounds.skip_reason``).  Exit
+codes: 0 success, including a skipped bound chain, 1 solver failure or
+any other package error (``DomainError``, ``Unsupported``,
 ``EmptyBoundary``, ...; one ``error:`` line, no traceback), 2 violated
 bound or dependence margin or graph property, 3 configuration error.
 
@@ -26,15 +29,8 @@ import numpy as np
 from . import graphs as gr
 from . import verification as ver
 from .config import COMMANDS, RunConfig, parse_config
-from .errors import (
-    ConfigError,
-    EmptyBoundary,
-    MonoheatError,
-    SolverError,
-    ValidationError,
-    ViolationError,
-)
-from .fem import assemble, build_mesh_1d, build_mesh_rect, dump_mesh, trace_constant
+from .errors import ConfigError, MonoheatError, SolverError, ViolationError
+from .fem import assemble, build_mesh_1d, build_mesh_rect, dump_mesh
 from .stepper import lambda_continuation, solve_transient
 
 
@@ -112,36 +108,24 @@ def _solver_items(states):
             ("solver_disagreement", max(s.disagreement for s in states))]
 
 
-def _report_items(report):
-    items = [(f"constant.{k}", v) for k, v in sorted(report.constants.items())]
-    for check in report.bound_checks:
-        items.append((f"bound.{check.name}.value", check.bound))
-        items.append((f"bound.{check.name}.monitored", check.monitored))
-        items.append((f"bound.{check.name}.pass", check.passed))
-    items.append(("bounds.all_pass", report.all_bounds_pass))
-    return items
-
-
-def _verified_report(state, spec, ops, summary):
-    """Monitors always; bound constants when the chain applies at this tau."""
-    report = ver.energy_monitors(state, spec, ops)
-    try:
-        c_tr = trace_constant(ops)
-    except EmptyBoundary:
-        summary.append(("bounds.evaluated", False))
-        summary.append(("bounds.skip_reason", "no active boundary"))
-        return report, 0
-    try:
-        report = ver.apriori_bounds(
-            report, spec.gamma.scaled(spec.c0).constants(), spec.beta.constants(),
-            ver.data_norms(spec, ops, state), c_tr, raise_on_violation=False)
-    except ValidationError as exc:
-        summary.append(("bounds.evaluated", False))
-        summary.append(("bounds.skip_reason", str(exc)))
-        return report, 0
-    summary.append(("bounds.evaluated", True))
-    summary.extend(_report_items(report))
-    return report, (0 if report.all_bounds_pass else 2)
+def _finish_march(out: Path, spec, ops, state, summary) -> int:
+    """Verify the final march and write ``estimates.csv`` and ``summary.txt``;
+    exit 2 only when the bound chain was evaluated and a check failed."""
+    report = ver.verify_solution(state, spec, ops)
+    evaluated = report.skip_reason is None
+    summary.append(("bounds.evaluated", evaluated))
+    if evaluated:
+        summary += [(f"constant.{k}", v) for k, v in sorted(report.constants.items())]
+        for check in report.bound_checks:
+            summary += [(f"bound.{check.name}.value", check.bound),
+                        (f"bound.{check.name}.monitored", check.monitored),
+                        (f"bound.{check.name}.pass", check.passed)]
+        summary.append(("bounds.all_pass", report.all_bounds_pass))
+    else:
+        summary.append(("bounds.skip_reason", report.skip_reason))
+    _write_estimates(out, report)
+    _write_summary(out / "summary.txt", summary)
+    return 2 if evaluated and not report.all_bounds_pass else 0
 
 
 def _cmd_graph_check(rc: RunConfig, out: Path) -> int:
@@ -179,10 +163,7 @@ def _cmd_solve(rc: RunConfig, out: Path) -> int:
     summary = [("command", "solve"), ("nodes", spec.mesh.n_nodes),
                ("steps", state.n_steps), ("lambda", state.lam),
                ("tau", state.tau)] + _solver_items([state])
-    report, code = _verified_report(state, spec, ops, summary)
-    _write_estimates(out, report)
-    _write_summary(out / "summary.txt", summary)
-    return code
+    return _finish_march(out, spec, ops, state, summary)
 
 
 def _cmd_continuation(rc: RunConfig, out: Path) -> int:
@@ -201,10 +182,7 @@ def _cmd_continuation(rc: RunConfig, out: Path) -> int:
             diffs.append(diff)
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     summary.append(("continuation.monotone_decreasing", decreasing))
-    report, code = _verified_report(state, spec, ops, summary)
-    _write_estimates(out, report)
-    _write_summary(out / "summary.txt", summary)
-    return code
+    return _finish_march(out, spec, ops, state, summary)
 
 
 def _cmd_convergence(rc: RunConfig, out: Path) -> int:

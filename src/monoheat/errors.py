@@ -4,6 +4,7 @@ Three top branches matter for the CLI exit-code mapping: ``ConfigError``
 (bad input, exit 3), ``SolverError`` (numerical failure, exit 1) and
 ``ViolationError`` (a checked property failed on actual output, exit 2).
 Every other ``MonoheatError`` exits 1.
+A violated a-priori bound is reported by ``verify_solution``, not raised.
 """
 
 
@@ -70,17 +71,7 @@ class ViolationError(MonoheatError):
     """A monitored inequality or cross-check failed."""
 
 
-class BoundViolation(ViolationError):
-    def __init__(self, message, time_index=None):
-        super().__init__(message)
-        self.time_index = time_index
-
-
 class SolverDisagreement(ViolationError):
-    pass
-
-
-class PropertyFailure(ViolationError):
     pass
 
 

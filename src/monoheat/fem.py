@@ -93,7 +93,6 @@ class AssembledOperators:
     stiffness: sp.csr_matrix
     boundary_mass: np.ndarray      # lumped diagonal, active-boundary measure
     domain_measure: float
-    gamma1_measure: float
     _trace_cache: Optional[float] = field(default=None, repr=False)
 
     @property
@@ -210,7 +209,6 @@ def assemble(mesh: Mesh) -> AssembledOperators:
         stiffness=stiffness,
         boundary_mass=boundary_mass,
         domain_measure=float(mass.sum()),
-        gamma1_measure=float(measure.sum()),
     )
 
 

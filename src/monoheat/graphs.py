@@ -13,9 +13,10 @@ safeguarded Newton inside the bracket [min(0,x), max(0,x)] for
 single-valued graphs, bisection on the section bounds for multi-valued
 ones (``_resolvent_solve``).
 The module also provides convex potentials (``A = d(potential)``),
-Moreau envelopes, convex conjugates, the hard clamp used to truncate
-the Yosida approximation, and a diagnostic suite that samples the
-standard regularization identities.
+Moreau envelopes, convex conjugates, the regularized boundary map the
+stepper uses (``regularized_value``: Yosida approximation or minimal
+section, optionally clamped at 1/eps), and a diagnostic suite that
+samples the standard regularization identities.
 
 All evaluation routines accept scalars or numpy arrays and are pure;
 graph objects are immutable after construction.
@@ -242,8 +243,10 @@ def _resolvent_solve(graph, lam, x):
     dom_lo, dom_hi = graph.domain
     lo = np.maximum(np.minimum(0.0, x), dom_lo)
     hi = np.minimum(np.maximum(0.0, x), dom_hi)
-    flo_lo, _ = graph.section_bounds(lo)
-    _, fhi_hi = graph.section_bounds(hi)
+    with np.errstate(over="ignore"):
+        # a steep graph overflows to inf at a far x, which still orders the bracket
+        flo_lo, _ = graph.section_bounds(lo)
+        _, fhi_hi = graph.section_bounds(hi)
     if np.any(lo + lam * flo_lo - x > 0.0) or np.any(hi + lam * fhi_hi - x < 0.0):
         raise DomainError(f"resolvent of {graph.label} cannot be bracketed")
     if not graph.single_valued:
@@ -778,15 +781,6 @@ def conjugate_potential(graph: ScalarGraph, y):
     y_arr = _asarray(y)
     x = _asarray(graph.inverse(y_arr))
     return _match(y, y_arr * x - _asarray(graph.potential(x)))
-
-
-def truncated_yosida(graph: ScalarGraph, lam: float, eps: float, r):
-    """Yosida approximation clamped to [-1/eps, 1/eps]."""
-    if not (lam > 0.0 and eps > 0.0):
-        raise InvalidArgument("truncated yosida needs lam > 0 and eps > 0")
-    cap = 1.0 / eps
-    r_arr = _asarray(r)
-    return _match(r, np.clip(_asarray(yosida(graph, lam, r_arr)), -cap, cap))
 
 
 def regularized_value(graph: ScalarGraph, lam: float, eps: float, r):

@@ -5,7 +5,7 @@ drive the well-posedness theory for the flow: the conjugate potential of
 the volume nonlinearity, the cumulative gradient dissipation, the boundary
 potential mass and the boundary flux.  The bound calculators then rebuild
 the corresponding a-priori constants *from data and declared graph
-constants only* and assert that the monitored values stay below them.
+constants only* and check that the monitored values stay below them.
 Backward Euler inherits the continuous Gronwall chains verbatim, with the
 exponential factor replaced by its implicit discrete analogue
 ``prod (1-q_k)^-1``, so a violation indicates an implementation bug,
@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from . import graphs as gr
 from .errors import (
-    BoundViolation,
+    EmptyBoundary,
     HypothesisViolation,
     InsufficientLevels,
     ValidationError,
@@ -73,6 +73,7 @@ class EstimateReport:
     step_slack: np.ndarray       # per-step inexactness allowance
     constants: dict = field(default_factory=dict)
     bound_checks: list = field(default_factory=list)
+    skip_reason: Optional[str] = None  # why the chain was not evaluated
 
     @property
     def all_bounds_pass(self) -> bool:
@@ -197,12 +198,14 @@ def _implicit_gronwall_factor(q: np.ndarray) -> float:
 
 def apriori_bounds(report: EstimateReport, gamma_constants: GraphConstants,
                    beta_constants: GraphConstants, norms: DataNorms,
-                   c_tr: float, raise_on_violation: bool = True) -> EstimateReport:
+                   c_tr: float) -> EstimateReport:
     """Compute the bound constants and test every monitor against them.
 
     ``gamma_constants`` must describe the *effective* volume graph (heat
     capacity included).  The constants depend on data and declared graph
     properties only; the solution enters solely through the monitors.
+    A failed check is reported, with its ``time_index``, never raised;
+    ``ValidationError`` means the chain's hypotheses fail.
     """
     c_low = gamma_constants.lipschitz_lower
     c_up = gamma_constants.lipschitz_upper
@@ -264,56 +267,35 @@ def apriori_bounds(report: EstimateReport, gamma_constants: GraphConstants,
 
     report.constants.update(constants)
     report.bound_checks = checks
-    if raise_on_violation:
-        bad = [c for c in checks if not c.passed]
-        if bad:
-            worst = bad[0]
-            raise BoundViolation(
-                f"bound {worst.name} violated: monitored {worst.monitored:.6e} "
-                f"> bound {worst.bound:.6e}", time_index=worst.time_index)
     return report
 
 
 def verify_solution(solution: SolutionState, spec: ProblemSpec,
-                    ops: AssembledOperators,
-                    raise_on_violation: bool = True) -> EstimateReport:
-    """Monitors plus bound checks in one call."""
+                    ops: AssembledOperators) -> EstimateReport:
+    """Monitors, and the bound checks where the chain applies.  Never raises
+    on the report: a violated bound is a failed check, and a chain that
+    cannot be evaluated leaves ``bound_checks`` empty and sets ``skip_reason``.
+    That covers an empty Γ1, a time step too large for the Gronwall chain and
+    any other ``ValidationError`` of its hypotheses, such as a graph whose
+    declared constants are missing or inconsistent: such a graph is reported
+    in ``skip_reason``, not raised.
+    """
     report = energy_monitors(solution, spec, ops)
-    return apriori_bounds(
-        report,
-        spec.gamma.scaled(spec.c0).constants(),
-        spec.beta.constants(),
-        data_norms(spec, ops, solution),
-        trace_constant(ops),
-        raise_on_violation=raise_on_violation)
+    try:
+        c_tr = trace_constant(ops)
+        return apriori_bounds(
+            report, spec.gamma.scaled(spec.c0).constants(), spec.beta.constants(),
+            data_norms(spec, ops, solution), c_tr)
+    except EmptyBoundary:
+        report.skip_reason = "no active boundary"
+    except ValidationError as exc:
+        report.skip_reason = str(exc)
+    return report
 
 
 def dual_rate_l2(report: EstimateReport) -> float:
     """Space-time dual norm of the discrete time derivative of v."""
     return math.sqrt(float(report.tau * np.sum(report.dual_rate[1:] ** 2)))
-
-
-def truncation_envelope_diagnostic(solution: SolutionState, spec: ProblemSpec,
-                                   ops: AssembledOperators, eps: float) -> dict:
-    """Per-step analogue of the invariant set used by the truncated
-    fixed-point construction, reported but never enforced.
-
-    For each step compares ``(1/2 + lam)|u|^2 + (3/2)|grad u|^2`` against
-    ``(C_tr*|Gamma1|/eps + |F|_dual)^2 / 2`` with F the step's right-hand
-    functional.  The time-stepping problem only parallels the stationary
-    construction, so this stays a diagnostic.
-    """
-    if not eps > 0.0:
-        raise ValidationError("diagnostic needs an active truncation level")
-    c_tr = trace_constant(ops)
-    tau, lam = solution.tau, solution.lam
-    u = solution.u[1:]
-    lhs = (0.5 + lam) * _lumped(u, u, ops.mass) + 1.5 * _stiffness_form(ops.stiffness, u)
-    later = solution.times[1:]
-    f_repr = (ops.mass * (solution.v[:-1] / tau + _sampled(spec.g_at, later))
-              + ops.boundary_mass * _sampled(spec.h_at, later))
-    rhs = 0.5 * (c_tr * ops.gamma1_measure / eps + np.sqrt(_dual_sq(ops, f_repr))) ** 2
-    return {"lhs": lhs, "rhs": rhs, "within": bool(np.all(lhs <= rhs))}
 
 
 # ---------------------------------------------------------------------------

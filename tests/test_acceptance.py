@@ -113,8 +113,7 @@ def test_criterion_4_apriori_bounds():
         spec = random_problem(rng, n_elems=16, T=0.5)
         cfg = SolverConfig(tau=0.025, lambda_schedule=(0.125,), newton_tol=1e-13)
         state = solve_transient(spec, cfg)
-        rep = ver.verify_solution(state, spec, fem.assemble(spec.mesh),
-                                  raise_on_violation=False)
+        rep = ver.verify_solution(state, spec, fem.assemble(spec.mesh))
         violations += sum(not c.passed for c in rep.bound_checks)
     _report("4 a-priori bounds", violations == 0,
             f"10 randomized data sets, {violations} violations")

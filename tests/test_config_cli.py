@@ -12,6 +12,7 @@ import scipy.sparse.linalg as spla
 
 import monoheat
 from monoheat import cli, fem, graphs as gr
+from monoheat import verification as ver
 from monoheat.cli import _write_levels, _write_state_files, main
 from monoheat.config import _compile_expr, parse_config
 from monoheat.errors import (
@@ -374,6 +375,43 @@ class TestCli:
         summary = (out / "summary.txt").read_text().splitlines()
         assert "bounds.evaluated = true" in summary
         assert "bounds.all_pass = true" in summary
+
+    @pytest.mark.parametrize("old,new,reason", [
+        ("gamma1=right", "gamma1=none", "no active boundary"),
+        ("T = 0.5\n\n[solver]\ntau = 0.1", "T = 4.0\n\n[solver]\ntau = 2.0",
+         "time step too large for the discrete Gronwall chain; reduce tau"),
+    ], ids=["no_boundary", "large_tau"])
+    def test_skipped_bound_chain_exit_zero(self, tmp_path, old, new, reason):
+        text = STEADY.replace(old, new)
+        assert new in text
+        cfg = tmp_path / "skip.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "skip"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "bounds.evaluated = false" in summary
+        assert f"bounds.skip_reason = {reason}" in summary
+        assert not any(line.startswith("bounds.all_pass") for line in summary)
+        assert (out / "estimates.csv").exists()
+
+    def test_violated_bound_exit_two(self, tmp_path, monkeypatch):
+        monitors = ver.energy_monitors
+
+        def corrupted(solution, spec, ops):
+            report = monitors(solution, spec, ops)
+            report.l2_u[-1] = 1e9
+            return report
+
+        monkeypatch.setattr(ver, "energy_monitors", corrupted)
+        cfg = tmp_path / "steady.cfg"
+        cfg.write_text(STEADY)
+        out = tmp_path / "bad"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "bounds.evaluated = true" in summary
+        assert "bound.A1_sup_l2_u.pass = false" in summary
+        assert "bounds.all_pass = false" in summary
+        assert (out / "estimates.csv").read_text().splitlines()[-1].startswith("summary,")
 
     def test_dependence_exit_zero(self, tmp_path):
         cfg = tmp_path / "dep.cfg"

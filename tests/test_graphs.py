@@ -92,9 +92,11 @@ class TestSafeguardedNewtonResolvent:
     def test_far_outlier_on_steep_power(self):
         # Newton alone shrinks y by 1/9 per step from x = 1e12 and would need
         # more than the iteration cap; the halving rule bisects instead, and
-        # the bracket closes relative to the root (about 21.5), not to x
-        y = gr.resolvent(gr.Power(9.0), 1.0, 1e12)
-        assert y + y**9 == pytest.approx(1e12, rel=1e-14)
+        # the bracket closes relative to the root (about 21.5), not to x; at
+        # x = 1e40 the bracket check's graph value overflows to inf, silently
+        for x in (1e12, 1e40):
+            y = gr.resolvent(gr.Power(9.0), 1.0, x)
+            assert y + y**9 == pytest.approx(x, rel=1e-14)
 
     def test_matches_bisection_oracle(self):
         beta = gr.CompositeSum([gr.Linear(1.0), gr.Power(4.0)])
@@ -318,15 +320,12 @@ class TestConjugate:
             gr.conjugate_potential(gr.Sign(), 0.5)
 
 
-class TestTruncatedYosida:
+class TestRegularizedValue:
     @pytest.mark.parametrize("x,expected", [(6.0, 2.0), (-3.6, -2.0), (1.2, 1.0)])
     def test_clamp_cases(self, x, expected):
-        # Linear(5) at lam=1 has yosida value 5x/6: 5, -3 and 1 at these x
-        assert gr.truncated_yosida(gr.Linear(5.0), 1.0, 0.5, x) == pytest.approx(expected)
-
-    def test_requires_positive_parameters(self):
-        with pytest.raises(InvalidArgument):
-            gr.truncated_yosida(gr.Linear(1.0), 1.0, 0.0, 1.0)
+        # Linear(5) at lam=1 has yosida value 5x/6: 5, -3 and 1 at these x,
+        # clamped at 1/eps = 2
+        assert gr.regularized_value(gr.Linear(5.0), 1.0, 0.5, x) == pytest.approx(expected)
 
 
 class TestPropertySuite:
