@@ -16,11 +16,21 @@ bound or dependence margin or graph property, 3 configuration error.
 
 Identical configuration and build produce byte-identical outputs; floats
 are written with 17 significant digits so files round-trip exactly.
+With ``--dump-mesh``, ``solve`` and ``continuation`` also write
+``mesh_nodes.csv`` and ``mesh_elements.csv``; the other commands write no
+node-indexed files and ignore the flag.
+
+``main`` is the process entry point (the ``monoheat`` console script and
+``python -m monoheat.cli``) and freezes the import-time heap on entry, so
+interpreter shutdown does not tear down what numpy and scipy built at
+import.  Every output file is closed by its ``with`` block before ``main``
+returns, so no byte of output waits on that teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -57,11 +67,13 @@ def _write_summary(path: Path, items):
             fh.write(f"{key} = {_fmt(value)}\n")
 
 
-def _write_state_files(out: Path, state, mesh):
+def _write_state_files(out: Path, state, mesh, with_mesh: bool):
     _write_levels(out / "solution.csv", ("k", "t", "node_id", "u", "v"),
                   state.times, np.arange(mesh.n_nodes), (state.u, state.v))
     _write_levels(out / "boundary.csv", ("k", "t", "node_id", "xi"),
                   state.times, mesh.gamma1_nodes, (state.xi,))
+    if with_mesh:
+        dump_mesh(mesh, out / "mesh_nodes.csv", out / "mesh_elements.csv")
 
 
 def _write_levels(path: Path, header, times, node_ids, fields):
@@ -157,9 +169,7 @@ def _cmd_solve(rc: RunConfig, out: Path) -> int:
     spec, cfg = rc.problem, rc.solver
     ops = assemble(spec.mesh)
     state = solve_transient(spec, cfg, ops=ops)
-    _write_state_files(out, state, spec.mesh)
-    if rc.dump_mesh:
-        dump_mesh(spec.mesh, out / "mesh_nodes.csv", out / "mesh_elements.csv")
+    _write_state_files(out, state, spec.mesh, rc.dump_mesh)
     summary = [("command", "solve"), ("nodes", spec.mesh.n_nodes),
                ("steps", state.n_steps), ("lambda", state.lam),
                ("tau", state.tau)] + _solver_items([state])
@@ -171,7 +181,7 @@ def _cmd_continuation(rc: RunConfig, out: Path) -> int:
     ops = assemble(spec.mesh)
     runs = lambda_continuation(spec, cfg, ops=ops)
     lam_final, state, _ = runs[-1]
-    _write_state_files(out, state, spec.mesh)
+    _write_state_files(out, state, spec.mesh, rc.dump_mesh)
     summary = [("command", "continuation"), ("nodes", spec.mesh.n_nodes),
                ("levels", len(runs)), ("lambda_final", lam_final)]
     summary += _solver_items([level_state for _, level_state, _ in runs])
@@ -290,6 +300,17 @@ def _parse_args(argv):
 
 
 def main(argv=None) -> int:
+    """Run one ``monoheat`` command and return its exit code.
+
+    ``main`` owns the process: it freezes every object alive on entry into
+    the collector's permanent generation (``gc.freeze``), so no later
+    collection, and no collection at interpreter shutdown, traverses or
+    frees the import-time heap.  Call it from a process entry point;
+    library code calls ``run`` or the solver functions instead.  In a
+    process that calls it more than once, each call also freezes whatever
+    cyclic garbage is uncollected at that moment, until exit.
+    """
+    gc.freeze()
     args = _parse_args(argv)
     text = ""
     if args.config is not None:

@@ -16,7 +16,8 @@ from monoheat.stepper import (
     solve_transient,
     space_time_l2,
 )
-from conftest import random_beta, random_gamma, random_problem, smooth_nodal
+from conftest import (random_beta, random_gamma, random_problem, random_problem_2d,
+                      smooth_nodal)
 
 
 def _report(name, ok, detail):
@@ -108,15 +109,20 @@ def test_criterion_3_lambda_continuation():
 
 def test_criterion_4_apriori_bounds():
     rng = np.random.default_rng(404)
-    violations = 0
-    for case in range(10):
-        spec = random_problem(rng, n_elems=16, T=0.5)
-        cfg = SolverConfig(tau=0.025, lambda_schedule=(0.125,), newton_tol=1e-13)
+    specs = [random_problem(rng, n_elems=16, T=0.5) for _ in range(10)]
+    specs += [random_problem_2d(rng, n=8, T=0.5) for _ in range(4)]
+    cfg = SolverConfig(tau=0.025, lambda_schedule=(0.125,), newton_tol=1e-13)
+    violations, skipped, checks = 0, 0, []
+    for spec in specs:
         state = solve_transient(spec, cfg)
         rep = ver.verify_solution(state, spec, fem.assemble(spec.mesh))
+        # a skipped chain has no checks, so it must not count as passing
+        skipped += rep.skip_reason is not None or not rep.bound_checks
         violations += sum(not c.passed for c in rep.bound_checks)
-    _report("4 a-priori bounds", violations == 0,
-            f"10 randomized data sets, {violations} violations")
+        checks.append(len(rep.bound_checks))
+    _report("4 a-priori bounds", violations == 0 and skipped == 0,
+            f"10 interval + 4 rect randomized data sets, {skipped} skipped, "
+            f"{violations} violations, checks per case {checks}")
 
 
 # -- 5. continuous dependence ------------------------------------------------

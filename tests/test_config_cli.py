@@ -234,6 +234,14 @@ def _readme_example() -> str:
     return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's
+    ``monoheat``."""
+    src = str(Path(monoheat.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def _workload_configs():
     """The benchmark's generated configurations, every workload and seed."""
     spec = importlib.util.spec_from_file_location("_perfbench_workloads",
@@ -328,10 +336,7 @@ class TestExprGrammar:
             argv += [] if cfg is None else ["--config", str(cfg)]
             script.append(f"assert monoheat.cli.main({argv!r}) == {code}, {command!r}")
         script.append("print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
-        src = str(Path(monoheat.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        result = subprocess.run([sys.executable, "-c", "\n".join(script)], env=env,
+        result = subprocess.run([sys.executable, "-c", "\n".join(script)], env=_child_env(),
                                 capture_output=True, text=True, timeout=600)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
@@ -506,6 +511,47 @@ class TestCli:
         for name in ("solution.csv", "boundary.csv", "estimates.csv", "summary.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["solve", "continuation"])
+    def test_dump_mesh_writes_mesh_files(self, tmp_path, command):
+        text = STEADY.replace("lambda_schedule = [0.0]", "lambda_schedule = [0.5, 0.25]")
+        cfg = tmp_path / "steady.cfg"
+        cfg.write_text(text)
+        plain, dumped = tmp_path / "plain", tmp_path / "dumped"
+        assert main([command, "--config", str(cfg), "--out", str(plain)]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(dumped), "--dump-mesh"]) == 0
+        mesh_files = ("mesh_nodes.csv", "mesh_elements.csv")
+        assert not any((plain / name).exists() for name in mesh_files)
+        fem.dump_mesh(parse_config(text, command=command).problem.mesh,
+                      tmp_path / mesh_files[0], tmp_path / mesh_files[1])
+        for name in mesh_files:
+            assert (dumped / name).read_bytes() == (tmp_path / name).read_bytes()
+        for path in plain.iterdir():
+            assert (dumped / path.name).read_bytes() == path.read_bytes()
+
+    def test_subprocess_matches_in_process(self, tmp_path, capsys):
+        # the frozen import heap is never torn down at exit, so a process
+        # that ends after main returns must have written every byte already
+        text = STEADY.replace("interval(1.0, 8, gamma1=right)",
+                              "rect(1.0, 1.0, 4, 4, lateral)")
+        bad = text.replace("tau = 0.1", "tau = -0.1")
+        assert "rect(" in text and "tau = -0.1" in bad
+        for name, config, code in (("good", text, 0), ("bad", bad, 3)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(config)
+            inproc, child = tmp_path / f"{name}-main", tmp_path / f"{name}-child"
+            assert main(["solve", "--config", str(cfg), "--out", str(inproc)]) == code
+            result = subprocess.run(
+                [sys.executable, "-m", "monoheat.cli", "solve", "--config", str(cfg),
+                 "--out", str(child)], env=_child_env(), capture_output=True, text=True,
+                timeout=600)
+            assert result.returncode == code, result.stderr
+            assert result.stderr == capsys.readouterr().err
+            files = sorted(path.name for path in inproc.glob("*"))
+            assert files == sorted(path.name for path in child.glob("*"))
+            assert len(files) == (4 if code == 0 else 0)
+            for file in files:
+                assert (child / file).read_bytes() == (inproc / file).read_bytes()
+
     def test_continuation_summary(self, tmp_path):
         text = STEADY.replace("lambda_schedule = [0.0]",
                               "lambda_schedule = [0.5, 0.25, 0.125]") \
@@ -606,7 +652,7 @@ def test_state_files_exact_text(tmp_path):
     state = SolutionState(times=np.array([0.0, 0.1]), u=u, v=2.0 * u, xi=xi,
                           lam=0.0, tau=0.1, iterations=np.array([1]),
                           residuals=np.array([0.0]))
-    _write_state_files(tmp_path, state, mesh)
+    _write_state_files(tmp_path, state, mesh, False)
     assert (tmp_path / "solution.csv").read_text(encoding="utf-8") == (
         "k,t,node_id,u,v\n"
         "0,0,0,0,0\n"
