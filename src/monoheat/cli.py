@@ -12,7 +12,9 @@ with ``bounds.evaluated = false``, its ``bounds.skip_reason``).  Exit
 codes: 0 success, including a skipped bound chain, 1 solver failure or
 any other package error (``DomainError``, ``Unsupported``,
 ``EmptyBoundary``, ...; one ``error:`` line, no traceback), 2 violated
-bound or dependence margin or graph property, 3 configuration error.
+bound or dependence margin or graph property, 3 configuration error or a
+config file or output directory that cannot be used (one ``error:`` line
+naming the path).
 
 Identical configuration and build produce byte-identical outputs; floats
 are written with 17 significant digits so files round-trip exactly.
@@ -265,7 +267,11 @@ _DISPATCH = {
 def run(rc: RunConfig) -> int:
     """Execute one parsed command, mapping errors to exit codes."""
     out = Path(rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: output directory {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 3
     for warning in rc.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     try:
@@ -315,10 +321,11 @@ def main(argv=None) -> int:
     text = ""
     if args.config is not None:
         path = Path(args.config)
-        if not path.exists():
-            print(f"error: config file {path} does not exist", file=sys.stderr)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            print(f"error: config file {path}: {exc.strerror or exc}", file=sys.stderr)
             return 3
-        text = path.read_text(encoding="utf-8")
     elif args.command != "graph-check":
         print("error: --config is required for this command", file=sys.stderr)
         return 3

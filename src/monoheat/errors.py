@@ -91,9 +91,5 @@ class EmptyBoundary(MonoheatError):
     pass
 
 
-class DimensionMismatch(MonoheatError):
-    pass
-
-
 class InsufficientLevels(MonoheatError):
     pass

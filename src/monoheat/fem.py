@@ -31,7 +31,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import (
     DegenerateElement,
-    DimensionMismatch,
     EmptyBoundary,
     InvalidArgument,
 )
@@ -277,19 +276,3 @@ def dump_mesh(mesh: Mesh, node_path, element_path) -> None:
         np.savetxt(fh, np.column_stack([np.arange(len(mesh.elements)), mesh.elements]),
                    fmt="%d", delimiter=",", comments="",
                    header="element_id," + ",".join(f"v{j}" for j in range(d + 1)))
-
-
-def norms(ops: AssembledOperators, f: np.ndarray) -> dict:
-    """Discrete norms of a nodal field: lumped l2, h1, l1 and boundary l2."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (ops.n_nodes,):
-        raise DimensionMismatch(
-            f"field has shape {f.shape}, expected ({ops.n_nodes},)")
-    l2_sq = float(f @ (ops.mass * f))
-    h1_sq = l2_sq + float(f @ (ops.stiffness @ f))
-    return {
-        "l2": np.sqrt(max(l2_sq, 0.0)),
-        "h1": np.sqrt(max(h1_sq, 0.0)),
-        "l1": float(np.sum(ops.mass * np.abs(f))),
-        "boundary_l2": np.sqrt(max(float(f @ (ops.boundary_mass * f)), 0.0)),
-    }

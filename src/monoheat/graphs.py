@@ -87,8 +87,9 @@ class ScalarGraph:
 
     label = "graph"
     domain = (-math.inf, math.inf)
+    #: every single-valued graph a config can build is strictly increasing,
+    #: so invertible (a Yosida approximation of ``sign`` is not)
     single_valued = True
-    invertible = True
     #: closed forms exist for every operation (tighter test tolerances apply)
     closed_form = False
 
@@ -137,7 +138,7 @@ class ScalarGraph:
 
     def inverse(self, y):
         """Inverse of the single-valued selection (strictly increasing graphs)."""
-        if not self.invertible:
+        if not self.single_valued:
             raise Unsupported(f"{self.label} has no invertible selection")
         y_arr = np.atleast_1d(_asarray(y))
         out = _inverse_bisect(self, y_arr)
@@ -498,7 +499,6 @@ class Sign(ScalarGraph):
     """Subdifferential of |x|: the sign graph, set-valued at the origin."""
 
     single_valued = False
-    invertible = False
     closed_form = True
 
     def __init__(self):
@@ -549,10 +549,6 @@ class PhysicalBeta(ScalarGraph):
             raise InvalidArgument("physical graph needs a single-valued inner graph")
         self.label = f"physical(h={self.h_coef:g},s={self.s_coef:g};{self.inner.label})"
 
-    @property
-    def invertible(self):  # type: ignore[override]
-        return self.inner.invertible
-
     def value(self, x):
         w = self.inner.value(x)
         return self.h_coef * w + self.s_coef * np.abs(w) ** 3 * w
@@ -600,10 +596,6 @@ class CompositeSum(ScalarGraph):
     @property
     def single_valued(self):  # type: ignore[override]
         return all(p.single_valued for p in self.parts)
-
-    @property
-    def invertible(self):  # type: ignore[override]
-        return all(p.invertible for p in self.parts)
 
     def section_bounds(self, x):
         lo = hi = 0.0
@@ -654,10 +646,6 @@ class ScaledGraph(ScalarGraph):
     @property
     def single_valued(self):  # type: ignore[override]
         return self.base.single_valued
-
-    @property
-    def invertible(self):  # type: ignore[override]
-        return self.base.invertible
 
     def section_bounds(self, x):
         lo, hi = self.base.section_bounds(x)
@@ -776,7 +764,7 @@ def conjugate_potential(graph: ScalarGraph, y):
     the conjugate is attained at the inverse point ``x`` with
     ``graph(x) = y``, giving ``y*x - potential(x)``.
     """
-    if not (graph.single_valued and graph.invertible):
+    if not graph.single_valued:
         raise Unsupported(f"conjugate of {graph.label} needs an invertible selection")
     y_arr = _asarray(y)
     x = _asarray(graph.inverse(y_arr))
@@ -987,7 +975,7 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
 
     # conjugate duality: potential(x) + conjugate(xi) == x*xi on the graph
     sec = _asarray(graph.minimal_section(xs))
-    if graph.single_valued and graph.invertible:
+    if graph.single_valued:
         conj = _asarray(conjugate_potential(graph, sec))
     else:
         conj = _grid_conjugate(graph, sec, xs)

@@ -17,24 +17,29 @@ the stored boundary selection ``xi`` holds the Gamma1 columns only.
 
 Two per-step solvers are provided: fixed-point sweeps on the correction
 ``f(U) = -P^{-1} r(U)``, where ``r`` is the step residual and ``P`` the SPD
-Picard matrix (a constant slope in place of ``gamma'``, no boundary term)
-factorized once, accelerated by Anderson mixing over the last few sweeps
-(the first sweep is ``U + theta f(U)``, damped by ``picard_damping``), so
-each sweep costs one residual and one triangular solve and needs no
-derivative of either graph; and a semismooth Newton iteration.  They
-satisfy the same residual contract and are cross-checked in the tests.
+Picard matrix, factorized once, accelerated by Anderson mixing over the
+last few sweeps (the first sweep is ``U + theta f(U)``, damped by
+``picard_damping``), so each sweep costs one residual and one triangular
+solve and needs no derivative of either graph; and a semismooth Newton
+iteration.  They satisfy the same residual contract and are cross-checked
+in the tests.  ``P`` takes a constant slope in place of ``gamma'`` and, on
+Gamma1, the slope of ``beta_reg`` where that slope is constant (linear
+``beta`` and ``eps = 0``; no boundary term otherwise), so with linear
+``gamma`` and ``beta`` and ``eps = 0`` it is the step Jacobian itself.
 
-Newton factorizes nothing per iteration: its SPD Jacobian differs from
-``P`` only by a bounded volume slope and a Gamma1 term, so it is solved by
-conjugate gradients preconditioned with the one factor of ``P``, to the
-Eisenstat-Walker relative tolerance (choice 2).  Only a constant Jacobian
-(linear ``gamma`` and ``beta``) is factorized itself, once per solver.
+Each solver factorizes exactly one matrix, ``P``.  Newton factorizes
+nothing per iteration: its SPD Jacobian differs from ``P`` only by a
+bounded volume slope and a Gamma1 term, so it is solved by conjugate
+gradients preconditioned with the one factor of ``P``, to the
+Eisenstat-Walker relative tolerance (choice 2).  When the Jacobian's
+diagonal is within that tolerance of ``P``'s, ``P^{-1} r`` is tried first
+and the CG loop runs only if its residual misses the tolerance.
 
-Every matrix factorized here (``P``, a constant Jacobian and the
-smoothing matrix ``M + lam*K``) is SPD, so all of them go through
-``fem.spd_factor``: minimum degree ordering on ``A + A^T`` with pivots
-kept on the diagonal, which on a 96x96 mesh has about 40% less fill than
-SuperLU's default ordering and partial pivoting.
+Both matrices factorized here (``P`` and the smoothing matrix
+``M + lam*K``) are SPD, so both go through ``fem.spd_factor``: minimum
+degree ordering on ``A + A^T`` with pivots kept on the diagonal, which on
+a 96x96 mesh has about 40% less fill than SuperLU's default ordering and
+partial pivoting.
 """
 
 from __future__ import annotations
@@ -225,7 +230,6 @@ class _StepSolver:
     def __init__(self, spec: ProblemSpec, ops: AssembledOperators,
                  config: SolverConfig, lam: float, eps: float):
         self.spec = spec
-        self.ops = ops
         self.config = config
         self.lam = float(lam)
         self.eps = float(eps)
@@ -236,28 +240,23 @@ class _StepSolver:
         self.g1 = spec.mesh.gamma1_nodes
         self.tau_bmass_g1 = self.tau * self.bmass[self.g1]
         self.k_tau = (config.tau * ops.stiffness).tocsr()
-        self.lam_mass = self.lam > 0.0
+        self.tau_lam_mass = self.tau * self.lam * self.mass
 
         consts = spec.gamma.constants()
         # SPD proxy slope for the volume nonlinearity; equals the exact slope
-        # for a linear gamma, so the sweep then lags only the boundary term
+        # for a linear gamma
         self.split_slope = 0.5 * (consts.lipschitz_lower + consts.lipschitz_upper)
+        # the slope of beta_reg where it is constant (linear beta, no clamp),
+        # else 0; with a linear gamma too, P is then the Jacobian itself
+        cd_beta = spec.beta.constant_derivative() if self.eps == 0.0 else None
+        slope_beta = 0.0 if cd_beta is None else cd_beta / (1.0 + self.lam * cd_beta)
         diag = spec.c0 * self.split_slope * self.mass
-        if self.lam_mass:
-            diag = diag + self.tau * self.lam * self.mass
-        # P u - r(u) = b - M c0 (gamma(u) - split_slope u) - tau Mb beta_reg(u)
+        diag[self.g1] += self.tau_bmass_g1 * slope_beta
+        diag = diag + self.tau_lam_mass
+        # P u - r(u) = b - M c0 (gamma(u) - split_slope u)
+        #              - tau Mb (beta_reg(u) - slope_beta u)
+        self._picard_diag = diag
         self._picard_matrix = (sp.diags(diag) + self.k_tau).tocsc()
-
-        cd_gamma = spec.gamma.constant_derivative()
-        cd_beta = None
-        if eps == 0.0:
-            base_cd = spec.beta.constant_derivative()
-            if base_cd is not None:
-                cd_beta = base_cd / (1.0 + self.lam * base_cd) if self.lam > 0.0 else base_cd
-        self._const_jacobian_solve = None
-        if cd_gamma is not None and cd_beta is not None:
-            diag = self._jacobian_diagonal(np.full(ops.n_nodes, cd_gamma), cd_beta)
-            self._const_jacobian_solve = spd_factor(sp.diags(diag) + self.k_tau).solve
 
     @cached_property
     def _picard_solve(self):
@@ -297,22 +296,28 @@ class _StepSolver:
              + self.k_tau @ u
              + self.boundary_term(u)
              - b)
-        if self.lam_mass:
-            r = r + self.tau * self.lam * self.mass * u
-        return r
+        return r + self.tau_lam_mass * u
 
     def _jacobian_diagonal(self, gamma_deriv, beta_deriv_g1):
         """Diagonal ``d`` of the SPD Jacobian ``diag(d) + tau*K``;
         ``beta_deriv_g1`` is the boundary slope on Gamma1."""
         diag = self.spec.c0 * self.mass * gamma_deriv
         diag[self.g1] += self.tau_bmass_g1 * beta_deriv_g1
-        if self.lam_mass:
-            diag = diag + self.tau * self.lam * self.mass
-        return diag
+        return diag + self.tau_lam_mass
 
     def _jacobian_cg(self, diag, rhs, rtol):
         """Solve ``(diag(diag) + tau*K) x = rhs`` to ``rtol`` relative to
-        ``|rhs|`` by CG, preconditioned with the Picard factor."""
+        ``|rhs|`` by CG, preconditioned with the Picard factor.
+
+        Where ``diag`` is within ``rtol`` of ``P``'s diagonal (linear
+        ``gamma`` and ``beta``), ``x = P^{-1} rhs`` is tried first: its
+        residual is ``(diag - diag_P) * x``, and if that meets the
+        tolerance the CG loop is skipped."""
+        gap = diag - self._picard_diag
+        if np.all(np.abs(gap) <= rtol * self._picard_diag):
+            x = self._picard_solve(rhs)
+            if np.linalg.norm(gap * x) <= rtol * np.linalg.norm(rhs):
+                return x
         n = rhs.shape[0]
         jac = spla.LinearOperator((n, n), matvec=lambda p: self.k_tau @ p + diag * p,
                                   dtype=float)
@@ -388,15 +393,12 @@ class _StepSolver:
             return u, 0, res
         eta = 0.1
         for it in range(1, self.config.max_iters + 1):
-            if self._const_jacobian_solve is not None:
-                delta = self._const_jacobian_solve(-r)
-            else:
-                gamma_d = np.asarray(spec.gamma.derivative(u), dtype=float)
-                if not np.all(np.isfinite(gamma_d)) or np.any(gamma_d <= 0.0):
-                    raise SingularJacobian(
-                        "gamma derivative not positive; graph mis-declared as bi-Lipschitz")
-                diag = self._jacobian_diagonal(gamma_d, self.beta_reg_deriv(u[self.g1]))
-                delta = self._jacobian_cg(diag, -r, eta)
+            gamma_d = np.asarray(spec.gamma.derivative(u), dtype=float)
+            if not np.all(np.isfinite(gamma_d)) or np.any(gamma_d <= 0.0):
+                raise SingularJacobian(
+                    "gamma derivative not positive; graph mis-declared as bi-Lipschitz")
+            diag = self._jacobian_diagonal(gamma_d, self.beta_reg_deriv(u[self.g1]))
+            delta = self._jacobian_cg(diag, -r, eta)
             step = 1.0
             for _ in range(40):
                 u_try = u + step * delta

@@ -17,8 +17,8 @@ from monoheat.cli import _write_levels, _write_state_files, main
 from monoheat.config import _compile_expr, parse_config
 from monoheat.errors import (
     DegenerateElement,
-    DimensionMismatch,
     DomainError,
+    EmptyBoundary,
     InsufficientLevels,
     ParseError,
     Unsupported,
@@ -462,9 +462,25 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
         assert f"line {line_no}:" in capsys.readouterr().err
 
-    def test_missing_config_exit_three(self, tmp_path):
-        assert main(["solve", "--config", str(tmp_path / "nope.cfg"),
-                     "--out", str(tmp_path / "x")]) == 3
+    def test_missing_config_exit_three(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        assert main(["solve", "--config", str(missing), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == f"error: config file {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("case", ["out_is_file", "out_below_file", "config_is_dir"])
+    def test_unusable_path_exit_three(self, tmp_path, capsys, case):
+        cfg = tmp_path / "steady.cfg"
+        cfg.write_text(STEADY)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        config, out = {"out_is_file": (cfg, afile),
+                       "out_below_file": (cfg, afile / "sub"),
+                       "config_is_dir": (tmp_path, tmp_path / "x")}[case]
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(config if case == "config_is_dir" else out) in err
 
     def test_nonconvergence_exit_one(self, tmp_path):
         text = STEADY.replace("tau = 0.1", "tau = 0.5") \
@@ -632,7 +648,7 @@ class TestCli:
         assert err.startswith(message.format(line=line_no))
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("error", [DomainError, DegenerateElement, DimensionMismatch,
+    @pytest.mark.parametrize("error", [DomainError, DegenerateElement, EmptyBoundary,
                                        InsufficientLevels, Unsupported])
     def test_any_package_error_exit_one(self, tmp_path, monkeypatch, capsys, error):
         def fail(rc, out):

@@ -7,8 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from monoheat import fem, graphs as gr
-from monoheat.errors import (DegenerateElement, DimensionMismatch, EmptyBoundary,
-                             InvalidArgument)
+from monoheat.errors import DegenerateElement, EmptyBoundary, InvalidArgument
 from monoheat.fem import GAMMA0, GAMMA1
 from monoheat.stepper import ProblemSpec, SolverConfig, _StepSolver, smooth_initial
 
@@ -176,31 +175,6 @@ class TestTraceConstant:
             assert lhs <= c_sq * rhs * (1.0 + 1e-10)
 
 
-class TestNorms:
-    def test_unit_constant(self):
-        ops = fem.assemble(fem.build_mesh_1d(1.0, 8, "right"))
-        res = fem.norms(ops, np.ones(ops.n_nodes))
-        assert res["l2"] == pytest.approx(1.0, abs=1e-12)
-        assert res["h1"] == pytest.approx(1.0, abs=1e-12)
-        assert res["l1"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_coordinate_field_lumped_l2(self):
-        mesh = fem.build_mesh_1d(1.0, 2, "right")
-        ops = fem.assemble(mesh)
-        res = fem.norms(ops, mesh.nodes.copy())
-        assert res["l2"] ** 2 == pytest.approx(0.375, abs=1e-12)
-
-    def test_zero_field(self):
-        ops = fem.assemble(fem.build_mesh_1d(1.0, 4, "right"))
-        res = fem.norms(ops, np.zeros(ops.n_nodes))
-        assert all(v == 0.0 for v in res.values())
-
-    def test_dimension_mismatch(self):
-        ops = fem.assemble(fem.build_mesh_1d(1.0, 4, "right"))
-        with pytest.raises(DimensionMismatch):
-            fem.norms(ops, np.zeros(3))
-
-
 class TestMeshDump:
     def test_round_trips_labels_and_elements(self, tmp_path):
         mesh = fem.build_mesh_rect(1.0, 1.0, 2, 2, True)
@@ -269,23 +243,22 @@ class TestLargeMeshTrace:
 
 def _served_matrices(mesh):
     """Every matrix that goes through ``spd_factor``, each with the solve
-    that serves it: the h1 Gram matrix, the smoothing matrix ``M + lam*K``,
-    the Picard matrix at lam > 0 and a constant Jacobian (linear gamma and
-    beta), the last two built independently of the solver."""
+    that serves it: the h1 Gram matrix, the smoothing matrix ``M + lam*K``
+    and the Picard matrix at lam > 0 with linear gamma and beta, which is
+    the step Jacobian, built independently of the solver."""
     ops = fem.assemble(mesh)
     mass, stiff = sp.diags(ops.mass), ops.stiffness
     c0, a_gamma, a_beta, lam, tau = 1.3, 2.0, 3.0, 0.25, 0.05
     spec = ProblemSpec(mesh=mesh, c0=c0, gamma=gr.Linear(a_gamma), beta=gr.Linear(a_beta),
                        g=0.0, h=0.0, u0=0.0, T=0.1)
     solver = _StepSolver(spec, ops, SolverConfig(tau=tau, lambda_schedule=(lam,)), lam, 0.0)
-    picard = (c0 * a_gamma + tau * lam) * mass + tau * stiff
-    jacobian = picard + tau * a_beta / (1.0 + lam * a_beta) * sp.diags(ops.boundary_mass)
+    picard = ((c0 * a_gamma + tau * lam) * mass + tau * stiff
+              + tau * a_beta / (1.0 + lam * a_beta) * sp.diags(ops.boundary_mass))
     return {
         "h1": (mass + stiff, ops.h1_factor.solve),
         "smoothing": (mass + 0.5 * stiff,
                       lambda b: smooth_initial(mesh, ops, b / ops.mass, 0.5)),
         "picard": (picard, solver._picard_solve),
-        "constant_jacobian": (jacobian, solver._const_jacobian_solve),
     }
 
 

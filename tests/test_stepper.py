@@ -135,15 +135,15 @@ class TestSingleStep:
         assert np.all(state.iterations == 1)
 
     @pytest.mark.parametrize("lam", [0.0, 0.125])
-    def test_affine_picard_converges_in_three_sweeps(self, lam):
-        # with linear graphs the sweep's fixed-point map is affine and P
-        # differs from the Jacobian only at the one Gamma1 node, so the
-        # Anderson step is exact after a few sweeps (plain damped sweeps
-        # took 29); a RuntimeWarning fails the test (pyproject.toml)
+    def test_affine_picard_converges_in_two_sweeps(self, lam):
+        # with linear graphs P is the step Jacobian, so every correction is
+        # the exact Newton step: the first sweep is damped, and the second,
+        # undamped one lands on the solution (plain damped sweeps took 29);
+        # a RuntimeWarning fails the test (pyproject.toml)
         spec = affine_spec()
         cfg = SolverConfig(tau=0.1, lambda_schedule=(lam,), solver_kind="picard")
         state = solve_transient(spec, cfg)
-        assert np.all(state.iterations <= 3), state.iterations
+        assert np.all(state.iterations <= 2), state.iterations
 
     def test_rank_deficient_anderson_history_stays_finite(self):
         # below the rounding floor the iterate stops moving, so the stored
@@ -441,14 +441,16 @@ def count_sparse_solves(monkeypatch):
 
 
 class TestNewtonLinearSolve:
-    @pytest.mark.parametrize("kind", ["newton", "both"])
+    @pytest.mark.parametrize("kind", ["newton", "picard", "both"])
     def test_one_factorization_per_solver(self, rng, monkeypatch, kind):
-        calls = count_sparse_solves(monkeypatch)
-        spec = random_problem_2d(rng, n=6, T=0.2)
-        cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), solver_kind=kind)
-        state = solve_transient(spec, cfg)
-        assert np.all(state.iterations >= 1)
-        assert calls == {"splu": 1, "spsolve": 0}
+        # the random 2-D problem, and linear gamma and beta, where P is the
+        # Jacobian and no second matrix is factored
+        for spec in (random_problem_2d(rng, n=6, T=0.2), affine_spec()):
+            calls = count_sparse_solves(monkeypatch)
+            cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), solver_kind=kind)
+            state = solve_transient(spec, cfg)
+            assert np.all(state.iterations >= 1)
+            assert calls == {"splu": 1, "spsolve": 0}
 
     def test_one_factorization_per_continuation_level(self, rng, monkeypatch):
         calls = count_sparse_solves(monkeypatch)
@@ -457,6 +459,17 @@ class TestNewtonLinearSolve:
         runs = lambda_continuation(spec, cfg)
         assert len(runs) == 3
         assert calls == {"splu": 3, "spsolve": 0}
+
+    @pytest.mark.parametrize("lam", [0.0, 0.125])
+    def test_linear_problem_skips_cg(self, monkeypatch, lam):
+        # P is the Jacobian, so P^{-1}(-r) meets the forcing tolerance and
+        # each Newton step is one triangular solve
+        def no_cg(*args, **kwargs):
+            raise AssertionError("CG ran on a linear problem")
+        monkeypatch.setattr(spla, "cg", no_cg)
+        state = solve_transient(affine_spec(),
+                                SolverConfig(tau=0.1, lambda_schedule=(lam,)))
+        assert np.all(state.iterations == 1)
 
     def test_cg_failure_is_linear_solve_failure(self, rng, monkeypatch):
         monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
