@@ -13,8 +13,8 @@ codes: 0 success, including a skipped bound chain, 1 solver failure or
 any other package error (``DomainError``, ``Unsupported``,
 ``EmptyBoundary``, ...; one ``error:`` line, no traceback), 2 violated
 bound or dependence margin or graph property, 3 configuration error or a
-config file or output directory that cannot be used (one ``error:`` line
-naming the path).
+config file, output directory or output file that cannot be used (one
+``error:`` line naming the path).
 
 Identical configuration and build produce byte-identical outputs; floats
 are written with 17 significant digits so files round-trip exactly.
@@ -208,26 +208,16 @@ def _cmd_convergence(rc: RunConfig, out: Path) -> int:
         return ver.ProblemTemplate(mesh=m, c0=conv["c0"], gamma=conv["gamma"],
                                    beta=conv["beta"], T=conv["T"])
 
-    exact_space = ver.ManufacturedSolution(conv["exact_space"], dim)
-    exact_time = ver.ManufacturedSolution(conv["exact_time"], dim)
-    res_space = ver.convergence_order(
-        make_template, exact_space, conv["space_levels"],
-        conv["time_levels"], conv["fine_space"], conv["fine_time"], rc.solver)
-    res_time = ver.convergence_order(
-        make_template, exact_time, conv["space_levels"],
-        conv["time_levels"], conv["fine_space"], conv["fine_time"], rc.solver)
-
-    rows = []
-    for h, e in res_space["errors_space"]:
-        rows.append(("space", h, e))
-    for t, e in res_time["errors_time"]:
-        rows.append(("time", t, e))
-    _write_csv(out / "estimates.csv", ("axis", "h_or_tau", "error"), rows)
-    _write_summary(out / "summary.txt", [
-        ("command", "convergence"),
-        ("order_space", res_space["order_space"]),
-        ("order_time", res_time["order_time"]),
-    ])
+    # one study per exact field, each reporting the axis it is built for
+    axes = ("space", "time")
+    studies = {axis: ver.convergence_order(
+        make_template, ver.ManufacturedSolution(conv[f"exact_{axis}"], dim),
+        conv["space_levels"], conv["time_levels"], conv["fine_space"], conv["fine_time"],
+        rc.solver) for axis in axes}
+    _write_csv(out / "estimates.csv", ("axis", "h_or_tau", "error"),
+               [(axis, x, e) for axis in axes for x, e in studies[axis][f"errors_{axis}"]])
+    _write_summary(out / "summary.txt", [("command", "convergence")] + [
+        (f"order_{axis}", studies[axis][f"order_{axis}"]) for axis in axes])
     return 0
 
 
@@ -276,6 +266,9 @@ def run(rc: RunConfig) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     try:
         return _DISPATCH[rc.command](rc, out)
+    except OSError as exc:  # an output file that cannot be written
+        print(f"error: output file {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
+        return 3
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -323,8 +316,9 @@ def main(argv=None) -> int:
         path = Path(args.config)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: config file {path}: {exc.strerror or exc}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: config file {path}: {getattr(exc, 'strerror', None) or exc}",
+                  file=sys.stderr)
             return 3
     elif args.command != "graph-check":
         print("error: --config is required for this command", file=sys.stderr)

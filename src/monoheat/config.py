@@ -15,6 +15,7 @@ import ast
 import inspect
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -219,58 +220,124 @@ def _build_mesh(value, line_no) -> Mesh:
     raise ValidationError(f"line {line_no}: expected interval(...) or rect(...)")
 
 
-_EXPR_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-                   "log": np.log, "sqrt": np.sqrt, "tanh": np.tanh, "abs": np.abs}
-_EXPR_OPERATORS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
-                   ast.Div: np.divide, ast.Pow: np.power,
-                   ast.UAdd: np.positive, ast.USub: np.negative}
+#: an expression's value with its first derivatives ``d`` in (x, [y,] [t]) and
+#: its second ``dd`` in (x, [y]); a part that is zero by structure is float 0.0
+Jet = namedtuple("Jet", "value d dd")
+
+
+def _zero(part) -> bool:
+    return type(part) is float and part == 0.0  # numpy makes np.float64, never float
+
+
+#: f with f' and f'' as functions of its argument u and value v = f(u)
+_EXPR_FUNCTIONS = {
+    "sin": (np.sin, lambda u, v: np.cos(u), lambda u, v: -v),
+    "cos": (np.cos, lambda u, v: -np.sin(u), lambda u, v: -v),
+    "tan": (np.tan, lambda u, v: 1.0 + v * v, lambda u, v: 2.0 * v * (1.0 + v * v)),
+    "exp": (np.exp, lambda u, v: v, lambda u, v: v),
+    "log": (np.log, lambda u, v: 1.0 / u, lambda u, v: -1.0 / (u * u)),
+    "sqrt": (np.sqrt, lambda u, v: 0.5 / v, lambda u, v: -0.25 / (u * v)),
+    "tanh": (np.tanh, lambda u, v: 1.0 - v * v, lambda u, v: -2.0 * v * (1.0 - v * v)),
+    "abs": (np.abs, lambda u, v: np.sign(u), lambda u, v: 0.0),  # sign(0) = 0
+}
+#: F with its partials (F_a, F_b) and the weights (F_aa, 2 F_ab, F_bb) of
+#: the second-order terms, as numbers or functions of (a, b, v = F(a, b))
+_EXPR_OPERATORS = {
+    ast.Add: (np.add, (1.0, 1.0), (0.0, 0.0, 0.0)),
+    ast.Sub: (np.subtract, (1.0, -1.0), (0.0, 0.0, 0.0)),
+    ast.Mult: (np.multiply, (lambda a, b, v: b, lambda a, b, v: a), (0.0, 2.0, 0.0)),
+    ast.Div: (np.divide, (lambda a, b, v: 1.0 / b, lambda a, b, v: -v / b),
+              (0.0, lambda a, b, v: -2.0 / (b * b), lambda a, b, v: 2.0 * v / (b * b))),
+    ast.Pow: (np.power, (lambda a, b, v: b * a ** (b - 1.0), lambda a, b, v: v * np.log(a)),
+              (lambda a, b, v: b * (b - 1.0) * a ** (b - 2.0),
+               lambda a, b, v: 2.0 * a ** (b - 1.0) * (1.0 + b * np.log(a)),
+               lambda a, b, v: v * np.log(a) ** 2)),
+    ast.UAdd: (np.positive, (1.0,), (0.0,)),
+    ast.USub: (np.negative, (-1.0,), (0.0,)),
+}
 #: deepest operator nesting accepted; keeps compiling and evaluating the
 #: tree far from the interpreter's recursion limit
 _EXPR_DEPTH = 100
 
 
-def _expr_names(dim: int, time_dependent: bool) -> tuple:
-    return ("x",) + (("y",) if dim == 2 else ()) + (("t",) if time_dependent else ())
+def _chain(op, jets, first, second) -> Jet:
+    """The jet of ``op`` of ``jets``, with the partials ``first`` and
+    ``second`` of ``op``, by the chain rule.  A partial is evaluated once,
+    and only where it multiplies a part that is not zero by structure, so a
+    constant exponent takes no logarithm."""
+    value = op(*(jet.value for jet in jets))
+    args, known = [jet.value for jet in jets] + [value], {}
+
+    def term(partial, *parts):
+        if callable(partial) and not any(map(_zero, parts)) and partial not in known:
+            known[partial] = partial(*args)
+        partial = known.get(partial, partial)
+        return 0.0 if any(map(_zero, (partial,) + parts)) else math.prod(parts, start=partial)
+
+    def total(terms):  # 0.0 unless a term is not zero by structure
+        return sum((t for t in terms if not _zero(t)), 0.0)
+
+    pairs = list(zip(second, ((0, 0), (0, 1), (1, 1))))
+    return Jet(value, tuple(total(term(p, jet.d[i]) for p, jet in zip(first, jets))
+                            for i in range(len(jets[0].d))),
+               tuple(total([term(p, jet.dd[i]) for p, jet in zip(first, jets)]
+                           + [term(p, jets[a].d[i], jets[b].d[i]) for p, (a, b) in pairs])
+                     for i in range(len(jets[0].dd))))
 
 
-def _compile_expr(text: str, names: tuple, line_no: int):
+def compile_expr(text: str, dim: int, time_dependent: bool, line_no: Optional[int] = None):
     """Check ``text`` against the ``expr(...)`` grammar and compile it.
 
-    The grammar is numbers, ``pi``, the variables ``names``, ``+ - * / **``,
-    unary ``+``/``-`` and one-argument calls of ``_EXPR_FUNCTIONS``; any
-    other node is a ``ConfigError`` naming the line.  The text is parsed,
-    never evaluated.  Returns a function of the tuple of variable values, in
-    the order of ``names``, that evaluates the checked tree with numpy.
-    """
+    The grammar is numbers, ``pi``, the variables x, y (when ``dim`` is 2)
+    and t (when ``time_dependent``), ``+ - * / **``, unary ``+``/``-`` and
+    one-argument calls of ``_EXPR_FUNCTIONS``; any other node is a
+    ``ConfigError`` (naming ``line_no`` when given).  The text is parsed,
+    never evaluated.  Returns ``evaluate(env, derivatives=False)``: one
+    forward-mode walk of the tree with numpy at the variable values ``env``,
+    in that order, to its ``Jet``."""
+    names = ("x", "y")[:dim] + (("t",) if time_dependent else ())
     text = text.strip()
-    node = _expr_node(_parse_text(text, line_no, "expression"), text, names, line_no, 0)
-    return node if callable(node) else (lambda env: node)
+    root = _expr_node(_parse_text(text, line_no, "expression"), text, names, line_no, 0)
+    n = len(names)
+    # (d, dd) of each variable and, last, of a constant
+    seeds = {False: [((), ())] * (n + 1),
+             True: [(tuple(float(i == j) for j in range(n)), (0.0,) * dim) for i in range(n + 1)]}
+    return lambda env, derivatives=False: _jet(root, env, seeds[derivatives])
+
+
+def _jet(node, env, seeds) -> Jet:
+    return node(env, seeds) if callable(node) else Jet(node, *seeds[-1])
+
+
+def _at(line_no) -> str:
+    return "" if line_no is None else f"line {line_no}: "
 
 
 def _expr_node(node, text, names, line_no, depth):
     """A checked node as an ``np.float64`` when it holds no variable (so
     constants are folded here, in float64 arithmetic), else as a function
-    of the variable tuple."""
+    of the variable tuple and the seeds of ``compile_expr`` to its ``Jet``."""
     if depth > _EXPR_DEPTH:
         raise ValidationError(
-            f"line {line_no}: expression nested more than {_EXPR_DEPTH} levels deep")
+            f"{_at(line_no)}expression nested more than {_EXPR_DEPTH} levels deep")
     if _is_number(node):
         return _folded(lambda: node.value, node, text, line_no)
     if isinstance(node, ast.Name):
         if node.id == "pi":
             return np.float64(np.pi)
         if node.id not in names:
-            raise ValidationError(f"line {line_no}: unknown name {node.id!r} in expression; "
+            raise ValidationError(f"{_at(line_no)}unknown name {node.id!r} in expression; "
                                   f"the variables here are {', '.join(names)}")
         i = names.index(node.id)
-        return lambda env: env[i]
+        # numpy values, so a partial such as 1/t at t = 0 is inf, not an exception
+        return lambda env, seeds: Jet(np.asarray(env[i], dtype=float), *seeds[i])
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _EXPR_FUNCTIONS and len(node.args) == 1 and not node.keywords):
-        op, parts = _EXPR_FUNCTIONS[node.func.id], node.args
-    elif isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPERATORS:
-        op, parts = _EXPR_OPERATORS[type(node.op)], [node.left, node.right]
-    elif isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPERATORS:
-        op, parts = _EXPR_OPERATORS[type(node.op)], [node.operand]
+        op, f1, f2 = _EXPR_FUNCTIONS[node.func.id]
+        first, second, parts = (f1,), (f2,), node.args
+    elif isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _EXPR_OPERATORS:
+        op, first, second = _EXPR_OPERATORS[type(node.op)]
+        parts = [node.left, node.right] if isinstance(node, ast.BinOp) else [node.operand]
     else:
         hint = " (the power operator is **)" if isinstance(
             getattr(node, "op", None), ast.BitXor) else ""
@@ -278,8 +345,7 @@ def _expr_node(node, text, names, line_no, depth):
     args = [_expr_node(part, text, names, line_no, depth + 1) for part in parts]
     if not any(callable(a) for a in args):
         return _folded(lambda: op(*args), node, text, line_no)
-    fns = [a if callable(a) else (lambda env, c=a: c) for a in args]
-    return lambda env: op(*[f(env) for f in fns])
+    return lambda env, seeds: _chain(op, [_jet(a, env, seeds) for a in args], first, second)
 
 
 def _folded(compute, node, text, line_no) -> np.float64:
@@ -290,18 +356,18 @@ def _folded(compute, node, text, line_no) -> np.float64:
         value = np.float64(np.nan)
     if not np.isfinite(value):
         segment = _quoted(ast.get_source_segment(text, node))
-        raise ValidationError(f"line {line_no}: {segment} is not a finite number")
+        raise ValidationError(f"{_at(line_no)}{segment} is not a finite number")
     return value
 
 
 def _expr_field(expr_text: str, mesh: Mesh, line_no: int, time_dependent: bool):
-    fn = _compile_expr(expr_text, _expr_names(mesh.dim, time_dependent), line_no)
+    fn = compile_expr(expr_text, mesh.dim, time_dependent, line_no)
     coords = (mesh.nodes,) if mesh.dim == 1 else (mesh.nodes[:, 0], mesh.nodes[:, 1])
 
     def values(env) -> np.ndarray:
         # a non-finite value is rejected where the field is used, not warned of here
         with np.errstate(all="ignore"):
-            out = fn(env)
+            out = fn(env).value
         return np.broadcast_to(np.asarray(out, dtype=float), (mesh.n_nodes,)).copy()
 
     if time_dependent:
@@ -479,7 +545,7 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
 
         def exact(key):
             value, line_no = need(key)
-            _compile_expr(str(value), _expr_names(dim, True), line_no)
+            compile_expr(str(value), dim, True, line_no)
             return str(value)
 
         rc.convergence = {

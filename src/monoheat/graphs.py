@@ -149,9 +149,6 @@ class ScalarGraph:
     def constants(self) -> GraphConstants:
         return GraphConstants()
 
-    def to_sympy(self, var):
-        raise Unsupported(f"{self.label} has no symbolic form")
-
     def scaled(self, factor: float) -> "ScaledGraph":
         return ScaledGraph(self, factor)
 
@@ -389,9 +386,6 @@ class Linear(ScalarGraph):
             potential_bound_d2=self.alpha / 4.0,
         )
 
-    def to_sympy(self, var):
-        return self.alpha * var
-
 
 class SaturatingBiLipschitz(ScalarGraph):
     """x -> alpha*x + b*x/(1+|x|); slope stays in [alpha, alpha+b].
@@ -438,11 +432,6 @@ class SaturatingBiLipschitz(ScalarGraph):
             potential_bound_d2=(self.alpha + self.b) / 4.0,
         )
 
-    def to_sympy(self, var):
-        import sympy as sp
-
-        return self.alpha * var + self.b * var / (1 + sp.Abs(var))
-
 
 class Power(ScalarGraph):
     """Odd power graph x -> sign(x)*|x|^p, p > 0."""
@@ -488,11 +477,6 @@ class Power(ScalarGraph):
                 potential_bound_d1=lip.potential_bound_d1,
                 potential_bound_d2=lip.potential_bound_d2)
         return lip
-
-    def to_sympy(self, var):
-        import sympy as sp
-
-        return sp.sign(var) * sp.Abs(var) ** self.p
 
 
 class Sign(ScalarGraph):
@@ -577,12 +561,6 @@ class PhysicalBeta(ScalarGraph):
             potential_bound_d2=self.h_coef * Ci + self.s_coef * Ci**4,
         )
 
-    def to_sympy(self, var):
-        import sympy as sp
-
-        w = self.inner.to_sympy(var)
-        return self.h_coef * w + self.s_coef * sp.Abs(w) ** 3 * w
-
 
 class CompositeSum(ScalarGraph):
     """Pointwise sum of monotone graphs (again maximal monotone on R)."""
@@ -628,9 +606,6 @@ class CompositeSum(ScalarGraph):
             linear_bound_c1=total("linear_bound_c1"),
             linear_bound_c2=total("linear_bound_c2"),
         )
-
-    def to_sympy(self, var):
-        return sum(p.to_sympy(var) for p in self.parts)
 
 
 class ScaledGraph(ScalarGraph):
@@ -681,9 +656,6 @@ class ScaledGraph(ScalarGraph):
             potential_bound_d1=c.potential_bound_d1,
             potential_bound_d2=scale(c.potential_bound_d2),
         )
-
-    def to_sympy(self, var):
-        return self.factor * self.base.to_sympy(var)
 
 
 class YosidaGraph(ScalarGraph):

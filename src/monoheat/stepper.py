@@ -378,7 +378,7 @@ class _StepSolver:
                 step = f - gamma @ d_u[:k] - gamma @ d_f[:k]
         raise NonConvergence(
             f"fixed-point sweeps did not reach tolerance in {self.config.max_iters} "
-            "iterations (time step too large)", history)
+            "iterations", history)
 
     def newton(self, u_init: np.ndarray, b: np.ndarray):
         """Semismooth Newton with backtracking; the Jacobian is SPD.  Its

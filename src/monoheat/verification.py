@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import graphs as gr
+from .config import Jet, compile_expr
 from .errors import (
     EmptyBoundary,
     HypothesisViolation,
@@ -304,50 +305,26 @@ def dual_rate_l2(report: EstimateReport) -> float:
 
 
 class ManufacturedSolution:
-    """Closed-form space-time field with symbolic derivatives.
-
-    ``expr`` uses variables x (and y in 2-D) and t.  Used to manufacture
-    sources so the field solves the flow exactly, and to sample reference
-    values in convergence studies.
-    """
+    """Closed-form space-time field ``expr`` in x (and y in 2-D) and t, in
+    the ``expr(...)`` grammar of the config files (other text is a
+    ``ConfigError``), with the derivatives of ``config.compile_expr``.
+    Used to manufacture sources so the field solves the flow exactly, and
+    to sample reference values in convergence studies."""
 
     def __init__(self, expr, dim: int):
-        import sympy  # imported here so that only convergence studies load it
-
         if dim not in (1, 2):
             raise ValidationError("dimension must be 1 or 2")
         self.dim = dim
-        # real symbols let sympy differentiate Abs (used by the saturating,
-        # power and physical graphs) without leaving re/im derivatives
-        x, y, t = sympy.symbols("x y t", real=True)
-        self.vars = (x, t) if dim == 1 else (x, y, t)
-        self.expr = sympy.sympify(expr, locals={"x": x, "y": y, "t": t})
-        free = self.expr.free_symbols - set(self.vars)
-        if free:
-            raise ValidationError(f"unexpected symbols in exact solution: {free}")
-        self._u = sympy.lambdify(self.vars, self.expr, "numpy")
-        self._dx = sympy.lambdify(self.vars, sympy.diff(self.expr, x), "numpy")
-        lap = sympy.diff(self.expr, x, 2)
-        if dim == 2:
-            lap = lap + sympy.diff(self.expr, y, 2)
-        self._lap = sympy.lambdify(self.vars, lap, "numpy")
+        self._evaluate = compile_expr(str(expr), dim, True)
 
-    def _args(self, mesh: Mesh, t: float):
-        if self.dim == 1:
-            return (mesh.nodes, t)
-        return (mesh.nodes[:, 0], mesh.nodes[:, 1], t)
+    def jet(self, mesh: Mesh, t: float, derivatives: bool = True) -> Jet:
+        """The field at the nodes with ``d = (u_x, [u_y,] u_t)`` and ``dd =
+        (u_xx, [u_yy])`` when ``derivatives``; a part may be a scalar."""
+        coords = (mesh.nodes,) if self.dim == 1 else (mesh.nodes[:, 0], mesh.nodes[:, 1])
+        return self._evaluate(coords + (t,), derivatives)
 
     def sample(self, mesh: Mesh, t: float) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self._u(*self._args(mesh, t)), dtype=float),
-                               (mesh.n_nodes,)).copy()
-
-    def laplacian(self, mesh: Mesh, t: float) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self._lap(*self._args(mesh, t)), dtype=float),
-                               (mesh.n_nodes,)).copy()
-
-    def x_derivative(self, mesh: Mesh, t: float) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self._dx(*self._args(mesh, t)), dtype=float),
-                               (mesh.n_nodes,)).copy()
+        return np.broadcast_to(self.jet(mesh, t, False).value, (mesh.n_nodes,)).astype(float)
 
 
 @dataclass
@@ -381,36 +358,26 @@ def manufactured_source(exact: ManufacturedSolution,
                         template: ProblemTemplate) -> ProblemSpec:
     """Complete a problem so that ``exact`` is its solution.
 
-    The volume source is ``c0 * d/dt gamma(u*) - lap(u*)`` and the boundary
-    datum adds the outward normal derivative of the exact field to the
-    boundary nonlinearity evaluated along it.  The exact field must have
-    zero normal derivative on the insulated boundary; that is the caller's
-    choice of field, not checked here.
+    The volume source is ``c0 * gamma'(u*) * d/dt u* - lap(u*)`` and the
+    boundary datum adds the outward normal derivative of the exact field to
+    the boundary nonlinearity evaluated along it, each from one jet of the
+    field.  The exact field must have zero normal derivative on the
+    insulated boundary; that is the caller's choice of field, not checked
+    here.
     """
-    import sympy
-
-    mesh = template.mesh
-    x, t_sym = exact.vars[0], exact.vars[-1]
-    gamma_expr = template.gamma.to_sympy(exact.expr)
-    dgdt = sympy.diff(gamma_expr, t_sym)
-    dgdt_fn = sympy.lambdify(exact.vars, dgdt, "numpy")
+    mesh, c0, gamma, beta = template.mesh, template.c0, template.gamma, template.beta
+    normal_sign = _lateral_normal_sign(mesh)
 
     def g_fn(t: float) -> np.ndarray:
-        args = exact._args(mesh, t)
-        rate = np.broadcast_to(np.asarray(dgdt_fn(*args), dtype=float),
+        u = exact.jet(mesh, t)
+        return np.broadcast_to(c0 * gamma.derivative(u.value) * u.d[-1] - sum(u.dd),
                                (mesh.n_nodes,))
-        return template.c0 * rate - exact.laplacian(mesh, t)
-
-    normal_sign = _lateral_normal_sign(mesh)
-    beta = template.beta
 
     def h_fn(t: float) -> np.ndarray:
-        u_star = exact.sample(mesh, t)
-        flux = normal_sign * exact.x_derivative(mesh, t)
-        return np.asarray(beta.minimal_section(u_star), dtype=float) + flux
+        u = exact.jet(mesh, t)
+        return np.asarray(beta.minimal_section(u.value), dtype=float) + normal_sign * u.d[0]
 
-    return ProblemSpec(mesh=mesh, c0=template.c0, gamma=template.gamma,
-                       beta=template.beta, g=g_fn, h=h_fn,
+    return ProblemSpec(mesh=mesh, c0=c0, gamma=gamma, beta=beta, g=g_fn, h=h_fn,
                        u0=exact.sample(mesh, 0.0), T=template.T)
 
 

@@ -71,6 +71,25 @@ def test_criterion_2_convergence_orders():
     time_2d = ver.convergence_order(
         template_2d, ver.ManufacturedSolution("exp(-2*t)*cos(pi*x/2)*cos(pi*y)", 2),
         [16, 32, 64], [4, 8, 16], fine_space=64, fine_time=256, config=cfg)
+
+    # nonlinear rows: saturating gamma and a nonlinear boundary, so the
+    # sources go through gamma' and the boundary graph
+    gamma = gr.SaturatingBiLipschitz(1.0, 1.0)
+    nonlinear = {}
+    for name, beta in (("composite", gr.CompositeSum([gr.Linear(1.0), gr.Power(4.0)])),
+                       ("physical", gr.PhysicalBeta(1.0, 1.0, inner=gamma))):
+        def template(n, beta=beta):
+            return ver.ProblemTemplate(mesh=fem.build_mesh_rect(1.0, 1.0, n, n, True),
+                                       c0=1.0, gamma=gamma, beta=beta, T=0.5)
+
+        nonlinear[f"2d_{name}_space"] = ver.convergence_order(
+            template, ver.ManufacturedSolution("(1 + t/2)*cos(pi*x/2)*cos(pi*y)", 2),
+            [8, 16, 32], [4, 8, 16], fine_space=32, fine_time=128,
+            config=cfg)["order_space"]
+        nonlinear[f"2d_{name}_time"] = ver.convergence_order(
+            template, ver.ManufacturedSolution("exp(-2*t)*cos(pi*x/2)*cos(pi*y)", 2),
+            [8, 16, 32], [4, 8, 16], fine_space=32, fine_time=128,
+            config=cfg)["order_time"]
     elapsed = time.perf_counter() - t0
 
     orders = {"1d_space": space_1d["order_space"], "1d_time": time_1d["order_time"],
@@ -78,6 +97,9 @@ def test_criterion_2_convergence_orders():
     ok = (1.9 <= orders["1d_space"] <= 2.1 and 1.9 <= orders["2d_space"] <= 2.1
           and 0.9 <= orders["1d_time"] <= 1.1 and 0.9 <= orders["2d_time"] <= 1.1
           and elapsed < 120.0)
+    ok = ok and all(1.9 <= v <= 2.1 if k.endswith("space") else 0.9 <= v <= 1.1
+                    for k, v in nonlinear.items())
+    orders.update(nonlinear)
     detail = ", ".join(f"{k}={v:.3f}" for k, v in orders.items())
     _report("2 convergence orders", ok, f"{detail}, {elapsed:.1f}s < 120s")
 

@@ -14,7 +14,7 @@ import monoheat
 from monoheat import cli, fem, graphs as gr
 from monoheat import verification as ver
 from monoheat.cli import _write_levels, _write_state_files, main
-from monoheat.config import _compile_expr, parse_config
+from monoheat.config import compile_expr, parse_config
 from monoheat.errors import (
     DegenerateElement,
     DomainError,
@@ -258,32 +258,64 @@ def _workload_configs():
 _ACCEPTED = ["sin(pi*x)*t", "-x + +y", "2.5e-1*x**2 - y/3", "tan(x/2)", "log(1 + x)",
              "sqrt(x + y)", "tanh(t - x)", "abs(x - 0.5)**1.5", "exp(-(x**2 + y**2)/t)",
              "cos(pi*x/2)*cos(pi*y)", "7", "-pi"]
+# each function of an argument in every variable, so the second-order terms
+# of the chain rule are not zero; abs through 0 at x = 0.5 (on the grid of the
+# test below), and ** with a variable exponent, a variable base and both
+_DIFFERENTIATED = ["sin(x*y + t)", "t*cos(x**2 - y)", "tan(x*t/2 + y/3)", "exp(x*y*t)",
+                   "log(1 + x*t + y)", "sqrt(1 + x*y + t)", "tanh(x - y*t)",
+                   "t*abs(x - 0.5) + y*abs(y - x)", "(1 + x)**(x*y + t)", "2**(x*t - y)",
+                   "(x + y + 1)**-2.5/(1 + t*x)"]
 
 
 def _expr_texts():
     """Every expression string of the README, these configs and the
-    benchmark's workloads, plus the accepted forms above."""
+    benchmark's workloads, plus the forms above."""
     texts = [_readme_example(), STEADY, DEPENDENCE, CONVERGENCE] + _workload_configs()
-    found = set(_ACCEPTED)
+    found = set(_ACCEPTED + _DIFFERENTIATED)
     for text in texts:
         found.update(re.findall(r'expr\("([^"]*)"\)', text))
         found.update(re.findall(r'exact_(?:space|time) = "([^"]*)"', text))
     return sorted(found)
 
 
+def _assert_close(got, want, what):
+    """Equal non-finite entries, and finite ones within 1e-12 relative to
+    the largest of them."""
+    got, want = (np.broadcast_to(np.asarray(a, dtype=float), (63,)) for a in (got, want))
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True), what
+    gap = np.abs(got[finite] - want[finite])
+    assert np.max(gap, initial=0.0) <= 1e-12 * np.max(np.abs(want[finite]), initial=0.0), what
+
+
 class TestExprGrammar:
     @pytest.mark.parametrize("text", _expr_texts())
     def test_values_match_sympy(self, text):
+        # the value, and the jets against sympy.diff: d/dx, d/dt and the
+        # Laplacian; real symbols make d|u|/du = sign(u), and abs'' is taken as
+        # 0 where sympy writes a DiracDelta at the kink
         import sympy
-        x, y, t = sympy.symbols("x y t")
-        reference = sympy.lambdify((x, y, t), sympy.sympify(text, locals={"x": x, "y": y, "t": t}),
-                                   "numpy")
+        x, y, t = sympy.symbols("x y t", real=True)
+        exact = sympy.sympify(text, locals={"x": x, "y": y, "t": t})
+        derivatives = [sympy.diff(exact, x), sympy.diff(exact, t),
+                       sympy.diff(exact, x, 2) + sympy.diff(exact, y, 2)]
+        references = [sympy.lambdify((x, y, t), e.replace(sympy.DiracDelta, lambda *a: 0),
+                                     "numpy") for e in [exact] + derivatives]
+        evaluate = compile_expr(text, 2, True, 1)
         xs, ys = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7))
         for tv in (0.3, 1.7):
             env = (xs.ravel(), ys.ravel(), tv)
-            want = np.broadcast_to(np.asarray(reference(*env), dtype=float), xs.size)
-            got = np.broadcast_to(_compile_expr(text, ("x", "y", "t"), 1)(env), xs.size)
+            value = evaluate(env).value
+            want = np.broadcast_to(np.asarray(references[0](*env), dtype=float), xs.size)
+            got = np.broadcast_to(value, xs.size)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            with np.errstate(all="ignore"):  # sqrt(x + y) is not differentiable at 0
+                jet = evaluate(env, derivatives=True)
+                wanted = [reference(*env) for reference in references[1:]]
+            assert np.array_equal(jet.value, value)
+            for what, got, want in zip(("d/dx", "d/dt", "laplacian"),
+                                       (jet.d[0], jet.d[2], jet.dd[0] + jet.dd[1]), wanted):
+                _assert_close(got, want, f"{what} at t = {tv}")
 
     @pytest.mark.parametrize("key,text", [
         ("g", "np.sin(x)"),
@@ -323,13 +355,16 @@ class TestExprGrammar:
             parse_config(text, command="convergence")
 
     def test_solve_path_does_not_load_sympy(self, tmp_path):
-        readme, dependence, bad = (tmp_path / name for name in ("readme.cfg", "dep.cfg",
-                                                                "bad.cfg"))
+        # no command loads sympy, convergence included: its sources come
+        # from the jets of the checked expression tree
+        readme, dependence, convergence, bad = (
+            tmp_path / name for name in ("readme.cfg", "dep.cfg", "conv.cfg", "bad.cfg"))
         readme.write_text(_readme_example())
         dependence.write_text(DEPENDENCE)
+        convergence.write_text(CONVERGENCE)
         bad.write_text(CONVERGENCE.replace('"(1 + t/2)*cos(pi*x/2)"', '"(1 + t/2)*cos(pi*x/2"'))
         runs = [("solve", readme, 0), ("dependence", dependence, 0), ("graph-check", None, 0),
-                ("convergence", bad, 3)]
+                ("convergence", convergence, 0), ("convergence", bad, 3)]
         script = ["import sys", "import monoheat.cli"]
         for k, (command, cfg, code) in enumerate(runs):
             argv = [command, "--out", str(tmp_path / f"out{k}")]
@@ -467,20 +502,27 @@ class TestCli:
         assert main(["solve", "--config", str(missing), "--out", str(tmp_path / "x")]) == 3
         assert capsys.readouterr().err == f"error: config file {missing}: No such file or directory\n"
 
-    @pytest.mark.parametrize("case", ["out_is_file", "out_below_file", "config_is_dir"])
+    @pytest.mark.parametrize("case", ["out_is_file", "out_below_file", "config_is_dir",
+                                      "output_file_is_dir", "config_not_utf8"])
     def test_unusable_path_exit_three(self, tmp_path, capsys, case):
         cfg = tmp_path / "steady.cfg"
         cfg.write_text(STEADY)
         afile = tmp_path / "afile"
         afile.write_text("")
-        config, out = {"out_is_file": (cfg, afile),
-                       "out_below_file": (cfg, afile / "sub"),
-                       "config_is_dir": (tmp_path, tmp_path / "x")}[case]
+        (tmp_path / "wout" / "solution.csv").mkdir(parents=True)
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(("# température\n" + STEADY).encode("latin-1"))
+        config, out, named = {
+            "out_is_file": (cfg, afile, afile),
+            "out_below_file": (cfg, afile / "sub", afile / "sub"),
+            "config_is_dir": (tmp_path, tmp_path / "x", tmp_path),
+            "output_file_is_dir": (cfg, tmp_path / "wout", tmp_path / "wout" / "solution.csv"),
+            "config_not_utf8": (latin1, tmp_path / "x", latin1)}[case]
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "Traceback" not in err
-        assert str(config if case == "config_is_dir" else out) in err
+        assert str(named) in err
 
     def test_nonconvergence_exit_one(self, tmp_path):
         text = STEADY.replace("tau = 0.1", "tau = 0.5") \
@@ -607,7 +649,7 @@ class TestCli:
         assert 1.9 <= order_space <= 2.1
 
     def test_convergence_saturating_gamma_exit_zero(self, tmp_path):
-        # the manufactured source differentiates gamma's Abs symbolically
+        # the manufactured source takes gamma' through the kink of its |u|
         cfg = tmp_path / "conv.cfg"
         cfg.write_text(CONVERGENCE.replace("gamma = linear(2.0)",
                                            "gamma = saturating(1.0, 1.0)"))

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from monoheat import fem, graphs as gr
 from monoheat import verification as ver
 from monoheat.errors import (
+    ConfigError,
     HypothesisViolation,
     InsufficientLevels,
 )
@@ -181,6 +182,14 @@ class TestManufacturedSource:
         assert np.abs(spec.g_at(0.2)).max() == 0.0
         assert spec.h_at(0.2)[-1] == pytest.approx(float(beta.value(1.3)))
 
+    @pytest.mark.parametrize("text", ["Abs(x) + t", "x + z*t", "x^2 + t", "sin(x, t)"])
+    def test_text_outside_the_grammar_is_rejected(self, text):
+        # the config grammar checks exact fields given to the library too;
+        # without a config line the message names none
+        with pytest.raises(ConfigError) as info:
+            ver.ManufacturedSolution(text, dim=1)
+        assert not str(info.value).startswith("line")
+
     def test_time_ramp_field(self):
         mesh = fem.build_mesh_1d(1.0, 8, "right")
         template = ver.ProblemTemplate(mesh=mesh, c0=1.5, gamma=gr.Linear(2.0),
@@ -203,7 +212,7 @@ class TestManufacturedSource:
         assert np.abs(spec.g_at(t) - expected).max() < 1e-12
 
     def test_saturating_gamma_source_matches_time_difference(self):
-        # gamma(x) = x + x/(1+|x|) goes through sympy's Abs; the exact field
+        # gamma(x) = x + x/(1+|x|) enters through gamma'; the exact field
         # changes sign, so the kink of gamma'' at 0 is crossed
         mesh = fem.build_mesh_1d(1.0, 16, "right")
         gamma = gr.SaturatingBiLipschitz(1.0, 1.0)
