@@ -14,7 +14,6 @@ from .graphs import (
     Sign,
     audit_constants,
     builtin_graphs,
-    conjugate_potential,
     graph_property_suite,
     minimal_section,
     moreau_envelope,
@@ -38,7 +37,6 @@ __all__ = [
     "minimal_section",
     "potential",
     "moreau_envelope",
-    "conjugate_potential",
     "graph_property_suite",
     "audit_constants",
     "builtin_graphs",

@@ -10,7 +10,7 @@ count, residual and fixed-point/Newton gap over every march, and the
 bound chain of ``verification.verify_solution`` on the final march (or,
 with ``bounds.evaluated = false``, its ``bounds.skip_reason``).  Exit
 codes: 0 success, including a skipped bound chain, 1 solver failure or
-any other package error (``DomainError``, ``Unsupported``,
+any other package error (``DomainError``, ``DegenerateElement``,
 ``EmptyBoundary``, ...; one ``error:`` line, no traceback), 2 violated
 bound or dependence margin or graph property, 3 configuration error or a
 config file, output directory or output file that cannot be used (one
@@ -208,16 +208,16 @@ def _cmd_convergence(rc: RunConfig, out: Path) -> int:
         return ver.ProblemTemplate(mesh=m, c0=conv["c0"], gamma=conv["gamma"],
                                    beta=conv["beta"], T=conv["T"])
 
-    # one study per exact field, each reporting the axis it is built for
-    axes = ("space", "time")
+    # one study per axis, on the exact field built for it; the space study
+    # takes the fine time level and the time study the fine mesh
+    axes = (("space", "fine_time"), ("time", "fine_space"))
     studies = {axis: ver.convergence_order(
-        make_template, ver.ManufacturedSolution(conv[f"exact_{axis}"], dim),
-        conv["space_levels"], conv["time_levels"], conv["fine_space"], conv["fine_time"],
-        rc.solver) for axis in axes}
+        make_template, ver.ManufacturedSolution(conv[f"exact_{axis}"], dim), axis,
+        conv[f"{axis}_levels"], conv[fine], rc.solver) for axis, fine in axes}
     _write_csv(out / "estimates.csv", ("axis", "h_or_tau", "error"),
-               [(axis, x, e) for axis in axes for x, e in studies[axis][f"errors_{axis}"]])
+               [(axis, x, e) for axis, _ in axes for x, e in studies[axis]["errors"]])
     _write_summary(out / "summary.txt", [("command", "convergence")] + [
-        (f"order_{axis}", studies[axis][f"order_{axis}"]) for axis in axes])
+        (f"order_{axis}", studies[axis]["order"]) for axis, _ in axes])
     return 0
 
 

@@ -79,10 +79,6 @@ class DomainError(MonoheatError):
     pass
 
 
-class Unsupported(MonoheatError):
-    pass
-
-
 class DegenerateElement(MonoheatError):
     pass
 

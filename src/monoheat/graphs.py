@@ -13,10 +13,11 @@ safeguarded Newton inside the bracket [min(0,x), max(0,x)] for
 single-valued graphs, bisection on the section bounds for multi-valued
 ones (``_resolvent_solve``).
 The module also provides convex potentials (``A = d(potential)``),
-Moreau envelopes, convex conjugates, the regularized boundary map the
-stepper uses (``regularized_value``: Yosida approximation or minimal
-section, optionally clamped at 1/eps), and a diagnostic suite that
-samples the standard regularization identities.
+Moreau envelopes, the regularized boundary map the stepper uses
+(``regularized_value``: Yosida approximation or minimal section,
+optionally clamped at 1/eps), and a diagnostic suite that samples the
+standard regularization identities.  No graph is inverted: the suite
+takes convex conjugates as a supremum over a grid.
 
 All evaluation routines accept scalars or numpy arrays and are pure;
 graph objects are immutable after construction.
@@ -36,13 +37,11 @@ from .errors import (
     InvalidArgument,
     NonConvergence,
     QuadratureFailure,
-    Unsupported,
 )
 
 _BISECT_CAP = 200
 _BISECT_REL_WIDTH = 1e-13
 _NEWTON_REL_RESIDUAL = 1e-15
-_NEWTON_POLISH_STEPS = 3
 _SIMPSON_TOL = 1e-11
 _SIMPSON_MAX_DEPTH = 48
 _SIMPSON_BLOCK = 1024
@@ -87,8 +86,7 @@ class ScalarGraph:
 
     label = "graph"
     domain = (-math.inf, math.inf)
-    #: every single-valued graph a config can build is strictly increasing,
-    #: so invertible (a Yosida approximation of ``sign`` is not)
+    #: graph(x) is one number at every x, so ``value`` is the whole graph
     single_valued = True
     #: closed forms exist for every operation (tighter test tolerances apply)
     closed_form = False
@@ -135,14 +133,6 @@ class ScalarGraph:
         x_arr = _asarray(x)
         y = _resolvent_solve(self, lam, np.atleast_1d(x_arr).astype(float))
         return _match(x, y.reshape(np.atleast_1d(x_arr).shape) if np.ndim(x) else y[0])
-
-    def inverse(self, y):
-        """Inverse of the single-valued selection (strictly increasing graphs)."""
-        if not self.single_valued:
-            raise Unsupported(f"{self.label} has no invertible selection")
-        y_arr = np.atleast_1d(_asarray(y))
-        out = _inverse_bisect(self, y_arr)
-        return _match(y, out.reshape(np.shape(y)) if np.ndim(y) else out[0])
 
     # -- metadata --------------------------------------------------------------
 
@@ -312,35 +302,6 @@ def _resolvent_bisect(graph, lam, x, lo, hi):
         f"resolvent bisection for {graph.label} exceeded {_BISECT_CAP} iterations")
 
 
-def _inverse_bisect(graph, y):
-    """Solve value(t) = y by expanding bracket plus bisection and polish."""
-    t_lo = np.where(y >= 0.0, 0.0, -1.0)
-    t_hi = np.where(y >= 0.0, 1.0, 0.0)
-    for _ in range(200):
-        need_lo = graph.value(t_lo) > y
-        need_hi = graph.value(t_hi) < y
-        if not (np.any(need_lo) or np.any(need_hi)):
-            break
-        t_lo = np.where(need_lo, 2.0 * t_lo - 1.0, t_lo)
-        t_hi = np.where(need_hi, 2.0 * t_hi + 1.0, t_hi)
-    else:
-        raise NonConvergence(f"could not bracket inverse of {graph.label}")
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (t_lo + t_hi)
-        high = graph.value(mid) > y
-        t_hi = np.where(high, mid, t_hi)
-        t_lo = np.where(high, t_lo, mid)
-        if np.all(t_hi - t_lo <= _BISECT_REL_WIDTH * np.maximum(1.0, np.abs(t_hi))):
-            break
-    t = 0.5 * (t_lo + t_hi)
-    for _ in range(_NEWTON_POLISH_STEPS):
-        with np.errstate(all="ignore"):
-            step = (graph.value(t) - y) / graph.derivative(t)
-        step = np.where(np.isfinite(step), step, 0.0)
-        t = np.clip(t - step, t_lo, t_hi)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Built-in graphs
 # ---------------------------------------------------------------------------
@@ -373,9 +334,6 @@ class Linear(ScalarGraph):
     def resolvent(self, lam, x):
         return _match(x, _asarray(x) / (1.0 + lam * self.alpha))
 
-    def inverse(self, y):
-        return _match(y, _asarray(y) / self.alpha)
-
     def constants(self):
         return GraphConstants(
             lipschitz_lower=self.alpha,
@@ -391,7 +349,7 @@ class SaturatingBiLipschitz(ScalarGraph):
     """x -> alpha*x + b*x/(1+|x|); slope stays in [alpha, alpha+b].
 
     A strictly monotone bi-Lipschitz graph whose curvature saturates, with
-    closed forms for potential and inverse.
+    a closed-form potential.
     """
 
     def __init__(self, alpha: float, b: float):
@@ -413,14 +371,6 @@ class SaturatingBiLipschitz(ScalarGraph):
         r_arr = _asarray(r)
         a = np.abs(r_arr)
         return _match(r, 0.5 * self.alpha * r_arr**2 + self.b * (a - np.log1p(a)))
-
-    def inverse(self, y):
-        # alpha*t^2 + (alpha + b - |y|)*t - |y| = 0 on the branch sign(t)=sign(y)
-        y_arr = _asarray(y)
-        a = np.abs(y_arr)
-        bq = self.alpha + self.b - a
-        t = (-bq + np.sqrt(bq**2 + 4.0 * self.alpha * a)) / (2.0 * self.alpha)
-        return _match(y, np.sign(y_arr) * t)
 
     def constants(self):
         return GraphConstants(
@@ -455,10 +405,6 @@ class Power(ScalarGraph):
     def potential(self, r):
         r_arr = _asarray(r)
         return _match(r, np.abs(r_arr) ** (self.p + 1.0) / (self.p + 1.0))
-
-    def inverse(self, y):
-        y_arr = _asarray(y)
-        return _match(y, np.sign(y_arr) * np.abs(y_arr) ** (1.0 / self.p))
 
     def constants(self):
         lip = GraphConstants(
@@ -639,9 +585,6 @@ class ScaledGraph(ScalarGraph):
     def potential(self, r):
         return self.factor * self.base.potential(r)
 
-    def inverse(self, y):
-        return self.base.inverse(_asarray(y) / self.factor)
-
     def constants(self):
         c = self.base.constants()
 
@@ -672,7 +615,7 @@ class YosidaGraph(ScalarGraph):
         return yosida(self.base, self.mu, x)
 
     def derivative(self, x):
-        return yosida_derivative(self.base, self.mu, x)
+        return regularized_derivative(self.base, self.mu, 0.0, x)
 
     def potential(self, r):
         return moreau_envelope(self.base, self.mu, r)
@@ -698,17 +641,6 @@ def yosida(graph: ScalarGraph, lam: float, x):
     return _match(x, (x_arr - _asarray(graph.resolvent(lam, x_arr))) / lam)
 
 
-def yosida_derivative(graph: ScalarGraph, lam: float, x):
-    """A.e. derivative of the Yosida approximation, in [0, 1/lam]."""
-    if not lam > 0.0:
-        raise InvalidArgument("yosida needs lam > 0")
-    j = _asarray(graph.resolvent(lam, _asarray(x)))
-    with np.errstate(all="ignore"):
-        d = _asarray(graph.derivative(j))
-        out = np.where(np.isinf(d), 1.0 / lam, d / (1.0 + lam * d))
-    return _match(x, out)
-
-
 def minimal_section(graph: ScalarGraph, x):
     """Minimum-norm element of graph(x)."""
     return _match(x, graph.minimal_section(x))
@@ -727,20 +659,6 @@ def moreau_envelope(graph: ScalarGraph, lam: float, x):
     j = _asarray(graph.resolvent(lam, x_arr))
     a_lam = (x_arr - j) / lam
     return _match(x, 0.5 * lam * a_lam**2 + _asarray(graph.potential(j)))
-
-
-def conjugate_potential(graph: ScalarGraph, y):
-    """Convex conjugate of the potential at y, via the inverse selection.
-
-    For a single-valued strictly increasing graph the supremum defining
-    the conjugate is attained at the inverse point ``x`` with
-    ``graph(x) = y``, giving ``y*x - potential(x)``.
-    """
-    if not graph.single_valued:
-        raise Unsupported(f"conjugate of {graph.label} needs an invertible selection")
-    y_arr = _asarray(y)
-    x = _asarray(graph.inverse(y_arr))
-    return _match(y, y_arr * x - _asarray(graph.potential(x)))
 
 
 def regularized_value(graph: ScalarGraph, lam: float, eps: float, r):
@@ -866,7 +784,7 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
                          tol: Optional[float] = None) -> PropertyReport:
     """Sample the standard regularization identities on a grid.
 
-    ``lam_list`` must be strictly decreasing.  Each identity produces one
+    ``lam_list`` must be positive and strictly decreasing.  Each identity produces one
     check per (lam, x) pair (pair-based identities report the worst
     partner), tagged pass/fail against ``tol``; the default tolerance is
     1e-10 when the graph advertises closed forms and 1e-8 otherwise.
@@ -875,6 +793,8 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
     lams = [float(l) for l in lam_list]
     if not lams or any(b >= a for a, b in zip(lams, lams[1:])):
         raise InvalidArgument("lam_list must be nonempty and strictly decreasing")
+    if not all(l > 0.0 for l in lams):
+        raise InvalidArgument("lam_list entries must be positive")
     xs = np.sort(_asarray(sample_points))
     if xs.size == 0:
         raise InvalidArgument("sample_points must be nonempty")
@@ -945,13 +865,11 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
     e = np.maximum(pot - env_by_lam[lams[-1]] - lams[-1] * a0**2, 0.0)
     add("envelope_converges", lams[-1], e <= max(tol, 1e-8) * pot_scale, e)
 
-    # conjugate duality: potential(x) + conjugate(xi) == x*xi on the graph
+    # conjugate duality: potential(x) + conjugate(xi) == x*xi on the graph;
+    # the grid supremum exceeds its anchor x*xi - potential(x) exactly when
+    # the potential is not the primitive of the graph's values
     sec = _asarray(graph.minimal_section(xs))
-    if graph.single_valued:
-        conj = _asarray(conjugate_potential(graph, sec))
-    else:
-        conj = _grid_conjugate(graph, sec, xs)
-    e = np.abs(pot + conj - xs * sec)
+    e = np.abs(pot + _grid_conjugate(graph, sec, xs) - xs * sec)
     add("fenchel_young", None, e <= tol * np.maximum(1.0, np.abs(xs * sec)), e)
 
     return rep

@@ -454,14 +454,15 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
     """
     ops = ops if ops is not None else assemble(spec.mesh)
     lam = config.lambda_schedule[-1] if lam is None else float(lam)
-    n_steps = config.n_steps(spec.T)
     try:
+        # a subnormal tau makes T/tau infinite, which no step count rounds to
+        n_steps = config.n_steps(spec.T)
         times = config.tau * np.arange(n_steps + 1)
         u_hist = np.empty((n_steps + 1, ops.n_nodes))
         v_hist = np.empty_like(u_hist)
-    except (ValueError, MemoryError) as exc:
-        raise ValidationError(f"tau = {config.tau:g} gives {n_steps:.3g} time steps, "
-                              "too many to store their history") from exc
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ValidationError(f"tau = {config.tau:g} gives {spec.T / config.tau:.3g} time "
+                              "steps, too many to store their history") from exc
 
     u0 = np.asarray(spec.u0, dtype=float)
     if config.smooth_u0_lambda > 0.0:

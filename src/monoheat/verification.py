@@ -30,6 +30,7 @@ from .errors import (
     EmptyBoundary,
     HypothesisViolation,
     InsufficientLevels,
+    InvalidArgument,
     ValidationError,
 )
 from .fem import AssembledOperators, Mesh, assemble, trace_constant
@@ -62,7 +63,7 @@ class EstimateReport:
     h1_sq_u: np.ndarray          # squared discrete h1 norm of u
     grad_sq: np.ndarray          # squared gradient seminorm per level
     grad_sq_cum: np.ndarray      # cumulative tau-weighted dissipation
-    phi_star: np.ndarray         # conjugate potential of v
+    phi_star: np.ndarray         # conjugate potential of v, by the Fenchel equality
     bhat_l1: np.ndarray          # lumped mass of the regularized boundary potential
     boundary_work: np.ndarray    # xi' * Mb * u per level
     boundary_work_cum: np.ndarray
@@ -104,7 +105,12 @@ def _dual_sq(ops: AssembledOperators, f: np.ndarray) -> np.ndarray:
 
 def energy_monitors(solution: SolutionState, spec: ProblemSpec,
                     ops: AssembledOperators) -> EstimateReport:
-    """Evaluate every estimate functional at every time level."""
+    """Evaluate every estimate functional at every time level.
+
+    The march stores ``v = c0*gamma(u)`` at every level, so the conjugate
+    potential of the effective volume graph is taken by the Fenchel
+    equality ``Phi*(v) = v*u - c0*Phi_gamma(u)`` at the stored u.
+    """
     m = ops.mass
     bm = ops.boundary_mass
     eff_gamma = spec.gamma.scaled(spec.c0)
@@ -118,8 +124,8 @@ def energy_monitors(solution: SolutionState, spec: ProblemSpec,
     # the graph functionals run one level at a time: on the whole history
     # their resolvent and quadrature temporaries raised the peak RSS of a
     # solve by 0.5-0.7 MB (6x6 and 96x96 meshes)
-    phi_star = np.array([np.sum(m * np.asarray(
-        gr.conjugate_potential(eff_gamma, v_k), dtype=float)) for v_k in v])
+    phi_star = np.array([np.sum(m * (v_k * u_k - np.asarray(
+        eff_gamma.potential(u_k), dtype=float))) for u_k, v_k in zip(u, v)])
     bhat = np.array([np.sum(m * np.asarray(
         gr.regularized_potential(spec.beta, solution.lam, u_k), dtype=float))
         for u_k in u])
@@ -382,47 +388,46 @@ def manufactured_source(exact: ManufacturedSolution,
 
 
 def convergence_order(make_template: Callable[[int], ProblemTemplate],
-                      exact: ManufacturedSolution,
-                      space_levels: Sequence[int],
-                      time_levels: Sequence[int],
-                      fine_space: int, fine_time: int,
+                      exact: ManufacturedSolution, axis: str,
+                      levels: Sequence[int], fine: int,
                       config: SolverConfig) -> dict:
-    """Observed convergence orders from dyadic refinement studies.
+    """Observed convergence order of one dyadic refinement study.
 
-    Spatial slopes are measured with the finest time step, temporal slopes
-    on the finest mesh; errors are lumped-l2 at the final time.  Needs at
-    least three levels per axis.
+    ``axis = "space"`` solves on ``make_template(n)`` for each n in
+    ``levels`` with ``fine`` time steps; ``axis = "time"`` solves with m
+    steps for each m in ``levels`` on ``make_template(fine)``.  Errors are
+    lumped-l2 at the final time, paired with the mesh size or the time
+    step, and the order is the slope of their log-log fit (``inf`` when
+    every error is below 1e-12).  Needs at least three levels.
     """
-    if len(space_levels) < 3 or len(time_levels) < 3:
-        raise InsufficientLevels("need at least three refinement levels per axis")
+    if axis not in ("space", "time"):
+        raise InvalidArgument("axis must be space or time")
+    if len(levels) < 3:
+        raise InsufficientLevels("need at least three refinement levels")
 
-    def run(n_elems: int, n_steps: int):
+    def run(level: int):
+        n_elems, n_steps = (level, fine) if axis == "space" else (fine, level)
         spec = manufactured_source(exact, make_template(n_elems))
         cfg = replace(config, tau=spec.T / n_steps)
         ops = assemble(spec.mesh)
         sol = solve_transient(spec, cfg, ops=ops)
         err = sol.u[-1] - exact.sample(spec.mesh, spec.T)
-        h = float(np.max(spec.mesh.element_sizes)) if spec.mesh.dim == 1 else \
-            math.sqrt(2.0 * float(np.max(spec.mesh.element_sizes)))
-        return h, cfg.tau, math.sqrt(float(err @ (ops.mass * err)))
+        if axis == "time":
+            size = cfg.tau
+        elif spec.mesh.dim == 1:
+            size = float(np.max(spec.mesh.element_sizes))
+        else:
+            size = math.sqrt(2.0 * float(np.max(spec.mesh.element_sizes)))
+        return size, math.sqrt(float(err @ (ops.mass * err)))
 
-    errors_space = [(h, e) for h, _, e in (run(n, fine_time) for n in space_levels)]
-    errors_time = [(tau, e) for _, tau, e in (run(fine_space, m) for m in time_levels)]
-
-    def slope(pairs):
-        xs = np.log([p[0] for p in pairs])
-        ys = np.log([max(p[1], 1e-300) for p in pairs])
-        return float(np.polyfit(xs, ys, 1)[0])
-
-    saturated_space = all(e < 1e-12 for _, e in errors_space)
-    saturated_time = all(e < 1e-12 for _, e in errors_time)
-    return {
-        "order_space": math.inf if saturated_space else slope(errors_space),
-        "order_time": math.inf if saturated_time else slope(errors_time),
-        "errors_space": errors_space,
-        "errors_time": errors_time,
-        "saturated": saturated_space and saturated_time,
-    }
+    errors = [run(level) for level in levels]
+    if all(e < 1e-12 for _, e in errors):
+        order = math.inf
+    else:
+        xs = np.log([p[0] for p in errors])
+        ys = np.log([max(p[1], 1e-300) for p in errors])
+        order = float(np.polyfit(xs, ys, 1)[0])
+    return {"order": order, "errors": errors}
 
 
 # ---------------------------------------------------------------------------

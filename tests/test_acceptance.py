@@ -61,16 +61,16 @@ def test_criterion_2_convergence_orders():
 
     space_1d = ver.convergence_order(
         template_1d, ver.ManufacturedSolution("(1 + t/2)*cos(pi*x/2)", 1),
-        [32, 64, 128], [4, 8, 16], fine_space=128, fine_time=32, config=cfg)
+        "space", [32, 64, 128], fine=32, config=cfg)
     time_1d = ver.convergence_order(
         template_1d, ver.ManufacturedSolution("exp(-t)*cos(pi*x/2)", 1),
-        [32, 64, 128], [8, 16, 32], fine_space=256, fine_time=512, config=cfg)
+        "time", [8, 16, 32], fine=256, config=cfg)
     space_2d = ver.convergence_order(
         template_2d, ver.ManufacturedSolution("(1 + t/2)*cos(pi*x/2)*cos(pi*y)", 2),
-        [16, 32, 64], [4, 8, 16], fine_space=64, fine_time=16, config=cfg)
+        "space", [16, 32, 64], fine=16, config=cfg)
     time_2d = ver.convergence_order(
         template_2d, ver.ManufacturedSolution("exp(-2*t)*cos(pi*x/2)*cos(pi*y)", 2),
-        [16, 32, 64], [4, 8, 16], fine_space=64, fine_time=256, config=cfg)
+        "time", [4, 8, 16], fine=64, config=cfg)
 
     # nonlinear rows: saturating gamma and a nonlinear boundary, so the
     # sources go through gamma' and the boundary graph
@@ -84,16 +84,14 @@ def test_criterion_2_convergence_orders():
 
         nonlinear[f"2d_{name}_space"] = ver.convergence_order(
             template, ver.ManufacturedSolution("(1 + t/2)*cos(pi*x/2)*cos(pi*y)", 2),
-            [8, 16, 32], [4, 8, 16], fine_space=32, fine_time=128,
-            config=cfg)["order_space"]
+            "space", [8, 16, 32], fine=128, config=cfg)["order"]
         nonlinear[f"2d_{name}_time"] = ver.convergence_order(
             template, ver.ManufacturedSolution("exp(-2*t)*cos(pi*x/2)*cos(pi*y)", 2),
-            [8, 16, 32], [4, 8, 16], fine_space=32, fine_time=128,
-            config=cfg)["order_time"]
+            "time", [4, 8, 16], fine=32, config=cfg)["order"]
     elapsed = time.perf_counter() - t0
 
-    orders = {"1d_space": space_1d["order_space"], "1d_time": time_1d["order_time"],
-              "2d_space": space_2d["order_space"], "2d_time": time_2d["order_time"]}
+    orders = {"1d_space": space_1d["order"], "1d_time": time_1d["order"],
+              "2d_space": space_2d["order"], "2d_time": time_2d["order"]}
     ok = (1.9 <= orders["1d_space"] <= 2.1 and 1.9 <= orders["2d_space"] <= 2.1
           and 0.9 <= orders["1d_time"] <= 1.1 and 0.9 <= orders["2d_time"] <= 1.1
           and elapsed < 120.0)

@@ -21,7 +21,6 @@ from monoheat.errors import (
     EmptyBoundary,
     InsufficientLevels,
     ParseError,
-    Unsupported,
     ValidationError,
 )
 from monoheat.stepper import SolutionState, lambda_continuation
@@ -405,6 +404,13 @@ class TestCli:
             assert main(["graph-check", "--config", str(cfg),
                          "--out", str(tmp_path / key)]) == 3
 
+    def test_graph_check_zero_lambda_exit_three(self, tmp_path, capsys):
+        # rejected before any Yosida quotient divides by it
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("[graph_check]\nlambdas = [1.0, 0.0]\n")
+        assert main(["graph-check", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == "error: lam_list entries must be positive\n"
+
     def test_readme_example_checks_bounds(self, tmp_path):
         example = _readme_example()
         assert "domain = interval(" in example
@@ -552,13 +558,15 @@ class TestCli:
             "error: step right-hand side at t = 0.1 is not finite (data g or h)\n")
 
     def test_tiny_tau_exit_three(self, tmp_path, capsys):
-        # 5e299 steps: rejected before any history is allocated or marched
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(STEADY.replace("tau = 0.1", "tau = 1e-300"))
-        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: tau = 1e-300 gives 5e+299 time steps")
-        assert len(err.splitlines()) == 1
+        # 5e299 steps, or infinitely many for a subnormal tau: rejected before
+        # any history is allocated or marched
+        for tau, steps in (("1e-300", "5e+299"), ("5e-324", "inf")):
+            cfg = tmp_path / "tiny.cfg"
+            cfg.write_text(STEADY.replace("tau = 0.1", f"tau = {tau}"))
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: tau = {float(tau):g} gives {steps} time steps")
+            assert len(err.splitlines()) == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "steady.cfg"
@@ -691,7 +699,7 @@ class TestCli:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("error", [DomainError, DegenerateElement, EmptyBoundary,
-                                       InsufficientLevels, Unsupported])
+                                       InsufficientLevels])
     def test_any_package_error_exit_one(self, tmp_path, monkeypatch, capsys, error):
         def fail(rc, out):
             raise error("cannot go on")

@@ -13,7 +13,6 @@ from monoheat.errors import (
     InvalidArgument,
     NonConvergence,
     QuadratureFailure,
-    Unsupported,
 )
 
 
@@ -294,32 +293,6 @@ class TestMoreauEnvelope:
             assert gr.moreau_envelope(graph, 0.5, 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
-class TestConjugate:
-    def test_linear_quadratic(self):
-        assert gr.conjugate_potential(gr.Linear(2.0), 4.0) == pytest.approx(4.0, abs=1e-12)
-
-    def test_fenchel_young_equality(self):
-        graph = gr.Linear(2.0)
-        xi = float(graph.value(3.0))
-        assert xi == 6.0
-        total = gr.potential(graph, 3.0) + gr.conjugate_potential(graph, xi)
-        assert total == pytest.approx(18.0, abs=1e-12)
-
-    def test_saturating_lower_bound_vs_grid_sup(self):
-        graph = gr.SaturatingBiLipschitz(1.0, 1.0)
-        y = float(graph.value(2.0))
-        conj = gr.conjugate_potential(graph, y)
-        grid = np.linspace(-10.0, 10.0, 400001)
-        sup_oracle = np.max(grid * y - np.asarray(graph.potential(grid)))
-        assert conj == pytest.approx(float(sup_oracle), abs=1e-7)
-        c_up = graph.constants().lipschitz_upper
-        assert conj >= y**2 / (4.0 * c_up)
-
-    def test_sign_unsupported(self):
-        with pytest.raises(Unsupported):
-            gr.conjugate_potential(gr.Sign(), 0.5)
-
-
 class TestRegularizedValue:
     @pytest.mark.parametrize("x,expected", [(6.0, 2.0), (-3.6, -2.0), (1.2, 1.0)])
     def test_clamp_cases(self, x, expected):
@@ -353,6 +326,18 @@ class TestPropertySuite:
     def test_rejects_bad_lambda_list(self):
         with pytest.raises(InvalidArgument):
             gr.graph_property_suite(gr.Linear(1.0), [0.5, 1.0], [0.0])
+
+    def test_fenchel_young_catches_a_wrong_potential(self):
+        # 0.9*r^2 is not the potential of 2r: at xi = 2x the supremum of
+        # xi*s - 0.9*s^2 sits at s = x/0.9, above the anchor s = x
+        class WrongPotential(gr.Linear):
+            def potential(self, r):
+                return 0.9 * np.asarray(r, dtype=float) ** 2
+
+        rep = gr.graph_property_suite(WrongPotential(2.0), [1.0, 0.5], [-1.0, 0.0, 3.0])
+        checks = [c for c in rep.checks if c.prop == "fenchel_young"]
+        assert [c.passed for c in checks] == [False, True, False]
+        assert checks[2].error == pytest.approx(0.1, rel=1e-3)
 
 
 class TestConstantsAudit:

@@ -67,6 +67,23 @@ class TestEnergyMonitors:
             closed = float(np.sum(ops.mass * state.v[k] ** 2)) / (2 * alpha * c0)
             assert rep.phi_star[k] == pytest.approx(closed, abs=1e-10)
 
+    def test_conjugate_matches_grid_supremum_for_saturating_gamma(self, rng):
+        # phi_star = sum m * sup_s (v*s - c0*potential(s)), the supremum
+        # taken over a grid that contains every u
+        mesh = fem.build_mesh_1d(1.0, 8, "right")
+        gamma, c0 = gr.SaturatingBiLipschitz(1.0, 1.0), 1.5
+        spec = ProblemSpec(mesh=mesh, c0=c0, gamma=gamma, beta=gr.Linear(1.0),
+                           g=rng.normal(size=9), h=None, u0=2.0 * rng.normal(size=9), T=0.2)
+        ops = fem.assemble(mesh)
+        state = solve_transient(spec, SolverConfig(tau=0.05, lambda_schedule=(0.0,)), ops=ops)
+        rep = ver.energy_monitors(state, spec, ops)
+        grid = np.linspace(-8.0, 8.0, 320001)
+        assert np.abs(state.u).max() < 8.0
+        pot = c0 * gamma.potential(grid)
+        for k in range(state.n_steps + 1):
+            sup = np.max(np.outer(state.v[k], grid) - pot, axis=1)
+            assert rep.phi_star[k] == pytest.approx(float(ops.mass @ sup), abs=1e-7)
+
 
 class TestAprioriBounds:
     def test_zero_data_trivial(self):
@@ -278,38 +295,39 @@ class TestConvergenceOrder:
         cfg = SolverConfig(tau=0.1, lambda_schedule=(0.0,))
         space = ver.convergence_order(
             self.make_template, ver.ManufacturedSolution("(1 + t/2)*cos(pi*x/2)", 1),
-            [16, 32, 64], [8, 16, 32], fine_space=64, fine_time=32, config=cfg)
-        assert 1.9 <= space["order_space"] <= 2.1
+            "space", [16, 32, 64], fine=32, config=cfg)
+        assert 1.9 <= space["order"] <= 2.1
         time = ver.convergence_order(
             self.make_template, ver.ManufacturedSolution("exp(-t)*cos(pi*x/2)", 1),
-            [16, 32, 64], [8, 16, 32], fine_space=128, fine_time=256, config=cfg)
-        assert 0.9 <= time["order_time"] <= 1.1
+            "time", [8, 16, 32], fine=128, config=cfg)
+        assert 0.9 <= time["order"] <= 1.1
 
     def test_saturation_on_representable_solution(self):
         cfg = SolverConfig(tau=0.1, lambda_schedule=(0.0,))
-        res = ver.convergence_order(
-            self.make_template, ver.ManufacturedSolution("1.0 + 0*x + 0*t", 1),
-            [8, 16, 32], [4, 8, 16], fine_space=32, fine_time=16, config=cfg)
-        assert res["saturated"]
-        assert res["order_space"] == math.inf
+        for axis, levels, fine in (("space", [8, 16, 32], 16), ("time", [4, 8, 16], 32)):
+            res = ver.convergence_order(
+                self.make_template, ver.ManufacturedSolution("1.0 + 0*x + 0*t", 1),
+                axis, levels, fine=fine, config=cfg)
+            assert res["order"] == math.inf
+            assert all(e < 1e-12 for _, e in res["errors"])
 
     def test_initial_smoothing_reaches_every_solve(self):
         exact = ver.ManufacturedSolution("(1 + t/2)*cos(pi*x/2)", 1)
-        plain, smoothed = (
-            ver.convergence_order(
-                self.make_template, exact, [4, 8, 16], [2, 4, 8], fine_space=16,
-                fine_time=8, config=SolverConfig(tau=0.1, lambda_schedule=(0.0,),
-                                                 smooth_u0_lambda=lam))
-            for lam in (0.0, 0.05))
-        for key in ("errors_space", "errors_time"):
-            assert all(p[1] != s[1] for p, s in zip(plain[key], smoothed[key]))
+        for axis, levels, fine in (("space", [4, 8, 16], 8), ("time", [2, 4, 8], 16)):
+            plain, smoothed = (
+                ver.convergence_order(
+                    self.make_template, exact, axis, levels, fine=fine,
+                    config=SolverConfig(tau=0.1, lambda_schedule=(0.0,),
+                                        smooth_u0_lambda=lam))
+                for lam in (0.0, 0.05))
+            assert all(p[1] != s[1] for p, s in zip(plain["errors"], smoothed["errors"]))
 
     def test_needs_three_levels(self):
         cfg = SolverConfig(tau=0.1, lambda_schedule=(0.0,))
         with pytest.raises(InsufficientLevels):
             ver.convergence_order(self.make_template,
                                   ver.ManufacturedSolution("t + 0*x", 1),
-                                  [8, 16], [4, 8, 16], 32, 16, cfg)
+                                  "space", [8, 16], 16, cfg)
 
 
 def linear_pair(alpha=2.0, beta_slope=1.0, delta=0.0, g_shift=0.0, n=8, T=0.5):
@@ -464,7 +482,7 @@ class TestWholeHistoryForms:
             ref["l2_u"].append(math.sqrt(u @ (m * u)))
             ref["grad_sq"].append(u @ k_mat @ u)
             ref["h1_sq_u"].append(u @ (m * u) + u @ k_mat @ u)
-            ref["phi_star"].append(m @ gr.conjugate_potential(eff_gamma, v))
+            ref["phi_star"].append(m @ (v * u - eff_gamma.potential(u)))
             ref["bhat_l1"].append(m @ gr.regularized_potential(spec.beta, 0.125, u))
             ref["boundary_work"].append(xi @ (bm[g1] * u[g1]))
             ref["boundary_flux_sq"].append(xi @ (bm[g1] * xi))
