@@ -4,7 +4,8 @@ Commands: ``graph-check``, ``solve``, ``continuation``, ``convergence``
 and ``dependence``.  Diagnostics go to standard error; data goes to files
 in the output directory (``solution.csv``, ``boundary.csv``,
 ``estimates.csv``, ``summary.txt``).  ``solution.csv`` and
-``boundary.csv`` are written one time level at a time; the ``summary.txt``
+``boundary.csv`` are written one time level at a time, and every
+node-indexed file ``_BLOCK_ROWS`` rows per write; the ``summary.txt``
 of ``solve`` and ``continuation`` reports the solver's largest iteration
 count, residual and fixed-point/Newton gap over every march, and the
 bound chain of ``verification.verify_solution`` on the final march (or,
@@ -19,8 +20,10 @@ config file, output directory or output file that cannot be used (one
 Identical configuration and build produce byte-identical outputs; floats
 are written with 17 significant digits so files round-trip exactly.
 With ``--dump-mesh``, ``solve`` and ``continuation`` also write
-``mesh_nodes.csv`` and ``mesh_elements.csv``; the other commands write no
-node-indexed files and ignore the flag.
+``mesh_nodes.csv`` (node id, coordinates, boundary label) and
+``mesh_elements.csv`` (element id, vertex ids) through the same block
+writer; the other commands write no node-indexed files and ignore the
+flag.
 
 ``main`` is the process entry point (the ``monoheat`` console script and
 ``python -m monoheat.cli``) and freezes the import-time heap on entry, so
@@ -42,7 +45,7 @@ from . import graphs as gr
 from . import verification as ver
 from .config import COMMANDS, RunConfig, parse_config
 from .errors import ConfigError, MonoheatError, SolverError, ViolationError
-from .fem import assemble, build_mesh_1d, build_mesh_rect, dump_mesh
+from .fem import assemble, build_mesh_1d, build_mesh_rect
 from .stepper import lambda_continuation, solve_transient
 
 
@@ -69,27 +72,56 @@ def _write_summary(path: Path, items):
             fh.write(f"{key} = {_fmt(value)}\n")
 
 
+# rows per formatted block of a node-indexed CSV file: the writers below
+# hold one block of Python numbers and row strings at a time, so their
+# memory stays near 0.1 MiB at any mesh size; chosen by the peak RSS of the
+# newton-large benchmark workload (it moves with the allocator's arena
+# layout, not monotonically with the block size)
+_BLOCK_ROWS = 512
+_LABEL_NAMES = np.array(["interior", "gamma0", "gamma1"])  # indexed by fem label
+
+
+def _write_rows(fh, row: str, columns) -> None:
+    """Write ``row % (columns[0][i], columns[1][i], ...)`` for every ``i``,
+    formatting ``_BLOCK_ROWS`` rows per ``write``."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
+        fh.write("".join(map(row.__mod__, zip(*block))))
+
+
 def _write_state_files(out: Path, state, mesh, with_mesh: bool):
     _write_levels(out / "solution.csv", ("k", "t", "node_id", "u", "v"),
                   state.times, np.arange(mesh.n_nodes), (state.u, state.v))
     _write_levels(out / "boundary.csv", ("k", "t", "node_id", "xi"),
                   state.times, mesh.gamma1_nodes, (state.xi,))
     if with_mesh:
-        dump_mesh(mesh, out / "mesh_nodes.csv", out / "mesh_elements.csv")
+        _dump_mesh(mesh, out / "mesh_nodes.csv", out / "mesh_elements.csv")
 
 
 def _write_levels(path: Path, header, times, node_ids, fields):
     """Rows ``k, t, node_id, fields[0][k, i], ...`` for every level ``k`` and
     node ``node_ids[i]``, in ``_fmt``'s number format (the text
-    ``np.savetxt`` writes with ``%d``/``%.17g``).  Each level is formatted
-    as one string, so memory stays bounded by one level's text."""
+    ``np.savetxt`` writes with ``%d``/``%.17g``)."""
     rest = ",%d" + ",%.17g" * len(fields) + "\n"
-    ids = node_ids.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for k, t in enumerate(times.tolist()):
-            row = "%d,%.17g" % (k, t) + rest
-            fh.write("".join(map(row.__mod__, zip(ids, *(f[k].tolist() for f in fields)))))
+            _write_rows(fh, "%d,%.17g" % (k, t) + rest, (node_ids, *(f[k] for f in fields)))
+
+
+def _dump_mesh(mesh, node_path: Path, element_path: Path) -> None:
+    """Write the node list (coordinates and boundary label) and the element
+    list (vertex ids) of ``mesh`` as CSV."""
+    n, d = mesh.n_nodes, mesh.dim
+    with open(node_path, "w", encoding="utf-8") as fh:
+        fh.write("node_id," + ",".join("xy"[:d]) + ",label\n")
+        _write_rows(fh, "%d" + ",%.17g" * d + ",%s\n",
+                    (np.arange(n), *mesh.nodes.reshape(n, d).T,
+                     _LABEL_NAMES[mesh.boundary_labels]))
+    with open(element_path, "w", encoding="utf-8") as fh:
+        fh.write("element_id," + ",".join(f"v{j}" for j in range(d + 1)) + "\n")
+        _write_rows(fh, "%d" + ",%d" * (d + 1) + "\n",
+                    (np.arange(len(mesh.elements)), *mesh.elements.T))
 
 
 _CONST_COLS = ("C1", "C2", "A1", "A2", "A3", "M1", "M2", "L", "C_tr",

@@ -513,10 +513,20 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
         entries = sections.get("graph_check", {})
         if "lambdas" in entries:
             lambdas, line_no = entries["lambdas"]
-            gc["lambdas"] = _number(lambdas if isinstance(lambdas, list) else [lambdas],
-                                    line_no, listed=True)
+            lams = _number(lambdas if isinstance(lambdas, list) else [lambdas],
+                           line_no, listed=True)
+            if not lams or any(b >= a for a, b in zip(lams, lams[1:])):
+                raise ValidationError(
+                    f"line {line_no}: lambdas must be nonempty and strictly decreasing")
+            if lams[-1] <= 0.0:
+                raise ValidationError(
+                    f"line {line_no}: lambdas must be positive, got {lams[-1]!r}")
+            gc["lambdas"] = lams
         if "samples" in entries:
-            gc["samples"] = np.asarray(_number(*entries["samples"], listed=True))
+            samples, line_no = entries["samples"]
+            gc["samples"] = np.asarray(_number(samples, line_no, listed=True))
+            if not gc["samples"].size:
+                raise ValidationError(f"line {line_no}: samples must be nonempty")
         if "tolerance" in entries:
             gc["tolerance"] = _number(*entries["tolerance"])
         rc.graph_check = gc

@@ -16,6 +16,9 @@ the 1-D boundary mass is the counting measure of the active endpoints.
 Both mesh families have nonnegative stiffness edge weights (intervals
 trivially, rectangles because the triangles are right triangles), a fact
 the energy monitors rely on.
+
+Nothing here writes files: the mesh files of ``--dump-mesh`` come from
+``cli``, which owns every output format.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .errors import (
 INTERIOR = 0
 GAMMA0 = 1
 GAMMA1 = 2
-_LABEL_NAMES = np.array(["interior", "gamma0", "gamma1"])  # indexed by label
 
 _DENSE_EIG_LIMIT = 1400
 # Lanczos basis size for the one extreme eigenvalue in ``trace_constant``:
@@ -261,18 +263,3 @@ def _power_iteration(bm_diag, h1, h1_solve, v0, iters=5000, tol=1e-13):
         z, mu = z_new, mu_new
     return mu
 
-
-def dump_mesh(mesh: Mesh, node_path, element_path) -> None:
-    """Write the node list (with boundary labels) and element list as CSV."""
-    n, d = mesh.n_nodes, mesh.dim
-    table = np.empty((n, d + 2), dtype=object)
-    table[:, 0] = np.arange(n)
-    table[:, 1:-1] = mesh.nodes.reshape(n, d)
-    table[:, -1] = _LABEL_NAMES[mesh.boundary_labels]
-    with open(node_path, "w", encoding="utf-8") as fh:
-        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * d + ["%s"], delimiter=",",
-                   header="node_id," + ",".join("xy"[:d]) + ",label", comments="")
-    with open(element_path, "w", encoding="utf-8") as fh:
-        np.savetxt(fh, np.column_stack([np.arange(len(mesh.elements)), mesh.elements]),
-                   fmt="%d", delimiter=",", comments="",
-                   header="element_id," + ",".join(f"v{j}" for j in range(d + 1)))

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -397,19 +398,25 @@ class TestCli:
         assert header == "graph,property,lambda,x,passed,error"
         assert "all_pass = true" in (out / "summary.txt").read_text()
 
-    def test_graph_check_empty_lists_exit_three(self, tmp_path):
-        for key in ("lambdas", "samples"):
+    def test_graph_check_empty_lists_exit_three(self, tmp_path, capsys):
+        for key, reason in (("lambdas", "must be nonempty and strictly decreasing"),
+                            ("samples", "must be nonempty")):
             cfg = tmp_path / f"{key}.cfg"
-            cfg.write_text(f"[graph_check]\n{key} = []\n")
+            # the key on line 3, so the error must name the key's own line
+            cfg.write_text(f"[graph_check]\ntolerance = 1e-8\n{key} = []\n")
             assert main(["graph-check", "--config", str(cfg),
                          "--out", str(tmp_path / key)]) == 3
+            assert capsys.readouterr().err == f"error: line 3: {key} {reason}\n"
 
     def test_graph_check_zero_lambda_exit_three(self, tmp_path, capsys):
-        # rejected before any Yosida quotient divides by it
-        cfg = tmp_path / "zero.cfg"
-        cfg.write_text("[graph_check]\nlambdas = [1.0, 0.0]\n")
-        assert main(["graph-check", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
-        assert capsys.readouterr().err == "error: lam_list entries must be positive\n"
+        # rejected when the config is read, before any Yosida quotient
+        # divides by it; so is an increasing list
+        for lambdas, reason in (("[1.0, 0.0]", "must be positive, got 0.0"),
+                                ("[0.5, 1.0]", "must be nonempty and strictly decreasing")):
+            cfg = tmp_path / "lambdas.cfg"
+            cfg.write_text(f"[graph_check]\n\nlambdas = {lambdas}\n")
+            assert main(["graph-check", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+            assert capsys.readouterr().err == f"error: line 3: lambdas {reason}\n"
 
     def test_readme_example_checks_bounds(self, tmp_path):
         example = _readme_example()
@@ -587,8 +594,8 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(dumped), "--dump-mesh"]) == 0
         mesh_files = ("mesh_nodes.csv", "mesh_elements.csv")
         assert not any((plain / name).exists() for name in mesh_files)
-        fem.dump_mesh(parse_config(text, command=command).problem.mesh,
-                      tmp_path / mesh_files[0], tmp_path / mesh_files[1])
+        cli._dump_mesh(parse_config(text, command=command).problem.mesh,
+                       tmp_path / mesh_files[0], tmp_path / mesh_files[1])
         for name in mesh_files:
             assert (dumped / name).read_bytes() == (tmp_path / name).read_bytes()
         for path in plain.iterdir():
@@ -744,7 +751,8 @@ def _savetxt_levels(header, times, node_ids, fields):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("n_nodes", [0, 1, 37])
+@pytest.mark.parametrize("n_nodes", [0, 1, 37, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS + 1,
+                                     2 * cli._BLOCK_ROWS + 3])
 def test_level_writer_matches_savetxt(tmp_path, n_nodes):
     # magnitudes from 1e-300 to 1e300 of either sign, signed zeros included
     rng = np.random.default_rng(11)
@@ -759,3 +767,20 @@ def test_level_writer_matches_savetxt(tmp_path, n_nodes):
     text = (tmp_path / "levels.csv").read_text(encoding="utf-8")
     assert text == _savetxt_levels(header, times, node_ids, fields)
     assert len(text.splitlines()) == 1 + times.size * n_nodes
+
+
+def test_level_writer_memory_is_one_block(tmp_path):
+    # the writer holds one block of rows, not one level: 20,000 nodes took
+    # 5.1 MiB when each level was formatted as one string
+    rng = np.random.default_rng(5)
+    times = np.array([0.0, 0.1, 0.2])
+    fields = [rng.normal(size=(times.size, 20_000)) for _ in range(2)]
+    node_ids = np.arange(20_000)
+    tracemalloc.start()
+    try:
+        _write_levels(tmp_path / "levels.csv", ("k", "t", "node_id", "u", "v"),
+                      times, node_ids, fields)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from monoheat import fem, graphs as gr
+from monoheat.cli import _BLOCK_ROWS, _dump_mesh
 from monoheat.errors import DegenerateElement, EmptyBoundary, InvalidArgument
 from monoheat.fem import GAMMA0, GAMMA1
 from monoheat.stepper import ProblemSpec, SolverConfig, _StepSolver, smooth_initial
@@ -175,12 +177,28 @@ class TestTraceConstant:
             assert lhs <= c_sq * rhs * (1.0 + 1e-10)
 
 
+def _savetxt_mesh(mesh):
+    """The two mesh files through ``np.savetxt``: the reference text."""
+    n, d = mesh.n_nodes, mesh.dim
+    table = np.empty((n, d + 2), dtype=object)
+    table[:, 0] = np.arange(n)
+    table[:, 1:-1] = mesh.nodes.reshape(n, d)
+    table[:, -1] = np.array(["interior", "gamma0", "gamma1"])[mesh.boundary_labels]
+    nodes, elems = io.StringIO(), io.StringIO()
+    np.savetxt(nodes, table, fmt=["%d"] + ["%.17g"] * d + ["%s"], delimiter=",",
+               header="node_id," + ",".join("xy"[:d]) + ",label", comments="")
+    np.savetxt(elems, np.column_stack([np.arange(len(mesh.elements)), mesh.elements]),
+               fmt="%d", delimiter=",", comments="",
+               header="element_id," + ",".join(f"v{j}" for j in range(d + 1)))
+    return nodes.getvalue(), elems.getvalue()
+
+
 class TestMeshDump:
     def test_round_trips_labels_and_elements(self, tmp_path):
         mesh = fem.build_mesh_rect(1.0, 1.0, 2, 2, True)
         nodes = tmp_path / "nodes.csv"
         elems = tmp_path / "elems.csv"
-        fem.dump_mesh(mesh, nodes, elems)
+        _dump_mesh(mesh, nodes, elems)
         node_rows = nodes.read_text().strip().splitlines()
         assert node_rows[0] == "node_id,x,y,label"
         assert len(node_rows) == mesh.n_nodes + 1
@@ -191,7 +209,7 @@ class TestMeshDump:
 
     def test_exact_interval_text(self, tmp_path):
         nodes, elems = tmp_path / "nodes.csv", tmp_path / "elems.csv"
-        fem.dump_mesh(fem.build_mesh_1d(0.3, 2, "right"), nodes, elems)
+        _dump_mesh(fem.build_mesh_1d(0.3, 2, "right"), nodes, elems)
         assert nodes.read_text() == ("node_id,x,label\n0,0,gamma0\n"
                                      "1,0.14999999999999999,interior\n"
                                      "2,0.29999999999999999,gamma1\n")
@@ -199,12 +217,22 @@ class TestMeshDump:
 
     def test_exact_rectangle_text(self, tmp_path):
         nodes, elems = tmp_path / "nodes.csv", tmp_path / "elems.csv"
-        fem.dump_mesh(fem.build_mesh_rect(0.3, 1.0, 1, 1, True), nodes, elems)
+        _dump_mesh(fem.build_mesh_rect(0.3, 1.0, 1, 1, True), nodes, elems)
         assert nodes.read_text() == ("node_id,x,y,label\n0,0,0,gamma1\n"
                                      "1,0.29999999999999999,0,gamma1\n"
                                      "2,0,1,gamma1\n"
                                      "3,0.29999999999999999,1,gamma1\n")
         assert elems.read_text() == "element_id,v0,v1,v2\n0,0,1,3\n1,0,3,2\n"
+
+    @pytest.mark.parametrize("mesh", [
+        fem.build_mesh_1d(0.7, 2 * _BLOCK_ROWS + 2, "both"),
+        fem.build_mesh_rect(1.3, 0.9, 37, 29, False),
+    ], ids=["interval", "rectangle"])
+    def test_meshes_past_one_block_match_savetxt(self, tmp_path, mesh):
+        assert max(mesh.n_nodes, len(mesh.elements)) > 2 * _BLOCK_ROWS
+        nodes, elems = tmp_path / "nodes.csv", tmp_path / "elems.csv"
+        _dump_mesh(mesh, nodes, elems)
+        assert (nodes.read_text(), elems.read_text()) == _savetxt_mesh(mesh)
 
 
 class TestLargeMeshTrace:
