@@ -528,7 +528,11 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
             if not gc["samples"].size:
                 raise ValidationError(f"line {line_no}: samples must be nonempty")
         if "tolerance" in entries:
-            gc["tolerance"] = _number(*entries["tolerance"])
+            tolerance, line_no = entries["tolerance"]
+            gc["tolerance"] = _number(tolerance, line_no)  # rejects inf and nan
+            if gc["tolerance"] <= 0.0:
+                raise ValidationError(
+                    f"line {line_no}: tolerance must be positive, got {gc['tolerance']!r}")
         rc.graph_check = gc
 
     if command == "convergence":

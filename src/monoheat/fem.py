@@ -12,6 +12,14 @@ gradients come from the inverse of each simplex's edge matrix, and a facet
 with vertices p_0..p_k has measure sqrt(det(E E^T)) for its edge matrix E.
 A point facet (an interval endpoint) has an empty E and thus measure 1, so
 the 1-D boundary mass is the counting measure of the active endpoints.
+The element matrices are computed one block of elements at a time, so
+assembly never holds those of the whole mesh.
+
+Every sparse factorization goes through ``spd_factor``.  Its inputs are
+sums of diagonals and multiples of the stiffness matrix, all bitwise
+symmetric CSR matrices, which it reads as CSC without a copy; the h1 Gram
+matrix ``M + K`` is built once per operator set and shared by its factor
+and the trace constant.
 
 Both mesh families have nonnegative stiffness edge weights (intervals
 trivially, rectangles because the triangles are right triangles), a fact
@@ -46,6 +54,14 @@ _DENSE_EIG_LIMIT = 1400
 # Lanczos basis size for the one extreme eigenvalue in ``trace_constant``:
 # 9 solves with the h1 factor where ARPACK's default of 20 vectors takes 21
 _ARPACK_NCV = 8
+# SuperLU panel width in columns: its panel workspace grows with n times the
+# width, and on the 96x96 h1 matrix a width of 1 factors faster than the
+# default of 20, with the same fill and 1.2-1.4 MB of resident set in place
+# of 4.0
+_SUPERLU_PANEL = 1
+# elements per block in ``assemble``: the element matrices of one block at a
+# time are alive, never those of the whole mesh
+_ASSEMBLY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -75,14 +91,21 @@ class Mesh:
 def spd_factor(a) -> spla.SuperLU:
     """Sparse LU factor of a symmetric positive definite matrix ``a``.
 
-    Minimum degree on the pattern of ``A + A^T`` orders for the symmetric
-    matrix itself, where SuperLU's default COLAMD orders for ``A^T A``, and
-    the pivots stay on the diagonal: elimination without pivoting is stable
-    for SPD matrices, and a symmetric permutation keeps them SPD.  Every
-    sparse factorization of the package goes through here.
+    ``a`` must be bitwise symmetric (``(a != a.T).nnz == 0``), as every sum
+    of ``stiffness`` and diagonals is: the CSR arrays of such a matrix are
+    its CSC arrays, so SuperLU reads them as they are and no transpose copy
+    is made.  Minimum degree on the pattern of ``A + A^T`` orders for the
+    symmetric matrix itself, where SuperLU's default COLAMD orders for
+    ``A^T A``, and the pivots stay on the diagonal: elimination without
+    pivoting is stable for SPD matrices, and a symmetric permutation keeps
+    them SPD.  The panel of ``_SUPERLU_PANEL`` columns keeps the
+    factorization's workspace small.  Every sparse factorization of the
+    package goes through here.
     """
-    return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options=dict(SymmetricMode=True))
+    a = a.tocsr()
+    return spla.splu(sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape),
+                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     panel_size=_SUPERLU_PANEL, options=dict(SymmetricMode=True))
 
 
 @dataclass
@@ -101,11 +124,17 @@ class AssembledOperators:
         return self.mass.shape[0]
 
     @cached_property
+    def h1_matrix(self) -> sp.csr_matrix:
+        """``M + K``, the Gram matrix of the discrete h1 norm, built on
+        first use."""
+        return sp.diags(self.mass) + self.stiffness
+
+    @cached_property
     def h1_factor(self) -> spla.SuperLU:
-        """Sparse LU factor of ``M + K``, the Gram matrix of the discrete h1
-        norm, computed on first use.  ``trace_constant`` and the dual norms
-        of the energy monitors share it."""
-        return spd_factor(sp.diags(self.mass) + self.stiffness)
+        """Sparse LU factor of ``h1_matrix``, computed on first use.
+        ``trace_constant`` and the dual norms of the energy monitors share
+        it."""
+        return spd_factor(self.h1_matrix)
 
 
 _GAMMA1_SIDES = ("left", "right", "both", "none")
@@ -177,24 +206,37 @@ def build_mesh_rect(lx: float, ly: float, nx: int, ny: int,
     return Mesh(2, nodes, elements, labels, facets, sizes)
 
 
-def assemble(mesh: Mesh) -> AssembledOperators:
-    """Assemble lumped mass, P1 stiffness and lumped active-boundary mass."""
-    if np.any(mesh.element_sizes <= 0.0):
-        raise DegenerateElement("element with nonpositive measure")
-    n, d = mesh.n_nodes, mesh.dim
-    pts = mesh.nodes.reshape(n, d)
-    corners = pts[mesh.elements]
+def _element_stiffness(corners: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> None:
+    """P1 element stiffness matrices of simplices with vertices ``corners``
+    (elements, vertices, dim) into ``out`` (elements, vertices, vertices)."""
     edges = corners[:, 1:] - corners[:, :1]
     if np.any(np.abs(np.linalg.det(edges)) < 1e-300):
         raise DegenerateElement("element with zero measure")
     # row i of inv(E)^T is the gradient of barycentric coordinate i+1
     grads = np.linalg.inv(edges).transpose(0, 2, 1)
     grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
-    local = mesh.element_sizes[:, None, None] * grads @ grads.transpose(0, 2, 1)
-    rows = np.repeat(mesh.elements, d + 1, axis=1)
-    cols = np.tile(mesh.elements, d + 1)
-    stiffness = sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
-    stiffness.sum_duplicates()
+    np.matmul(sizes[:, None, None] * grads, grads.transpose(0, 2, 1), out=out)
+
+
+def assemble(mesh: Mesh) -> AssembledOperators:
+    """Assemble lumped mass, P1 stiffness and lumped active-boundary mass."""
+    if np.any(mesh.element_sizes <= 0.0):
+        raise DegenerateElement("element with nonpositive measure")
+    n, d = mesh.n_nodes, mesh.dim
+    pts = mesh.nodes.reshape(n, d)
+    m = mesh.elements.shape[0]
+    # COO entry (a, b) of element e sits at [e, a, b], in the order of one
+    # whole-mesh batch, so the summed matrix does not depend on the blocking
+    data = np.empty((m, d + 1, d + 1))
+    rows = np.empty((m, d + 1, d + 1), dtype=np.int32)
+    cols = np.empty_like(rows)
+    for start in range(0, m, _ASSEMBLY_BLOCK):
+        block = slice(start, start + _ASSEMBLY_BLOCK)
+        elements = mesh.elements[block]
+        _element_stiffness(pts[elements], mesh.element_sizes[block], out=data[block])
+        rows[block] = elements[:, :, None]
+        cols[block] = elements[:, None, :]
+    stiffness = sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
     mass = np.bincount(mesh.elements.ravel(), minlength=n,
                        weights=np.repeat(mesh.element_sizes / (d + 1), d + 1))
 
@@ -227,7 +269,7 @@ def trace_constant(ops: AssembledOperators) -> float:
     if not np.any(ops.boundary_mass > 0.0):
         raise EmptyBoundary("active boundary has no nodes")
     n = ops.n_nodes
-    h1 = sp.diags(ops.mass) + ops.stiffness
+    h1 = ops.h1_matrix
     if n <= _DENSE_EIG_LIMIT:
         w = scipy.linalg.eigh(
             np.diag(ops.boundary_mass), h1.toarray(), eigvals_only=True)
@@ -237,7 +279,7 @@ def trace_constant(ops: AssembledOperators) -> float:
         h1_solve = ops.h1_factor.solve
         v0 = np.ones(n)
         try:
-            w = spla.eigsh(bm, k=1, M=h1.tocsc(),
+            w = spla.eigsh(bm, k=1, M=h1,
                            Minv=spla.LinearOperator((n, n), matvec=h1_solve, dtype=float),
                            which="LA", v0=v0, ncv=_ARPACK_NCV,
                            return_eigenvectors=False)

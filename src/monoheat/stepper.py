@@ -39,7 +39,14 @@ Both matrices factorized here (``P`` and the smoothing matrix
 ``M + lam*K``) are SPD, so both go through ``fem.spd_factor``: minimum
 degree ordering on ``A + A^T`` with pivots kept on the diagonal, which on
 a 96x96 mesh has about 40% less fill than SuperLU's default ordering and
-partial pivoting.
+partial pivoting.  Both are sums of ``tau*K`` or ``lam*K`` and a
+diagonal, so they stay bitwise symmetric CSR matrices, which
+``spd_factor`` reads without a transpose copy.
+
+At ``lam = 0`` the boundary term is ``beta``'s minimal section, which
+selects no root of the step equation where a multi-valued ``beta`` jumps,
+so a march at ``lam = 0`` needs a single-valued ``beta`` and is refused
+before its first step otherwise.
 """
 
 from __future__ import annotations
@@ -239,7 +246,7 @@ class _StepSolver:
         # Mb is supported on the Gamma1 nodes, so beta_reg is needed only there
         self.g1 = spec.mesh.gamma1_nodes
         self.tau_bmass_g1 = self.tau * self.bmass[self.g1]
-        self.k_tau = (config.tau * ops.stiffness).tocsr()
+        self.k_tau = config.tau * ops.stiffness
         self.tau_lam_mass = self.tau * self.lam * self.mass
 
         consts = spec.gamma.constants()
@@ -256,7 +263,7 @@ class _StepSolver:
         # P u - r(u) = b - M c0 (gamma(u) - split_slope u)
         #              - tau Mb (beta_reg(u) - slope_beta u)
         self._picard_diag = diag
-        self._picard_matrix = (sp.diags(diag) + self.k_tau).tocsc()
+        self._picard_matrix = sp.diags(diag) + self.k_tau
 
     @cached_property
     def _picard_solve(self):
@@ -441,6 +448,15 @@ class _StepSolver:
         return u_n, max(it_p, it_n), res_n, gap
 
 
+def _check_limit_problem(spec: ProblemSpec, lam: float) -> None:
+    """Raise ``ValidationError`` for a march at ``lam = 0`` with a
+    multi-valued ``beta``, which the step solvers cannot solve."""
+    if lam == 0.0 and not spec.beta.single_valued:
+        raise ValidationError(
+            f"beta = {spec.beta.label} is multi-valued, and lambda = 0 has no solver "
+            "for it: use a positive lambda, or continuation down to a small positive one")
+
+
 def solve_transient(spec: ProblemSpec, config: SolverConfig,
                     ops: Optional[AssembledOperators] = None,
                     lam: Optional[float] = None) -> SolutionState:
@@ -450,10 +466,11 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
     stores u, v = c0*gamma(u) and the boundary selection at every level;
     the selection is evaluated once after the march and stored on the
     active boundary nodes only, one column per ``mesh.gamma1_nodes``
-    entry.
+    entry.  ``lam = 0`` needs a single-valued ``beta``.
     """
-    ops = ops if ops is not None else assemble(spec.mesh)
     lam = config.lambda_schedule[-1] if lam is None else float(lam)
+    _check_limit_problem(spec, lam)
+    ops = ops if ops is not None else assemble(spec.mesh)
     try:
         # a subnormal tau makes T/tau infinite, which no step count rounds to
         n_steps = config.n_steps(spec.T)
@@ -508,10 +525,13 @@ def lambda_continuation(spec: ProblemSpec, config: SolverConfig,
 
     Returns a list of ``(lam, state, cauchy_diff)`` where ``cauchy_diff``
     is the space-time distance to the previous (larger-lam) solution and
-    ``None`` for the first entry.
+    ``None`` for the first entry.  The whole schedule is checked before
+    the first level marches.
     """
     if len(config.lambda_schedule) < 2:
         raise ValidationError("continuation needs at least two lambda values")
+    for lam in config.lambda_schedule:
+        _check_limit_problem(spec, lam)
     ops = ops if ops is not None else assemble(spec.mesh)
     out = []
     prev = None

@@ -88,6 +88,24 @@ tau = 0.1
 lambda_schedule = [0.0]
 """
 
+# the limit problem lambda = 0 with a multi-valued boundary graph: at u = 0
+# the minimal section of sign is 0, so the step equation has no root there
+LIMIT_PROBE = """
+[problem]
+domain = rect(1.0, 1.0, 16, 16, lateral)
+c0 = 1.0
+gamma = saturating(1.0, 1.0)
+beta = sign
+g = constant(0.0)
+h = constant(0.3)
+u0 = constant(0.0)
+T = 0.25
+
+[solver]
+tau = 0.025
+lambda_schedule = [0.0]
+"""
+
 
 class TestGrammar:
     def test_graph_constructors(self):
@@ -417,6 +435,38 @@ class TestCli:
             cfg.write_text(f"[graph_check]\n\nlambdas = {lambdas}\n")
             assert main(["graph-check", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
             assert capsys.readouterr().err == f"error: line 3: lambdas {reason}\n"
+
+    def test_graph_check_nonpositive_tolerance_exit_three(self, tmp_path, capsys):
+        for tolerance in ("-1.0", "0.0"):
+            cfg = tmp_path / "tolerance.cfg"
+            cfg.write_text(f"[graph_check]\nsamples = [0.0, 1.0]\ntolerance = {tolerance}\n")
+            assert main(["graph-check", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+            assert capsys.readouterr().err == (
+                f"error: line 3: tolerance must be positive, got {float(tolerance)!r}\n")
+
+    @pytest.mark.parametrize("command, schedule", [
+        ("solve", "[0.0]"), ("continuation", "[0.5, 0.125, 0.0]")],
+        ids=["solve", "continuation"])
+    def test_zero_lambda_multivalued_beta_exit_three(self, tmp_path, capsys, command,
+                                                     schedule):
+        cfg = tmp_path / "limit.cfg"
+        cfg.write_text(LIMIT_PROBE.replace("lambda_schedule = [0.0]",
+                                           f"lambda_schedule = {schedule}"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: beta = sign is multi-valued")
+        assert "positive lambda" in err and "continuation" in err
+        assert list(out.iterdir()) == []
+
+    def test_small_lambda_multivalued_beta_exit_zero(self, tmp_path):
+        cfg = tmp_path / "yosida.cfg"
+        cfg.write_text(LIMIT_PROBE.replace("lambda_schedule = [0.0]",
+                                           "lambda_schedule = [0.001953125]"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "bounds.all_pass = true" in (out / "summary.txt").read_text().splitlines()
 
     def test_readme_example_checks_bounds(self, tmp_path):
         example = _readme_example()

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from monoheat import fem, graphs as gr
-from monoheat.cli import _BLOCK_ROWS, _dump_mesh
+from monoheat.cli import _BLOCK_ROWS, _dump_mesh, main
 from monoheat.errors import DegenerateElement, EmptyBoundary, InvalidArgument
 from monoheat.fem import GAMMA0, GAMMA1
 from monoheat.stepper import ProblemSpec, SolverConfig, _StepSolver, smooth_initial
@@ -305,3 +306,107 @@ class TestSpdFactor:
         spd = fem.spd_factor(picard)
         default = spla.splu(picard.tocsc())
         assert spd.L.nnz + spd.U.nnz < default.L.nnz + default.U.nnz
+
+    def test_served_matrices_are_bitwise_symmetric(self):
+        # spd_factor reads a CSR matrix's arrays as its CSC arrays, which is
+        # exact only for a matrix equal to its transpose bit for bit
+        for mesh in (fem.build_mesh_1d(2.0, 300, "both"),
+                     fem.build_mesh_rect(1.0, 0.5, 24, 12, True)):
+            ops = fem.assemble(mesh)
+            spec = ProblemSpec(mesh=mesh, c0=1.3, gamma=gr.SaturatingBiLipschitz(2.0, 0.7),
+                               beta=gr.Linear(3.0), g=0.0, h=0.0, u0=0.0, T=0.1)
+            solver = _StepSolver(spec, ops, SolverConfig(tau=0.05, lambda_schedule=(0.25,)),
+                                 0.25, 0.0)
+            for matrix in (ops.stiffness, solver._picard_matrix, ops.h1_matrix,
+                           sp.diags(ops.mass) + 0.5 * ops.stiffness):
+                assert matrix.format == "csr"
+                assert (matrix != matrix.T).nnz == 0
+
+    def test_every_factorization_passes_the_panel_width(self, tmp_path, monkeypatch):
+        calls = []
+        splu = spla.splu
+
+        def spy(a, **kwargs):
+            calls.append(kwargs)
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spy)
+        cfg = tmp_path / "smooth.cfg"
+        # the smoothing matrix, the Picard matrix and the h1 Gram matrix
+        cfg.write_text("[problem]\ndomain = rect(1.0, 1.0, 6, 6, lateral)\n"
+                       "gamma = saturating(1.0, 1.0)\nbeta = linear(1.0)\n"
+                       'u0 = expr("cos(pi*x)")\nT = 0.2\n\n'
+                       "[solver]\ntau = 0.1\nlambda_schedule = [0.0]\n"
+                       "smooth_u0_lambda = 0.01\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 3
+        assert all(kw["panel_size"] == fem._SUPERLU_PANEL for kw in calls)
+
+
+def _one_shot_stiffness(mesh):
+    """The stiffness matrix from one batch of all element matrices, with
+    int64 indices: the reference for the blockwise assembly."""
+    n, d = mesh.n_nodes, mesh.dim
+    corners = mesh.nodes.reshape(n, d)[mesh.elements]
+    grads = np.linalg.inv(corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1)
+    grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
+    local = mesh.element_sizes[:, None, None] * grads @ grads.transpose(0, 2, 1)
+    rows = np.repeat(mesh.elements, d + 1, axis=1)
+    cols = np.tile(mesh.elements, d + 1)
+    k = sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+    k.sum_duplicates()
+    return k
+
+
+def _jittered(mesh, count, rng):
+    """The first ``count`` elements of ``mesh`` with randomly moved nodes,
+    so that no two element matrices are equal."""
+    h = 0.2 / math.sqrt(mesh.elements.shape[0])
+    nodes = mesh.nodes + rng.uniform(-h, h, size=mesh.nodes.shape)
+    elements = mesh.elements[:count]
+    corners = nodes.reshape(mesh.n_nodes, mesh.dim)[elements]
+    sizes = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1])) / math.factorial(mesh.dim)
+    return fem.Mesh(mesh.dim, nodes, elements, mesh.boundary_labels,
+                    mesh.boundary_facets, sizes)
+
+
+class TestBlockwiseAssembly:
+    @pytest.mark.parametrize("extra", [-1, 1, fem._ASSEMBLY_BLOCK + 3],
+                             ids=["block-1", "block+1", "2blocks+3"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_one_shot_bitwise(self, dim, extra, rng):
+        count = fem._ASSEMBLY_BLOCK + extra
+        side = math.isqrt(count) + 1
+        base = (fem.build_mesh_1d(1.0, count, "both") if dim == 1
+                else fem.build_mesh_rect(1.0, 1.0, side, side, True))
+        mesh = _jittered(base, count, rng)
+        k, ref = fem.assemble(mesh).stiffness, _one_shot_stiffness(mesh)
+        assert k.indptr.tobytes() == ref.indptr.tobytes()
+        assert k.indices.tobytes() == ref.indices.tobytes()
+        assert k.data.tobytes() == ref.data.tobytes()
+
+    def test_assembly_peak_memory(self):
+        # one batch of all element matrices peaked at 10.0 MiB; blocks leave
+        # the COO arrays and their conversion to CSR
+        mesh = fem.build_mesh_rect(1.0, 1.0, 96, 96, True)
+        tracemalloc.start()
+        try:
+            fem.assemble(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
+
+    def test_trace_constant_peak_memory(self):
+        # with the h1 factor built, ARPACK's basis and the shared Gram matrix
+        # are all it needs; rebuilding M + K and a CSC copy peaked at 3.0 MiB
+        ops = fem.assemble(fem.build_mesh_rect(1.0, 1.0, 96, 96, True))
+        assert ops.n_nodes > fem._DENSE_EIG_LIMIT
+        ops.h1_factor
+        tracemalloc.start()
+        try:
+            fem.trace_constant(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

@@ -304,6 +304,20 @@ class TestTransient:
 
 
 class TestLambdaContinuation:
+    def test_zero_lambda_multivalued_beta_rejected_before_marching(self, monkeypatch):
+        mesh = fem.build_mesh_1d(1.0, 8, "right")
+        spec = ProblemSpec(mesh=mesh, c0=1.0, gamma=gr.SaturatingBiLipschitz(1.0, 1.0),
+                           beta=gr.Sign(), g=None, h=0.3, u0=0.0, T=0.2)
+        cfg = SolverConfig(tau=0.1, lambda_schedule=(0.5, 0.125, 0.0))
+
+        def no_step(*args):
+            raise AssertionError("a level marched")
+
+        monkeypatch.setattr(_StepSolver, "advance", no_step)
+        for run in (lambda_continuation, solve_transient):
+            with pytest.raises(ValidationError, match="^beta = sign is multi-valued"):
+                run(spec, cfg)
+
     def test_zero_steady_state_gives_zero_increments(self):
         mesh = fem.build_mesh_1d(1.0, 8, "right")
         spec = ProblemSpec(mesh=mesh, c0=1.0, gamma=gr.SaturatingBiLipschitz(1.0, 1.0),
