@@ -15,9 +15,7 @@ from .graphs import (
     audit_constants,
     builtin_graphs,
     graph_property_suite,
-    minimal_section,
     moreau_envelope,
-    potential,
     resolvent,
     yosida,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "CompositeSum",
     "resolvent",
     "yosida",
-    "minimal_section",
-    "potential",
     "moreau_envelope",
     "graph_property_suite",
     "audit_constants",

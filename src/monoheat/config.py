@@ -23,7 +23,7 @@ import numpy as np
 
 from . import graphs as gr
 from .errors import ParseError, ValidationError
-from .fem import Mesh, build_mesh_1d, build_mesh_rect
+from .fem import GAMMA1_SIDES, Mesh, build_mesh_1d, build_mesh_rect
 from .stepper import ProblemSpec, SolverConfig, check_volume_graph
 
 COMMANDS = ("graph-check", "solve", "continuation", "convergence", "dependence")
@@ -543,17 +543,35 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
                 raise ValidationError(f"[convergence] missing key {key!r}")
             return entries[key]
 
+        def positive(key, kind=float, default=None):
+            if default is not None and key not in entries:
+                return default
+            value, line_no = need(key)
+            out = _number(value, line_no, kind)
+            if not out > 0:
+                raise ValidationError(f"line {line_no}: {key} must be positive, got {out!r}")
+            return out
+
         def levels(key):
             value, line_no = need(key)
             out = _number(value, line_no, int, listed=True)
             if len(out) < 3:
                 raise ValidationError(
                     f"line {line_no}: {key} needs at least three refinement levels")
+            if min(out) <= 0 or len(set(out)) < len(out):
+                raise ValidationError(
+                    f"line {line_no}: {key} must be positive and pairwise distinct, got {out!r}")
             return out
 
-        dim = _number(*need("dim"), int)
+        gamma1, line_no = entries.get("gamma1", ("right", 0))
+        if gamma1 not in GAMMA1_SIDES:
+            raise ValidationError(f"line {line_no}: gamma1 must be one of "
+                                  f"{', '.join(GAMMA1_SIDES)}, got {gamma1!r}")
+
+        value, line_no = need("dim")
+        dim = _number(value, line_no, int)
         if dim not in (1, 2):
-            raise ValidationError("[convergence] dim must be 1 or 2")
+            raise ValidationError(f"line {line_no}: dim must be 1 or 2, got {dim!r}")
         gamma = _volume_graph(*need("gamma"))
         beta = _build_graph(*need("beta"), gamma=gamma)
 
@@ -564,18 +582,18 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
 
         rc.convergence = {
             "dim": dim,
-            "length": _number(*entries.get("length", (1.0, 0))),
-            "gamma1": str(entries.get("gamma1", ("right", 0))[0]),
-            "c0": _number(*entries.get("c0", (1.0, 0))),
+            "length": positive("length", default=1.0),
+            "gamma1": gamma1,
+            "c0": positive("c0", default=1.0),
             "gamma": gamma,
             "beta": beta,
-            "T": _number(*need("T")),
+            "T": positive("T"),
             "exact_space": exact("exact_space"),
             "exact_time": exact("exact_time"),
             "space_levels": levels("space_levels"),
             "time_levels": levels("time_levels"),
-            "fine_space": _number(*need("fine_space"), int),
-            "fine_time": _number(*need("fine_time"), int),
+            "fine_space": positive("fine_space", int),
+            "fine_time": positive("fine_time", int),
         }
 
     return rc

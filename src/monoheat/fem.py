@@ -19,7 +19,8 @@ Every sparse factorization goes through ``spd_factor``.  Its inputs are
 sums of diagonals and multiples of the stiffness matrix, all bitwise
 symmetric CSR matrices, which it reads as CSC without a copy; the h1 Gram
 matrix ``M + K`` is built once per operator set and shared by its factor
-and the trace constant.
+and the trace constant, which Lanczos iteration (ARPACK) finds with that
+factor at every mesh size.
 
 Both mesh families have nonnegative stiffness edge weights (intervals
 trivially, rectangles because the triangles are right triangles), a fact
@@ -36,7 +37,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -50,7 +50,6 @@ INTERIOR = 0
 GAMMA0 = 1
 GAMMA1 = 2
 
-_DENSE_EIG_LIMIT = 1400
 # Lanczos basis size for the one extreme eigenvalue in ``trace_constant``:
 # 9 solves with the h1 factor where ARPACK's default of 20 vectors takes 21
 _ARPACK_NCV = 8
@@ -137,7 +136,7 @@ class AssembledOperators:
         return spd_factor(self.h1_matrix)
 
 
-_GAMMA1_SIDES = ("left", "right", "both", "none")
+GAMMA1_SIDES = ("left", "right", "both", "none")
 
 
 def build_mesh_1d(length: float, n_elems: int, gamma1_side: str = "right") -> Mesh:
@@ -149,8 +148,8 @@ def build_mesh_1d(length: float, n_elems: int, gamma1_side: str = "right") -> Me
         raise InvalidArgument("interval length must be positive")
     if n_elems < 1:
         raise InvalidArgument("need at least one element")
-    if gamma1_side not in _GAMMA1_SIDES:
-        raise InvalidArgument(f"gamma1_side must be one of {_GAMMA1_SIDES}")
+    if gamma1_side not in GAMMA1_SIDES:
+        raise InvalidArgument(f"gamma1_side must be one of {GAMMA1_SIDES}")
     n = n_elems + 1
     nodes = np.linspace(0.0, length, n)
     elements = np.column_stack([np.arange(n - 1), np.arange(1, n)])
@@ -259,10 +258,11 @@ def trace_constant(ops: AssembledOperators) -> float:
     """Sharp discrete constant C with ||z||_boundary <= C ||z||_h1.
 
     Square root of the largest generalized eigenvalue of the pair
-    (boundary mass, mass + stiffness).  Cached on the operator set.  Past
-    ``_DENSE_EIG_LIMIT`` nodes ARPACK solves it in generalized mode with
-    the shared factor ``ops.h1_factor`` as ``M^-1``, falling back to a
-    power iteration with the same factor.
+    (boundary mass, mass + stiffness).  Cached on the operator set.  ARPACK
+    solves it in generalized mode at every mesh size, with the shared
+    factor ``ops.h1_factor`` as ``M^-1`` and at most ``_ARPACK_NCV``
+    Lanczos vectors, falling back to a power iteration with the same
+    factor.
     """
     if ops._trace_cache is not None:
         return ops._trace_cache
@@ -270,22 +270,17 @@ def trace_constant(ops: AssembledOperators) -> float:
         raise EmptyBoundary("active boundary has no nodes")
     n = ops.n_nodes
     h1 = ops.h1_matrix
-    if n <= _DENSE_EIG_LIMIT:
-        w = scipy.linalg.eigh(
-            np.diag(ops.boundary_mass), h1.toarray(), eigvals_only=True)
-        mu = float(w[-1])
-    else:
-        bm = sp.diags(ops.boundary_mass).tocsc()
-        h1_solve = ops.h1_factor.solve
-        v0 = np.ones(n)
-        try:
-            w = spla.eigsh(bm, k=1, M=h1,
-                           Minv=spla.LinearOperator((n, n), matvec=h1_solve, dtype=float),
-                           which="LA", v0=v0, ncv=_ARPACK_NCV,
-                           return_eigenvectors=False)
-            mu = float(w[0])
-        except spla.ArpackError:
-            mu = _power_iteration(ops.boundary_mass, h1, h1_solve, v0)
+    bm = sp.diags(ops.boundary_mass).tocsc()
+    h1_solve = ops.h1_factor.solve
+    v0 = np.ones(n)
+    try:
+        w = spla.eigsh(bm, k=1, M=h1,
+                       Minv=spla.LinearOperator((n, n), matvec=h1_solve, dtype=float),
+                       which="LA", v0=v0, ncv=min(_ARPACK_NCV, n),
+                       return_eigenvectors=False)
+        mu = float(w[0])
+    except spla.ArpackError:
+        mu = _power_iteration(ops.boundary_mass, h1, h1_solve, v0)
     ops._trace_cache = float(np.sqrt(max(mu, 0.0)))
     return ops._trace_cache
 

@@ -8,10 +8,10 @@ directly; it goes through the resolvent
 
 which is single valued and nonexpansive, and the Yosida approximation
 ``A_lam = (I - J_lam)/lam``, a monotone ``1/lam``-Lipschitz function.
-Graphs without a closed-form resolvent share one vectorized route:
-safeguarded Newton inside the bracket [min(0,x), max(0,x)] for
-single-valued graphs, bisection on the section bounds for multi-valued
-ones (``_resolvent_solve``).
+Graphs without a closed-form resolvent share one vectorized route,
+single- and multi-valued alike: safeguarded Newton inside the bracket
+[min(0,x), max(0,x)], which the section bounds shrink
+(``_resolvent_solve``).
 The module also provides convex potentials (``A = d(potential)``),
 Moreau envelopes, the regularized boundary map the stepper uses
 (``regularized_value``: Yosida approximation or minimal section,
@@ -94,7 +94,8 @@ class ScalarGraph:
     # -- pointwise evaluation ------------------------------------------------
 
     def section_bounds(self, x):
-        """Return ``(inf graph(x), sup graph(x))`` elementwise."""
+        """Return ``(inf graph(x), sup graph(x))`` elementwise; a
+        single-valued graph returns its values once, as both bounds."""
         v = self.value(x)
         return v, v
 
@@ -212,20 +213,28 @@ def _adaptive_simpson(f, r, tol=_SIMPSON_TOL):
 def _resolvent_solve(graph, lam, x):
     """Vectorized safeguarded root finder for the resolvent inclusion.
 
-    Monotonicity and 0 in graph(0) bracket the root of
-    ``f(y) = y + lam*graph(y) - x`` in [min(0,x), max(0,x)].  A
-    single-valued graph takes Newton steps on ``f`` from ``y = x``; the
-    sign of ``f`` shrinks the bracket, and a point bisects instead whenever
-    its Newton step is not finite, leaves the bracket or is longer than
-    half its previous step (the ``rtsafe`` rule of Press et al., Numerical
-    Recipes: far from the root of a steep graph, Newton alone shrinks y by
-    a constant factor per step and can exhaust the iteration cap).  A
-    point stops once ``|f| <= _NEWTON_REL_RESIDUAL*max(1,|x|)``
-    or its bracket is narrower than ``_BISECT_REL_WIDTH*max(1,|lo|,|hi|)``,
-    relative to the root rather than to x; never on the step length, which
-    is tiny far from the root where the slope is infinite (``power(p)``
-    with p < 1 at 0).  A multi-valued graph bisects on its section bounds
-    to the same width.
+    Monotonicity and 0 in graph(0) bracket the solution y of
+    ``x in y + lam*graph(y)`` in [min(0,x), max(0,x)].  Every graph takes
+    one loop from ``y = x``; a multi-valued one starts at 0 where 0
+    already solves the inclusion, so that its dead zone gives exactly 0.
+    With ``[lo(y), hi(y)]`` the section bounds, ``f = y + lam*lo(y) - x``
+    and ``f_hi = y + lam*hi(y) - x``; ``f > 0`` moves the bracket's top to
+    y and ``f_hi < 0`` its bottom.  A single-valued graph returns one
+    array as both bounds, so ``f_hi`` is ``f``.  A point takes the Newton
+    step on ``f`` and bisects instead whenever that step is not finite,
+    leaves the bracket or is longer than half its previous step (the
+    ``rtsafe`` rule of Press et al., Numerical Recipes: far from the root
+    of a steep graph, Newton alone shrinks y by a constant factor per step
+    and can exhaust the iteration cap).  An infinite slope at a kink gives
+    a zero step from a bracket end, so that point bisects too.  A point
+    stops once ``f <= t`` and ``f_hi >= -t`` for
+    ``t = _NEWTON_REL_RESIDUAL*max(1,|x|)``, or once its bracket is
+    narrower than ``_BISECT_REL_WIDTH*max(1,|lo|,|hi|)``, relative to the
+    root rather than to x; never on the step length, which is tiny far
+    from the root where the slope is infinite (``power(p)`` with p < 1 at
+    0).  A NaN ``f`` or ``f_hi`` orders nothing and raises
+    ``NonConvergence`` at once; an infinite one (a steep graph that
+    overflows) still orders the bracket.
     """
     x = x.ravel()
     dom_lo, dom_hi = graph.domain
@@ -237,29 +246,35 @@ def _resolvent_solve(graph, lam, x):
         _, fhi_hi = graph.section_bounds(hi)
     if np.any(lo + lam * flo_lo - x > 0.0) or np.any(hi + lam * fhi_hi - x < 0.0):
         raise DomainError(f"resolvent of {graph.label} cannot be bracketed")
-    if not graph.single_valued:
-        return _resolvent_bisect(graph, lam, x, lo, hi)
 
-    res_target = _NEWTON_REL_RESIDUAL * np.maximum(1.0, np.abs(x))
+    target = _NEWTON_REL_RESIDUAL * np.maximum(1.0, np.abs(x))
     out = np.empty_like(x)
     todo = np.arange(x.size)
     y = np.where(x < 0.0, lo, hi)
+    if not graph.single_valued:
+        # the dead zone x in lam*graph(0) of a vertical segment at 0
+        zero_lo, zero_hi = graph.section_bounds(np.zeros(1))
+        y = np.where((lam * zero_lo <= x) & (x <= lam * zero_hi), 0.0, y)
     last_step = hi - lo
     for _ in range(_BISECT_CAP):
         with np.errstate(all="ignore"):
-            f = y + lam * graph.value(y) - x
-            slope = 1.0 + lam * graph.derivative(y)
+            sec_lo, sec_hi = graph.section_bounds(y)
+            f = y + lam * sec_lo - x
+            f_hi = f if sec_hi is sec_lo else y + lam * sec_hi - x
+        if np.isnan(f).any() or np.isnan(f_hi).any():
+            raise NonConvergence(f"resolvent iteration for {graph.label} met a NaN graph value")
         hi = np.where(f > 0.0, y, hi)
-        lo = np.where(f < 0.0, y, lo)
-        done = (np.abs(f) <= res_target) | _bracket_closed(lo, hi)
+        lo = np.where(f_hi < 0.0, y, lo)
+        done = ((f <= target) & (f_hi >= -target)) | _bracket_closed(lo, hi)
         out[todo[done]] = y[done]
         if np.all(done):
             return out
         keep = ~done
-        todo, x, y, f, slope, lo, hi, last_step, res_target = (
-            v[keep] for v in (todo, x, y, f, slope, lo, hi, last_step, res_target))
+        todo, x, y, f, lo, hi, last_step, target = (
+            v[keep] for v in (todo, x, y, f, lo, hi, last_step, target))
         with np.errstate(all="ignore"):
-            step = f / slope
+            # the slope only where the point goes on
+            step = f / (1.0 + lam * graph.derivative(y))
         y_new = y - step
         newton = (lo < y_new) & (y_new < hi) & (np.abs(step) <= 0.5 * last_step)
         y = np.where(newton, y_new, 0.5 * (lo + hi))
@@ -273,33 +288,6 @@ def _bracket_closed(lo, hi):
     endpoint magnitude (at least 1)."""
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     return hi - lo <= _BISECT_REL_WIDTH * scale
-
-
-def _resolvent_bisect(graph, lam, x, lo, hi):
-    """Bisection on the section bounds of a multi-valued graph, from the
-    bracket ``[lo, hi]`` until ``_bracket_closed``; returns the midpoint.
-
-    An infinite section bound (a steep part that overflows) still orders
-    the midpoint; a NaN one would read as an exact hit, so it raises
-    ``NonConvergence``, as a NaN value does on the single-valued path."""
-    for _ in range(_BISECT_CAP):
-        mid = 0.5 * (lo + hi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sec_lo, sec_hi = graph.section_bounds(mid)
-            at_lo = mid + lam * sec_lo
-            at_hi = mid + lam * sec_hi
-        if np.any(np.isnan(at_lo) | np.isnan(at_hi)):
-            raise NonConvergence(
-                f"resolvent bisection for {graph.label} met a section bound that is NaN")
-        too_high = at_lo > x
-        too_low = at_hi < x
-        exact = ~too_high & ~too_low
-        hi = np.where(too_high | exact, mid, hi)
-        lo = np.where(too_low | exact, mid, lo)
-        if np.all(_bracket_closed(lo, hi)):
-            return 0.5 * (lo + hi)
-    raise NonConvergence(
-        f"resolvent bisection for {graph.label} exceeded {_BISECT_CAP} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +510,8 @@ class CompositeSum(ScalarGraph):
         return all(p.single_valued for p in self.parts)
 
     def section_bounds(self, x):
+        if self.single_valued:
+            return super().section_bounds(x)
         lo = hi = 0.0
         for p in self.parts:
             plo, phi = p.section_bounds(x)
@@ -569,6 +559,8 @@ class ScaledGraph(ScalarGraph):
         return self.base.single_valued
 
     def section_bounds(self, x):
+        if self.single_valued:
+            return super().section_bounds(x)
         lo, hi = self.base.section_bounds(x)
         return self.factor * lo, self.factor * hi
 
@@ -639,16 +631,6 @@ def yosida(graph: ScalarGraph, lam: float, x):
         raise InvalidArgument("yosida needs lam > 0")
     x_arr = _asarray(x)
     return _match(x, (x_arr - _asarray(graph.resolvent(lam, x_arr))) / lam)
-
-
-def minimal_section(graph: ScalarGraph, x):
-    """Minimum-norm element of graph(x)."""
-    return _match(x, graph.minimal_section(x))
-
-
-def potential(graph: ScalarGraph, r):
-    """Convex potential of the graph, zero at the origin."""
-    return graph.potential(r)
 
 
 def moreau_envelope(graph: ScalarGraph, lam: float, x):

@@ -69,7 +69,6 @@ class EstimateReport:
     boundary_work_cum: np.ndarray
     boundary_flux_sq: np.ndarray  # squared boundary l2 norm of xi
     forcing_work: np.ndarray     # (g,u) + (h,u)_boundary per level
-    l2_v: np.ndarray
     h1_sq_v: np.ndarray
     dual_rate: np.ndarray        # dual norm of (v_k - v_{k-1})/tau, k >= 1
     step_slack: np.ndarray       # per-step inexactness allowance
@@ -120,7 +119,6 @@ def energy_monitors(solution: SolutionState, spec: ProblemSpec,
     l2_sq = _lumped(u, u, m)
     g_sq = _stiffness_form(ops.stiffness, u)
     grad_sq = np.maximum(g_sq, 0.0)
-    vl2_sq = _lumped(v, v, m)
     # the graph functionals run one level at a time: on the whole history
     # their resolvent and quadrature temporaries raised the peak RSS of a
     # solve by 0.5-0.7 MB (6x6 and 96x96 meshes)
@@ -149,8 +147,7 @@ def energy_monitors(solution: SolutionState, spec: ProblemSpec,
         phi_star=phi_star, bhat_l1=bhat, boundary_work=bwork,
         boundary_work_cum=from_step_one(np.cumsum(tau * bwork[1:])),
         boundary_flux_sq=_lumped(xi, xi, bm[g1]), forcing_work=from_step_one(fwork),
-        l2_v=np.sqrt(np.maximum(vl2_sq, 0.0)),
-        h1_sq_v=np.maximum(vl2_sq + _stiffness_form(ops.stiffness, v), 0.0),
+        h1_sq_v=np.maximum(_lumped(v, v, m) + _stiffness_form(ops.stiffness, v), 0.0),
         dual_rate=from_step_one(dual_rate), step_slack=from_step_one(step_slack))
 
 

@@ -727,6 +727,29 @@ class TestCli:
          "space_levels = [8, 16]", 3, "error: line {line}: space_levels"),
         ("convergence", CONVERGENCE, "time_levels = [8, 16, 32]",
          "time_levels = [8]", 3, "error: line {line}: time_levels"),
+        ("convergence", CONVERGENCE, "time_levels = [8, 16, 32]",
+         "time_levels = [4, 8, 0]", 3,
+         "error: line {line}: time_levels must be positive and pairwise distinct"),
+        ("convergence", CONVERGENCE, "time_levels = [8, 16, 32]",
+         "time_levels = [4, 4, 4]", 3,
+         "error: line {line}: time_levels must be positive and pairwise distinct"),
+        ("convergence", CONVERGENCE, "space_levels = [16, 32, 64]",
+         "space_levels = [16, -32, 64]", 3,
+         "error: line {line}: space_levels must be positive and pairwise distinct"),
+        ("convergence", CONVERGENCE, "fine_time = 64", "fine_time = -3", 3,
+         "error: line {line}: fine_time must be positive"),
+        ("convergence", CONVERGENCE, "fine_space = 128", "fine_space = 0", 3,
+         "error: line {line}: fine_space must be positive"),
+        ("convergence", CONVERGENCE, "length = 1.0", "length = -1.0", 3,
+         "error: line {line}: length must be positive"),
+        ("convergence", CONVERGENCE, "gamma1 = right", "gamma1 = top", 3,
+         "error: line {line}: gamma1 must be one of left, right, both, none"),
+        ("convergence", CONVERGENCE, "c0 = 1.0", "c0 = 0.0", 3,
+         "error: line {line}: c0 must be positive"),
+        ("convergence", CONVERGENCE, "T = 0.5", "T = -0.5", 3,
+         "error: line {line}: T must be positive"),
+        ("convergence", CONVERGENCE, "dim = 1", "dim = 3", 3,
+         "error: line {line}: dim must be 1 or 2"),
         ("convergence", CONVERGENCE, "gamma = linear(2.0)",
          "gamma = composite(linear(2.0), sign)", 3,
          "error: line {line}: gamma must declare bi-Lipschitz constants"),
@@ -741,7 +764,11 @@ class TestCli:
          "error: line {line}: final time must be positive"),
         ("solve", STEADY, "u0 = constant(1.0)", 'u0 = expr("log(x)")', 3,
          "error: line {line}: gamma(u0) is not finite everywhere"),
-    ], ids=["space_levels", "time_levels", "non_bilipschitz_gamma", "unclosed_exact",
+    ], ids=["space_levels", "time_levels", "zero_time_level", "repeated_time_levels",
+            "negative_space_level", "negative_fine_time", "zero_fine_space",
+            "negative_length", "unknown_gamma1", "zero_c0", "convergence_negative_T",
+            "dim_three",
+            "non_bilipschitz_gamma", "unclosed_exact",
             "empty_boundary", "problem_non_bilipschitz_gamma", "negative_c0", "negative_T",
             "infinite_u0"])
     def test_package_error_exit_code(self, tmp_path, capsys, command, base, old, new,

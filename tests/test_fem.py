@@ -238,18 +238,20 @@ class TestMeshDump:
 
 class TestLargeMeshTrace:
     def test_sparse_eigensolver_path(self):
-        # 41x41 nodes exceeds the dense threshold
         ops = fem.assemble(fem.build_mesh_rect(1.0, 1.0, 40, 40, True))
         c_large = fem.trace_constant(ops)
         ops_small = fem.assemble(fem.build_mesh_rect(1.0, 1.0, 30, 30, True))
         c_small = fem.trace_constant(ops_small)
         assert c_large == pytest.approx(c_small, rel=0.05)
 
-    def test_arpack_matches_dense_generalized_eigh(self):
-        # the same pencil (Mb, M + K) that the dense path solves below the
-        # threshold, solved densely here above it
-        ops = fem.assemble(fem.build_mesh_rect(1.0, 1.0, 40, 40, True))
-        assert ops.n_nodes > fem._DENSE_EIG_LIMIT
+    @pytest.mark.parametrize("dim, n, side", [
+        *((1, n, side) for n in (1, 2, 16) for side in ("right", "both")),
+        *((2, n, "lateral") for n in (1, 6, 16, 40))])
+    def test_arpack_matches_dense_generalized_eigh(self, dim, n, side):
+        # the pencil (Mb, M + K) solved densely, down to two nodes, where
+        # ARPACK's basis holds the whole space
+        ops = fem.assemble(fem.build_mesh_1d(1.0, n, side) if dim == 1
+                           else fem.build_mesh_rect(1.0, 1.0, n, n, True))
         h1 = (sp.diags(ops.mass) + ops.stiffness).toarray()
         mu = scipy.linalg.eigh(np.diag(ops.boundary_mass), h1, eigvals_only=True,
                                subset_by_index=[ops.n_nodes - 1, ops.n_nodes - 1])[0]
@@ -400,13 +402,14 @@ class TestBlockwiseAssembly:
     def test_trace_constant_peak_memory(self):
         # with the h1 factor built, ARPACK's basis and the shared Gram matrix
         # are all it needs; rebuilding M + K and a CSC copy peaked at 3.0 MiB
-        ops = fem.assemble(fem.build_mesh_rect(1.0, 1.0, 96, 96, True))
-        assert ops.n_nodes > fem._DENSE_EIG_LIMIT
-        ops.h1_factor
-        tracemalloc.start()
-        try:
-            fem.trace_constant(ops)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        # on 96x96, and a dense eigh of the pencil takes 36 MiB on 32x32
+        for n in (32, 96):
+            ops = fem.assemble(fem.build_mesh_rect(1.0, 1.0, n, n, True))
+            ops.h1_factor
+            tracemalloc.start()
+            try:
+                fem.trace_constant(ops)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, n

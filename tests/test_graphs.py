@@ -127,14 +127,43 @@ class TestSafeguardedNewtonResolvent:
         with pytest.raises(DomainError, match="cannot be bracketed"):
             gr.resolvent(Clipped(), 1.0, 5.0)
 
-    def test_undefined_graph_hits_iteration_cap(self):
-        with pytest.raises(NonConvergence, match="exceeded 200 iterations"):
+    def test_undefined_graph_raises_on_nan(self):
+        # a NaN graph value orders nothing, so the loop stops at once
+        # instead of bisecting to the iteration cap
+        with pytest.raises(NonConvergence, match="NaN"):
             gr.resolvent(_Undefined(), 1.0, 2.0)
 
 
+_MULTI_VALUED_GRAPHS = [
+    gr.CompositeSum([gr.Linear(1.0), gr.Sign()]),
+    gr.CompositeSum([gr.Power(3.0), gr.Sign()]),
+]
+
+
 class TestMultiValuedResolvent:
-    """Bisection on the section bounds, the route of any graph with a
-    vertical segment (``sign`` inside a sum)."""
+    """The same safeguarded loop for a graph with a vertical segment
+    (``sign`` inside a sum): the section bounds shrink the bracket, and
+    Newton at the kink's infinite slope bisects."""
+
+    @pytest.mark.parametrize("graph", _MULTI_VALUED_GRAPHS, ids=lambda g: g.label)
+    def test_monotone_bracketed_inclusion(self, graph):
+        rng = np.random.default_rng(11)
+        x = np.sort(np.concatenate([rng.uniform(-4.0, 4.0, 400), rng.uniform(-60.0, 60.0, 40),
+                                    [-1e-300, 0.0, 1e-300]]))
+        for lam in rng.uniform(0.01, 5.0, 6):
+            y = gr.resolvent(graph, lam, x)
+            assert np.all(np.diff(y) >= 0.0)
+            assert np.all((np.minimum(0.0, x) <= y) & (y <= np.maximum(0.0, x)))
+            # graph(0) = [-1, 1]: the dead zone |x| <= lam maps to 0 exactly
+            assert np.all(y[np.abs(x) <= lam] == 0.0)
+            # x in y + lam*graph(y) up to the closed bracket's width w and
+            # the residual target
+            w = 1e-13 * np.maximum(1.0, np.abs(y))
+            t = 1e-15 * np.maximum(1.0, np.abs(x))
+            lo, _ = graph.section_bounds(y - w)
+            _, hi = graph.section_bounds(y + w)
+            assert np.all(y - w + lam * lo <= x + t)
+            assert np.all(x - t <= y + w + lam * hi)
 
     def test_nan_section_bound_is_nonconvergence(self):
         # a NaN bound compares false both ways; read as an exact hit it
@@ -184,31 +213,31 @@ class TestYosida:
 
 class TestMinimalSection:
     def test_sign_at_origin(self):
-        assert gr.minimal_section(gr.Sign(), 0.0) == 0.0
+        assert gr.Sign().minimal_section(0.0) == 0.0
 
     def test_single_valued(self):
-        assert gr.minimal_section(gr.Linear(2.0), 3.0) == 6.0
-        assert gr.minimal_section(gr.PhysicalBeta(1.0, 1.0), 1.0) == pytest.approx(2.0)
+        assert gr.Linear(2.0).minimal_section(3.0) == 6.0
+        assert gr.PhysicalBeta(1.0, 1.0).minimal_section(1.0) == pytest.approx(2.0)
 
     def test_composite_interval(self):
         comp = gr.CompositeSum([gr.Linear(1.0), gr.Sign()])
         # graph(0) = [-1, 1], minimal element is 0
-        assert gr.minimal_section(comp, 0.0) == 0.0
+        assert comp.minimal_section(0.0) == 0.0
 
 
 class TestPotential:
     def test_normalization_at_zero(self):
         for graph in gr.builtin_graphs():
-            assert gr.potential(graph, 0.0) == 0.0
+            assert graph.potential(0.0) == 0.0
 
     def test_linear(self):
-        assert gr.potential(gr.Linear(2.0), 3.0) == pytest.approx(9.0, abs=1e-12)
+        assert gr.Linear(2.0).potential(3.0) == pytest.approx(9.0, abs=1e-12)
 
     def test_physical_beta_closed_form_vs_quadrature(self):
         beta = gr.PhysicalBeta(1.0, 1.0)
         expected, err = quad(lambda s: s + abs(s) ** 3 * s, 0.0, 1.0, epsabs=1e-13)
         assert expected == pytest.approx(0.7, abs=1e-10)
-        assert gr.potential(beta, 1.0) == pytest.approx(expected, abs=1e-10)
+        assert beta.potential(1.0) == pytest.approx(expected, abs=1e-10)
 
     def test_generic_quadrature_path(self):
         # nonlinear inner graph has no closed-form potential
@@ -216,7 +245,7 @@ class TestPotential:
         w = lambda s: s + s / (1.0 + abs(s))
         expected, _ = quad(lambda s: w(s) + abs(w(s)) ** 3 * w(s), 0.0, 1.3,
                            epsabs=1e-13)
-        assert gr.potential(beta, 1.3) == pytest.approx(expected, abs=1e-9)
+        assert beta.potential(1.3) == pytest.approx(expected, abs=1e-9)
 
 
 class _Expm1(gr.ScalarGraph):
@@ -260,7 +289,7 @@ class TestArrayQuadrature:
         beta = gr.PhysicalBeta(1.0, 1.0, inner=gr.SaturatingBiLipschitz(1.0, 1.0))
         ref, _ = quad(lambda s: float(beta.value(s)), 0.0, r, epsabs=0.0, epsrel=1e-13,
                       limit=200)
-        assert gr.potential(beta, r) == pytest.approx(ref, rel=1e-13)
+        assert beta.potential(r) == pytest.approx(ref, rel=1e-13)
 
     def test_overflowing_integrand_fails_fast(self):
         tracemalloc.start()
@@ -309,7 +338,7 @@ class TestPropertySuite:
     def test_sign_yosida_monotone_in_lambda(self):
         vals = [abs(gr.yosida(gr.Sign(), lam, 0.3)) for lam in (1.0, 0.5, 0.25)]
         assert vals == pytest.approx([0.3, 0.6, 1.0])
-        assert vals[-1] <= abs(gr.minimal_section(gr.Sign(), 0.3)) + 1e-14
+        assert vals[-1] <= abs(gr.Sign().minimal_section(0.3)) + 1e-14
 
     def test_nested_regularization_semigroup(self):
         beta = gr.PhysicalBeta(1.0, 1.0)
