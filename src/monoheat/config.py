@@ -389,7 +389,7 @@ def _build_data_field(value, line_no, mesh, beta, time_dependent):
             return _expr_field(text, mesh, line_no, time_dependent)
         if value.name == "beta_of":
             (u_b,) = _bind(value, ("u",), line_no)
-            return float(np.asarray(beta.minimal_section(_number(u_b, line_no))))
+            return float(np.asarray(beta.value(_number(u_b, line_no))))
     raise ValidationError(f"line {line_no}: expected constant(...), expr(...) or beta_of(...)")
 
 
@@ -431,6 +431,17 @@ class RunConfig:
     warnings: list = field(default_factory=list)
 
 
+def _at_key_line(entries, build, **kwargs):
+    """``build(**kwargs)``, with a ``ValidationError`` whose ``key`` is an
+    entry of the section naming that entry's line."""
+    try:
+        return build(**kwargs)
+    except ValidationError as exc:
+        if exc.key not in entries:
+            raise
+        raise ValidationError(f"line {entries[exc.key][1]}: {exc}") from exc
+
+
 def _build_problem(entries) -> ProblemSpec:
     missing = {"domain", "gamma", "beta", "T"} - set(entries)
     if missing:
@@ -447,14 +458,8 @@ def _build_problem(entries) -> ProblemSpec:
         return _build_data_field(*entries[key], mesh, beta, time_dependent)
 
     u0 = datum("u0", time_dependent=False)
-    try:
-        return ProblemSpec(mesh=mesh, c0=c0, gamma=gamma, beta=beta,
-                           g=datum("g"), h=datum("h"),
-                           u0=0.0 if u0 is None else u0, T=T)
-    except ValidationError as exc:
-        if exc.key not in entries:
-            raise
-        raise ValidationError(f"line {entries[exc.key][1]}: {exc}") from exc
+    return _at_key_line(entries, ProblemSpec, mesh=mesh, c0=c0, gamma=gamma, beta=beta,
+                        g=datum("g"), h=datum("h"), u0=0.0 if u0 is None else u0, T=T)
 
 
 def _build_solver(entries) -> SolverConfig:
@@ -473,7 +478,7 @@ def _build_solver(entries) -> SolverConfig:
             kwargs[key] = _number(value, line_no)
     if "tau" not in kwargs:
         raise ValidationError("solver section must set tau")
-    return SolverConfig(**kwargs)
+    return _at_key_line(entries, SolverConfig, **kwargs)
 
 
 def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:

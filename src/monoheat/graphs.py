@@ -1,8 +1,10 @@
 """Calculus for maximal monotone graphs on the real line.
 
 Every graph here is a (possibly set-valued) monotone map on R with
-``0 in graph(0)``.  The solver never evaluates a set-valued graph
-directly; it goes through the resolvent
+``0 in graph(0)``.  Its ``value`` is the minimal section, the element of
+graph(x) with the smallest absolute value, and ``section_bounds`` gives
+the ends of graph(x).  Away from lam == 0 the solver goes through the
+resolvent
 
     J_lam(x) = (I + lam*A)^(-1) x,
 
@@ -14,10 +16,12 @@ single- and multi-valued alike: safeguarded Newton inside the bracket
 (``_resolvent_solve``).
 The module also provides convex potentials (``A = d(potential)``),
 Moreau envelopes, the regularized boundary map the stepper uses
-(``regularized_value``: Yosida approximation or minimal section,
-optionally clamped at 1/eps), and a diagnostic suite that samples the
-standard regularization identities.  No graph is inverted: the suite
-takes convex conjugates as a supremum over a grid.
+(``regularized_value``: Yosida approximation or ``value``, optionally
+clamped at 1/eps), and a diagnostic suite that samples the standard
+regularization identities.  No graph is inverted: the suite takes convex
+conjugates as a supremum over a grid.  The graph classes are the
+problem's graphs only: the heat capacity c0 enters as a number where
+c0*gamma is used, never as a graph of its own.
 
 All evaluation routines accept scalars or numpy arrays and are pure;
 graph objects are immutable after construction.
@@ -100,16 +104,8 @@ class ScalarGraph:
         return v, v
 
     def value(self, x):
-        """Single-valued evaluation; equals the minimal section by default."""
+        """The element of graph(x) with the smallest absolute value."""
         raise NotImplementedError
-
-    def minimal_section(self, x):
-        """Element of graph(x) with smallest absolute value."""
-        x = _asarray(x)
-        self._check_domain(x)
-        lo, hi = self.section_bounds(x)
-        out = np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
-        return out
 
     def derivative(self, x):
         """Pointwise a.e. derivative (used by Newton steppers)."""
@@ -125,7 +121,7 @@ class ScalarGraph:
         """Convex potential ``int_0^r A0(s) ds``, normalized to 0 at 0."""
         r_arr = _asarray(r)
         self._check_domain(r_arr)
-        return _match(r, _adaptive_simpson(self.minimal_section, r_arr))
+        return _match(r, _adaptive_simpson(self.value, r_arr))
 
     # -- resolvent machinery ---------------------------------------------------
 
@@ -139,9 +135,6 @@ class ScalarGraph:
 
     def constants(self) -> GraphConstants:
         return GraphConstants()
-
-    def scaled(self, factor: float) -> "ScaledGraph":
-        return ScaledGraph(self, factor)
 
     def _check_domain(self, x):
         lo, hi = self.domain
@@ -429,7 +422,8 @@ class Sign(ScalarGraph):
         return lo, hi
 
     def value(self, x):
-        return self.minimal_section(x)
+        x = _asarray(x)
+        return np.where(x > 0.0, 1.0, np.where(x < 0.0, -1.0, 0.0))
 
     def derivative(self, x):
         x = _asarray(x)
@@ -467,20 +461,29 @@ class PhysicalBeta(ScalarGraph):
             raise InvalidArgument("physical graph needs a single-valued inner graph")
         self.label = f"physical(h={self.h_coef:g},s={self.s_coef:g};{self.inner.label})"
 
+    # each s term enters only when s > 0: with s = 0 it would be 0*inf,
+    # NaN, once |w|^3 overflows
+
     def value(self, x):
         w = self.inner.value(x)
-        return self.h_coef * w + self.s_coef * np.abs(w) ** 3 * w
+        if self.s_coef > 0.0:
+            return self.h_coef * w + self.s_coef * np.abs(w) ** 3 * w
+        return self.h_coef * w
 
     def derivative(self, x):
         w = self.inner.value(x)
-        return (self.h_coef + 4.0 * self.s_coef * np.abs(w) ** 3) * self.inner.derivative(x)
+        slope = self.h_coef
+        if self.s_coef > 0.0:
+            slope = self.h_coef + 4.0 * self.s_coef * np.abs(w) ** 3
+        return slope * self.inner.derivative(x)
 
     def potential(self, r):
         cd = self.inner.constant_derivative()
         if cd is not None:
             r_arr = _asarray(r)
-            val = (0.5 * self.h_coef * cd * r_arr**2
-                   + 0.2 * self.s_coef * cd**4 * np.abs(r_arr) ** 5)
+            val = 0.5 * self.h_coef * cd * r_arr**2
+            if self.s_coef > 0.0:
+                val = val + 0.2 * self.s_coef * cd**4 * np.abs(r_arr) ** 5
             return _match(r, val)
         return super().potential(r)
 
@@ -544,75 +547,6 @@ class CompositeSum(ScalarGraph):
         )
 
 
-class ScaledGraph(ScalarGraph):
-    """The graph x -> factor*graph(x) for factor > 0."""
-
-    def __init__(self, base: ScalarGraph, factor: float):
-        if not factor > 0.0:
-            raise InvalidArgument("scaling factor must be positive")
-        self.base = base
-        self.factor = float(factor)
-        self.label = f"{factor:g}*{base.label}"
-
-    @property
-    def single_valued(self):  # type: ignore[override]
-        return self.base.single_valued
-
-    def section_bounds(self, x):
-        if self.single_valued:
-            return super().section_bounds(x)
-        lo, hi = self.base.section_bounds(x)
-        return self.factor * lo, self.factor * hi
-
-    def value(self, x):
-        return self.factor * self.base.value(x)
-
-    def derivative(self, x):
-        return self.factor * self.base.derivative(x)
-
-    def constant_derivative(self):
-        cd = self.base.constant_derivative()
-        return None if cd is None else self.factor * cd
-
-    def potential(self, r):
-        return self.factor * self.base.potential(r)
-
-    def constants(self):
-        c = self.base.constants()
-
-        def scale(v):
-            return None if v is None else self.factor * v
-
-        return GraphConstants(
-            lipschitz_lower=scale(c.lipschitz_lower),
-            lipschitz_upper=scale(c.lipschitz_upper),
-            linear_bound_c1=scale(c.linear_bound_c1),
-            linear_bound_c2=scale(c.linear_bound_c2),
-            potential_bound_d1=c.potential_bound_d1,
-            potential_bound_d2=scale(c.potential_bound_d2),
-        )
-
-
-class YosidaGraph(ScalarGraph):
-    """The Yosida approximation of a base graph, viewed as a graph itself."""
-
-    def __init__(self, base: ScalarGraph, mu: float):
-        if not mu > 0.0:
-            raise InvalidArgument("regularization parameter must be positive")
-        self.base = base
-        self.mu = float(mu)
-        self.label = f"yosida({base.label},{mu:g})"
-
-    def value(self, x):
-        return yosida(self.base, self.mu, x)
-
-    def derivative(self, x):
-        return regularized_derivative(self.base, self.mu, 0.0, x)
-
-    def potential(self, r):
-        return moreau_envelope(self.base, self.mu, r)
-
-
 # ---------------------------------------------------------------------------
 # Module-level operations
 # ---------------------------------------------------------------------------
@@ -646,14 +580,15 @@ def moreau_envelope(graph: ScalarGraph, lam: float, x):
 def regularized_value(graph: ScalarGraph, lam: float, eps: float, r):
     """Boundary nonlinearity actually used by the stepper.
 
-    lam > 0 selects the Yosida approximation, lam == 0 the minimal
-    section; eps > 0 applies the hard clamp at 1/eps, eps == 0 disables it.
+    lam > 0 selects the Yosida approximation, lam == 0 the graph's value,
+    its minimal section; eps > 0 applies the hard clamp at 1/eps, eps == 0
+    disables it.
     """
     r_arr = _asarray(r)
     if lam > 0.0:
         out = _asarray(yosida(graph, lam, r_arr))
     else:
-        out = _asarray(graph.minimal_section(r_arr))
+        out = _asarray(graph.value(r_arr))
     if eps > 0.0:
         out = np.clip(out, -1.0 / eps, 1.0 / eps)
     return _match(r, out)
@@ -679,7 +614,7 @@ def regularized_derivative(graph: ScalarGraph, lam: float, eps: float, r):
         d = _asarray(graph.derivative(r_arr))
     d = np.where(np.isfinite(d), d, 0.0)
     if eps > 0.0:
-        val = _asarray(graph.minimal_section(r_arr))
+        val = _asarray(graph.value(r_arr))
         d = np.where(np.abs(val) >= 1.0 / eps, 0.0, d)
     return _match(r, d)
 
@@ -696,21 +631,23 @@ def regularized_potential(graph: ScalarGraph, lam: float, r):
 # Constants audit and diagnostic property suite
 # ---------------------------------------------------------------------------
 
-_DEFAULT_AUDIT_SAMPLES = np.concatenate([
+_AUDIT_SAMPLES = np.sort(np.concatenate([
     np.linspace(-8.0, 8.0, 33),
     np.array([-0.73, -0.11, 0.07, 0.42, 1.9, 3.3]),
-])
+]))
+_AUDIT_REL_SLACK = 1e-9
 
 
-def audit_constants(graph: ScalarGraph, samples=None, rel_slack: float = 1e-9) -> None:
-    """Cross-check declared constants against sampled behaviour.
+def audit_constants(graph: ScalarGraph) -> None:
+    """Cross-check declared constants against sampled behaviour at
+    ``_AUDIT_SAMPLES``, up to the relative slack ``_AUDIT_REL_SLACK``.
 
     Raises GraphAuditError on any violation; silence means the declared
     constants are safe to plug into bound formulas.
     """
-    x = np.sort(_asarray(samples if samples is not None else _DEFAULT_AUDIT_SAMPLES))
+    x, rel_slack = _AUDIT_SAMPLES, _AUDIT_REL_SLACK
     c = graph.constants()
-    sec = _asarray(graph.minimal_section(x))
+    sec = _asarray(graph.value(x))
     pot = _asarray(graph.potential(x))
     slack = rel_slack * np.maximum(1.0, np.abs(sec))
 
@@ -790,7 +727,7 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
         for x, ok, e in zip(xs, passed, error):
             rep.checks.append(PropertyCheck(name, prop, lam, float(x), bool(ok), float(e)))
 
-    a0 = np.abs(_asarray(graph.minimal_section(xs)))
+    a0 = np.abs(_asarray(graph.value(xs)))
     j_by_lam = {l: _asarray(graph.resolvent(l, xs)) for l in lams}
     a_by_lam = {l: (xs - j_by_lam[l]) / l for l in lams}
     env_by_lam = {
@@ -817,9 +754,11 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
         # dominated by the minimal section
         e = np.maximum(np.abs(a) - a0, 0.0)
         add("yosida_dominated", l, e <= tol * scale, e)
-        # nested regularization collapses: (A_mu)_lam == A_{mu+lam}
-        nested = _asarray(yosida(YosidaGraph(graph, l), l, xs))
-        e = np.abs(nested - _asarray(yosida(graph, 2.0 * l, xs)))
+        # nested regularization collapses, (A_mu)_lam == A_{mu+lam}: at
+        # mu = lam, a = A_{2 lam}(x) solves its defining relation
+        # a = A_lam(x - lam*a)
+        a2 = _asarray(yosida(graph, 2.0 * l, xs))
+        e = np.abs(_asarray(yosida(graph, l, xs - l * a2)) - a2)
         add("resolvent_semigroup", l, e <= tol * scale, e)
         # envelope gradient matches the Yosida approximation; checked as a
         # limit: the central difference either sits at tolerance already or
@@ -850,7 +789,7 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
     # conjugate duality: potential(x) + conjugate(xi) == x*xi on the graph;
     # the grid supremum exceeds its anchor x*xi - potential(x) exactly when
     # the potential is not the primitive of the graph's values
-    sec = _asarray(graph.minimal_section(xs))
+    sec = _asarray(graph.value(xs))
     e = np.abs(pot + _grid_conjugate(graph, sec, xs) - xs * sec)
     add("fenchel_young", None, e <= tol * np.maximum(1.0, np.abs(xs * sec)), e)
 

@@ -163,28 +163,28 @@ class SolverConfig:
     smooth_u0_lambda: float = 0.0
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValidationError("tau must be positive")
+        def require(ok, message, key):
+            if not ok:
+                raise ValidationError(message, key=key)
+
+        require(self.tau > 0.0, "tau must be positive", "tau")
         sched = tuple(float(l) for l in self.lambda_schedule)
-        if not sched:
-            raise ValidationError("lambda schedule must be nonempty")
-        if any(l < 0.0 for l in sched):
-            raise ValidationError("lambda values must be nonnegative")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValidationError("lambda schedule must be strictly decreasing")
+        require(sched, "lambda schedule must be nonempty", "lambda_schedule")
+        require(not any(l < 0.0 for l in sched), "lambda values must be nonnegative",
+                "lambda_schedule")
+        require(not any(b >= a for a, b in zip(sched, sched[1:])),
+                "lambda schedule must be strictly decreasing", "lambda_schedule")
         object.__setattr__(self, "lambda_schedule", sched)
-        if not 0.0 < self.picard_damping <= 1.0:
-            raise ValidationError("picard damping must lie in (0, 1]")
-        if not (self.picard_tol > 0.0 and self.newton_tol > 0.0):
-            raise ValidationError("tolerances must be positive")
-        if self.epsilon < 0.0:
-            raise ValidationError("epsilon must be nonnegative")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be at least 1")
-        if self.solver_kind not in ("picard", "newton", "both"):
-            raise ValidationError("solver_kind must be picard, newton or both")
-        if self.smooth_u0_lambda < 0.0:
-            raise ValidationError("smoothing parameter must be nonnegative")
+        require(0.0 < self.picard_damping <= 1.0, "picard damping must lie in (0, 1]",
+                "picard_damping")
+        require(self.picard_tol > 0.0, "tolerances must be positive", "picard_tol")
+        require(self.newton_tol > 0.0, "tolerances must be positive", "newton_tol")
+        require(not self.epsilon < 0.0, "epsilon must be nonnegative", "epsilon")
+        require(not self.max_iters < 1, "max_iters must be at least 1", "max_iters")
+        require(self.solver_kind in ("picard", "newton", "both"),
+                "solver_kind must be picard, newton or both", "solver_kind")
+        require(not self.smooth_u0_lambda < 0.0, "smoothing parameter must be nonnegative",
+                "smooth_u0_lambda")
 
     def n_steps(self, T: float) -> int:
         n = int(round(T / self.tau))

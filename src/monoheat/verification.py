@@ -66,7 +66,6 @@ class EstimateReport:
     phi_star: np.ndarray         # conjugate potential of v, by the Fenchel equality
     bhat_l1: np.ndarray          # lumped mass of the regularized boundary potential
     boundary_work: np.ndarray    # xi' * Mb * u per level
-    boundary_work_cum: np.ndarray
     boundary_flux_sq: np.ndarray  # squared boundary l2 norm of xi
     forcing_work: np.ndarray     # (g,u) + (h,u)_boundary per level
     h1_sq_v: np.ndarray
@@ -107,12 +106,12 @@ def energy_monitors(solution: SolutionState, spec: ProblemSpec,
     """Evaluate every estimate functional at every time level.
 
     The march stores ``v = c0*gamma(u)`` at every level, so the conjugate
-    potential of the effective volume graph is taken by the Fenchel
-    equality ``Phi*(v) = v*u - c0*Phi_gamma(u)`` at the stored u.
+    potential of the volume graph c0*gamma, heat capacity included, is
+    taken by the Fenchel equality ``Phi*(v) = v*u - c0*Phi_gamma(u)`` at
+    the stored u: ``phi_star[k] = sum m*(v_k*u_k - c0*Phi_gamma(u_k))``.
     """
     m = ops.mass
     bm = ops.boundary_mass
-    eff_gamma = spec.gamma.scaled(spec.c0)
     u, v, xi = solution.u, solution.v, solution.xi
     tau = solution.tau
 
@@ -122,8 +121,8 @@ def energy_monitors(solution: SolutionState, spec: ProblemSpec,
     # the graph functionals run one level at a time: on the whole history
     # their resolvent and quadrature temporaries raised the peak RSS of a
     # solve by 0.5-0.7 MB (6x6 and 96x96 meshes)
-    phi_star = np.array([np.sum(m * (v_k * u_k - np.asarray(
-        eff_gamma.potential(u_k), dtype=float))) for u_k, v_k in zip(u, v)])
+    phi_star = np.array([np.sum(m * (v_k * u_k - spec.c0 * np.asarray(
+        spec.gamma.potential(u_k), dtype=float))) for u_k, v_k in zip(u, v)])
     bhat = np.array([np.sum(m * np.asarray(
         gr.regularized_potential(spec.beta, solution.lam, u_k), dtype=float))
         for u_k in u])
@@ -145,7 +144,6 @@ def energy_monitors(solution: SolutionState, spec: ProblemSpec,
         l2_u=np.sqrt(np.maximum(l2_sq, 0.0)), h1_sq_u=np.maximum(l2_sq + g_sq, 0.0),
         grad_sq=grad_sq, grad_sq_cum=from_step_one(np.cumsum(tau * grad_sq[1:])),
         phi_star=phi_star, bhat_l1=bhat, boundary_work=bwork,
-        boundary_work_cum=from_step_one(np.cumsum(tau * bwork[1:])),
         boundary_flux_sq=_lumped(xi, xi, bm[g1]), forcing_work=from_step_one(fwork),
         h1_sq_v=np.maximum(_lumped(v, v, m) + _stiffness_form(ops.stiffness, v), 0.0),
         dual_rate=from_step_one(dual_rate), step_slack=from_step_one(step_slack))
@@ -200,21 +198,23 @@ def _implicit_gronwall_factor(q: np.ndarray) -> float:
     return float(np.exp(-np.sum(np.log1p(-q))))
 
 
-def apriori_bounds(report: EstimateReport, gamma_constants: GraphConstants,
+def apriori_bounds(report: EstimateReport, c0: float, gamma_constants: GraphConstants,
                    beta_constants: GraphConstants, norms: DataNorms,
                    c_tr: float) -> EstimateReport:
     """Compute the bound constants and test every monitor against them.
 
-    ``gamma_constants`` must describe the *effective* volume graph (heat
-    capacity included).  The constants depend on data and declared graph
+    ``gamma_constants`` are the problem's own gamma constants; the volume
+    graph of the chain is c0*gamma, heat capacity included, so its
+    Lipschitz constants are ``c_low = c0*lipschitz_lower`` and ``c_up =
+    c0*lipschitz_upper``.  The constants depend on data and declared graph
     properties only; the solution enters solely through the monitors.
     A failed check is reported, with its ``time_index``, never raised;
     ``ValidationError`` means the chain's hypotheses fail.
     """
-    c_low = gamma_constants.lipschitz_lower
-    c_up = gamma_constants.lipschitz_upper
-    if c_low is None or c_up is None:
+    if not gamma_constants.bi_lipschitz:
         raise ValidationError("volume graph must declare bi-Lipschitz constants")
+    c_low = c0 * gamma_constants.lipschitz_lower
+    c_up = c0 * gamma_constants.lipschitz_upper
     tau, n_steps = norms.tau, norms.n_steps
 
     c1 = c_low**2 / (4.0 * c_up)
@@ -288,7 +288,7 @@ def verify_solution(solution: SolutionState, spec: ProblemSpec,
     try:
         c_tr = trace_constant(ops)
         return apriori_bounds(
-            report, spec.gamma.scaled(spec.c0).constants(), spec.beta.constants(),
+            report, spec.c0, spec.gamma.constants(), spec.beta.constants(),
             data_norms(spec, ops, solution), c_tr)
     except EmptyBoundary:
         report.skip_reason = "no active boundary"
@@ -378,7 +378,7 @@ def manufactured_source(exact: ManufacturedSolution,
 
     def h_fn(t: float) -> np.ndarray:
         u = exact.jet(mesh, t)
-        return np.asarray(beta.minimal_section(u.value), dtype=float) + normal_sign * u.d[0]
+        return np.asarray(beta.value(u.value), dtype=float) + normal_sign * u.d[0]
 
     return ProblemSpec(mesh=mesh, c0=c0, gamma=gamma, beta=beta, g=g_fn, h=h_fn,
                        u0=exact.sample(mesh, 0.0), T=template.T)

@@ -764,13 +764,34 @@ class TestCli:
          "error: line {line}: final time must be positive"),
         ("solve", STEADY, "u0 = constant(1.0)", 'u0 = expr("log(x)")', 3,
          "error: line {line}: gamma(u0) is not finite everywhere"),
+        ("solve", STEADY, "tau = 0.1", "tau = -0.01", 3,
+         "error: line {line}: tau must be positive"),
+        ("solve", STEADY, "lambda_schedule = [0.0]", "lambda_schedule = [0.0, 0.5]", 3,
+         "error: line {line}: lambda schedule must be strictly decreasing"),
+        ("solve", STEADY, "lambda_schedule = [0.0]", "lambda_schedule = [-0.5]", 3,
+         "error: line {line}: lambda values must be nonnegative"),
+        ("solve", STEADY, "lambda_schedule = [0.0]", "epsilon = -1.0", 3,
+         "error: line {line}: epsilon must be nonnegative"),
+        ("solve", STEADY, "lambda_schedule = [0.0]", "picard_damping = 1.5", 3,
+         "error: line {line}: picard damping must lie in (0, 1]"),
+        ("solve", STEADY, "lambda_schedule = [0.0]", "newton_tol = 0.0", 3,
+         "error: line {line}: tolerances must be positive"),
+        ("solve", STEADY, "lambda_schedule = [0.0]", "max_iters = 0", 3,
+         "error: line {line}: max_iters must be at least 1"),
+        ("solve", STEADY, "lambda_schedule = [0.0]", "smooth_u0_lambda = -1.0", 3,
+         "error: line {line}: smoothing parameter must be nonnegative"),
+        ("solve", STEADY, "solver_kind = newton", "solver_kind = newtn", 3,
+         "error: line {line}: solver_kind must be picard, newton or both"),
     ], ids=["space_levels", "time_levels", "zero_time_level", "repeated_time_levels",
             "negative_space_level", "negative_fine_time", "zero_fine_space",
             "negative_length", "unknown_gamma1", "zero_c0", "convergence_negative_T",
             "dim_three",
             "non_bilipschitz_gamma", "unclosed_exact",
             "empty_boundary", "problem_non_bilipschitz_gamma", "negative_c0", "negative_T",
-            "infinite_u0"])
+            "infinite_u0", "negative_tau", "increasing_lambda_schedule",
+            "negative_lambda", "negative_epsilon", "large_picard_damping",
+            "zero_newton_tol", "zero_max_iters", "negative_smoothing",
+            "misspelled_solver_kind"])
     def test_package_error_exit_code(self, tmp_path, capsys, command, base, old, new,
                                      code, message):
         text = base.replace(old, new)

@@ -119,6 +119,30 @@ class TestAprioriBounds:
         assert a1_check.monitored == pytest.approx(1.0)
         assert a1_check.passed
 
+    def test_heat_capacity_scales_gamma_constants(self):
+        # the chain's volume graph is c0*gamma: its Lipschitz constants are
+        # c0 times gamma's own, c_low = 2*1 and c_up = 2*2, so C1 = 1/4
+        mesh = fem.build_mesh_1d(1.0, 8, "right")
+        c0, gamma, beta = 2.0, gr.SaturatingBiLipschitz(1.0, 1.0), gr.PhysicalBeta(1.0, 1.0)
+        spec = ProblemSpec(mesh=mesh, c0=c0, gamma=gamma, beta=beta,
+                           g=0.5, h=0.5, u0=1.0, T=0.5)
+        ops = fem.assemble(mesh)
+        state = solve_transient(spec, SolverConfig(tau=0.05, lambda_schedule=(0.0,)), ops=ops)
+        rep = ver.verify_solution(state, spec, ops)
+        assert rep.skip_reason is None and rep.all_bounds_pass
+        c_low = c0 * gamma.constants().lipschitz_lower
+        c_up = c0 * gamma.constants().lipschitz_upper
+        const = rep.constants
+        assert const["C1"] == pytest.approx(c_low**2 / (4.0 * c_up), rel=1e-15)
+        assert const["C1"] == pytest.approx(0.25, rel=1e-15)
+        assert const["A3"] == pytest.approx(c_up * const["A2"], rel=1e-15)
+        norms = ver.data_norms(spec, ops, state)
+        d1, d2 = const["D1"], const["D2"]
+        a_core = (c_up * norms.initial_bpot_l1 + 0.5 * norms.m2_sq
+                  + d2 * norms.omega * norms.g_l1linf)
+        growth = np.prod(1.0 / (1.0 - norms.tau * d1 * norms.g_linf_steps / c_low))
+        assert const["B1"] == pytest.approx(a_core / c_low * growth, rel=1e-12)
+
     def test_randomized_suite_no_violations(self, rng):
         for _ in range(10):
             spec = random_problem(rng, n_elems=16, T=0.5)
@@ -146,7 +170,7 @@ class TestAprioriBounds:
         norms = ver.data_norms(spec, ops, state)
         # corrupt a monitor to force a violation
         rep.l2_u[-1] = 1e9
-        rep = ver.apriori_bounds(rep, spec.gamma.scaled(spec.c0).constants(),
+        rep = ver.apriori_bounds(rep, spec.c0, spec.gamma.constants(),
                                  spec.beta.constants(), norms, 1.0)
         a1_check = [c for c in rep.bound_checks if c.name == "A1_sup_l2_u"][0]
         assert not a1_check.passed
@@ -469,7 +493,6 @@ class TestWholeHistoryForms:
 
         m, k_mat, bm, tau = ops.mass, ops.stiffness.toarray(), ops.boundary_mass, state.tau
         h1_inv = np.linalg.inv(np.diag(m) + k_mat)
-        eff_gamma = spec.gamma.scaled(spec.c0)
         ref = {name: [] for name in (
             "l2_u", "h1_sq_u", "grad_sq", "phi_star", "bhat_l1", "boundary_work",
             "boundary_flux_sq", "forcing_work", "h1_sq_v", "dual_rate",
@@ -482,7 +505,7 @@ class TestWholeHistoryForms:
             ref["l2_u"].append(math.sqrt(u @ (m * u)))
             ref["grad_sq"].append(u @ k_mat @ u)
             ref["h1_sq_u"].append(u @ (m * u) + u @ k_mat @ u)
-            ref["phi_star"].append(m @ (v * u - eff_gamma.potential(u)))
+            ref["phi_star"].append(m @ (v * u - spec.c0 * spec.gamma.potential(u)))
             ref["bhat_l1"].append(m @ gr.regularized_potential(spec.beta, 0.125, u))
             ref["boundary_work"].append(xi @ (bm[g1] * u[g1]))
             ref["boundary_flux_sq"].append(xi @ (bm[g1] * xi))
@@ -503,8 +526,6 @@ class TestWholeHistoryForms:
         for name, series in ref.items():
             assert_close(getattr(rep, name), series)
         assert_close(rep.grad_sq_cum[1:], np.cumsum(tau * np.array(ref["grad_sq"][1:])))
-        assert_close(rep.boundary_work_cum[1:],
-                     np.cumsum(tau * np.array(ref["boundary_work"][1:])))
         u0, v0 = state.u[0], state.v[0]
         assert_close(norms.m1, math.sqrt(v0 @ (m * v0)) * math.sqrt(u0 @ (m * u0)))
         assert_close(norms.g_l2l2_sq, g_l2l2_sq)
