@@ -35,6 +35,7 @@ returns, so no byte of output waits on that teardown.
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import sys
 from pathlib import Path
@@ -60,10 +61,13 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    """Write ``header`` and ``rows`` as RFC 4180 CSV: a field holding a
+    comma or a double quote (a graph label such as ``saturating(1,1)``) is
+    quoted, every other field is its ``_fmt`` text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_summary(path: Path, items):

@@ -15,12 +15,15 @@ the 1-D boundary mass is the counting measure of the active endpoints.
 The element matrices are computed one block of elements at a time, so
 assembly never holds those of the whole mesh.
 
-Every sparse factorization goes through ``spd_factor``.  Its inputs are
-sums of diagonals and multiples of the stiffness matrix, all bitwise
-symmetric CSR matrices, which it reads as CSC without a copy; the h1 Gram
-matrix ``M + K`` is built once per operator set and shared by its factor
-and the trace constant, which Lanczos iteration (ARPACK) finds with that
-factor at every mesh size.
+The stiffness matrix is the only sparse matrix an operator set stores.
+Lumping makes every other operator of the scheme a diagonal plus a
+multiple of ``K``, so a product with one is ``d*x + c*(K @ x)``, and such a
+matrix is formed only inside the call that factorizes it.  Every sparse
+factorization goes through ``spd_factor``, whose inputs, those sums, are
+bitwise symmetric CSR matrices that it reads as CSC without a copy.  The
+factor of the h1 Gram matrix ``M + K`` is computed once per operator set
+and serves the dual norms and the trace constant, which Lanczos iteration
+(ARPACK) finds at every mesh size.
 
 Both mesh families have nonnegative stiffness edge weights (intervals
 trivially, rectangles because the triangles are right triangles), a fact
@@ -44,6 +47,7 @@ from .errors import (
     DegenerateElement,
     EmptyBoundary,
     InvalidArgument,
+    NonConvergence,
 )
 
 INTERIOR = 0
@@ -123,17 +127,12 @@ class AssembledOperators:
         return self.mass.shape[0]
 
     @cached_property
-    def h1_matrix(self) -> sp.csr_matrix:
-        """``M + K``, the Gram matrix of the discrete h1 norm, built on
-        first use."""
-        return sp.diags(self.mass) + self.stiffness
-
-    @cached_property
     def h1_factor(self) -> spla.SuperLU:
-        """Sparse LU factor of ``h1_matrix``, computed on first use.
-        ``trace_constant`` and the dual norms of the energy monitors share
-        it."""
-        return spd_factor(self.h1_matrix)
+        """Sparse LU factor of ``M + K``, the Gram matrix of the discrete h1
+        norm, computed on first use; the matrix is formed only to be
+        factorized.  ``trace_constant`` and the dual norms of the energy
+        monitors share the factor."""
+        return spd_factor(sp.diags(self.mass) + self.stiffness)
 
 
 GAMMA1_SIDES = ("left", "right", "both", "none")
@@ -259,33 +258,37 @@ def trace_constant(ops: AssembledOperators) -> float:
 
     Square root of the largest generalized eigenvalue of the pair
     (boundary mass, mass + stiffness).  Cached on the operator set.  ARPACK
-    solves it in generalized mode at every mesh size, with the shared
+    solves it in generalized mode at every mesh size, with both matrices
+    as products (``Mb*x`` and ``M*x + K@x``), the shared
     factor ``ops.h1_factor`` as ``M^-1`` and at most ``_ARPACK_NCV``
     Lanczos vectors, falling back to a power iteration with the same
-    factor.
+    product and factor.
     """
     if ops._trace_cache is not None:
         return ops._trace_cache
     if not np.any(ops.boundary_mass > 0.0):
         raise EmptyBoundary("active boundary has no nodes")
-    n = ops.n_nodes
-    h1 = ops.h1_matrix
-    bm = sp.diags(ops.boundary_mass).tocsc()
+    n, bm = ops.n_nodes, ops.boundary_mass
+
+    def h1_product(x):
+        return ops.mass * x + ops.stiffness @ x
+
     h1_solve = ops.h1_factor.solve
     v0 = np.ones(n)
     try:
-        w = spla.eigsh(bm, k=1, M=h1,
+        w = spla.eigsh(spla.LinearOperator((n, n), matvec=lambda x: bm * x, dtype=float),
+                       k=1, M=spla.LinearOperator((n, n), matvec=h1_product, dtype=float),
                        Minv=spla.LinearOperator((n, n), matvec=h1_solve, dtype=float),
                        which="LA", v0=v0, ncv=min(_ARPACK_NCV, n),
                        return_eigenvectors=False)
         mu = float(w[0])
     except spla.ArpackError:
-        mu = _power_iteration(ops.boundary_mass, h1, h1_solve, v0)
+        mu = _power_iteration(bm, h1_product, h1_solve, v0)
     ops._trace_cache = float(np.sqrt(max(mu, 0.0)))
     return ops._trace_cache
 
 
-def _power_iteration(bm_diag, h1, h1_solve, v0, iters=5000, tol=1e-13):
+def _power_iteration(bm_diag, h1_product, h1_solve, v0, iters=5000, tol=1e-13):
     z = v0 / np.linalg.norm(v0)
     mu = 0.0
     for _ in range(iters):
@@ -294,9 +297,8 @@ def _power_iteration(bm_diag, h1, h1_solve, v0, iters=5000, tol=1e-13):
         if nrm == 0.0:
             return 0.0
         z_new = w / nrm
-        mu_new = float((z_new * bm_diag * z_new).sum() / (z_new @ (h1 @ z_new)))
+        mu_new = float((z_new * bm_diag * z_new).sum() / (z_new @ h1_product(z_new)))
         if abs(mu_new - mu) <= tol * max(1.0, abs(mu_new)):
             return mu_new
         z, mu = z_new, mu_new
-    return mu
-
+    raise NonConvergence(f"trace constant: no convergence in {iters} power iterations")

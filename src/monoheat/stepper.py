@@ -40,8 +40,11 @@ Both matrices factorized here (``P`` and the smoothing matrix
 degree ordering on ``A + A^T`` with pivots kept on the diagonal, which on
 a 96x96 mesh has about 40% less fill than SuperLU's default ordering and
 partial pivoting.  Both are sums of ``tau*K`` or ``lam*K`` and a
-diagonal, so they stay bitwise symmetric CSR matrices, which
-``spd_factor`` reads without a transpose copy.
+diagonal, so they are bitwise symmetric CSR matrices, which
+``spd_factor`` reads without a transpose copy.  Neither is stored: each is
+formed inside the call that factorizes it, and the solver keeps the
+assembled ``K`` and the diagonals, so a product with ``tau*K``, ``P`` or
+the Jacobian is ``tau*(K @ x)`` plus a diagonal times ``x``.
 
 At ``lam = 0`` the boundary term is ``beta``'s minimal section, which
 selects no root of the step equation where a multi-valued ``beta`` jumps,
@@ -246,7 +249,7 @@ class _StepSolver:
         # Mb is supported on the Gamma1 nodes, so beta_reg is needed only there
         self.g1 = spec.mesh.gamma1_nodes
         self.tau_bmass_g1 = self.tau * self.bmass[self.g1]
-        self.k_tau = config.tau * ops.stiffness
+        self.stiffness = ops.stiffness
         self.tau_lam_mass = self.tau * self.lam * self.mass
 
         consts = spec.gamma.constants()
@@ -263,13 +266,13 @@ class _StepSolver:
         # P u - r(u) = b - M c0 (gamma(u) - split_slope u)
         #              - tau Mb (beta_reg(u) - slope_beta u)
         self._picard_diag = diag
-        self._picard_matrix = sp.diags(diag) + self.k_tau
 
     @cached_property
     def _picard_solve(self):
         """``P^{-1}``: the Picard sweep's step and Newton's preconditioner,
-        factorized on first use and shared by both."""
-        return spd_factor(self._picard_matrix).solve
+        factorized on first use and shared by both.  ``P`` itself is formed
+        only to be factorized."""
+        return spd_factor(sp.diags(self._picard_diag) + self.tau * self.stiffness).solve
 
     # -- building blocks ----------------------------------------------------
 
@@ -300,7 +303,7 @@ class _StepSolver:
     def residual(self, u: np.ndarray, b: np.ndarray) -> np.ndarray:
         spec = self.spec
         r = (self.mass * (spec.c0 * np.asarray(spec.gamma.value(u), dtype=float))
-             + self.k_tau @ u
+             + self.tau * (self.stiffness @ u)
              + self.boundary_term(u)
              - b)
         return r + self.tau_lam_mass * u
@@ -326,8 +329,8 @@ class _StepSolver:
             if np.linalg.norm(gap * x) <= rtol * np.linalg.norm(rhs):
                 return x
         n = rhs.shape[0]
-        jac = spla.LinearOperator((n, n), matvec=lambda p: self.k_tau @ p + diag * p,
-                                  dtype=float)
+        jac = spla.LinearOperator(
+            (n, n), matvec=lambda p: self.tau * (self.stiffness @ p) + diag * p, dtype=float)
         precond = spla.LinearOperator((n, n), matvec=self._picard_solve, dtype=float)
         x, info = spla.cg(jac, rhs, rtol=rtol, atol=0.0, M=precond)
         if info != 0 or not np.all(np.isfinite(x)):

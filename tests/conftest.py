@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monoheat import fem, graphs as gr
+from monoheat import fem, graphs as gr, stepper
 from monoheat.stepper import ProblemSpec
 
 
@@ -69,6 +69,21 @@ def _random_data(rng, mesh, gamma, beta, T, amp):
     u0 = smooth_nodal(mesh, rng, amp=amp)
     return ProblemSpec(mesh=mesh, c0=float(rng.uniform(0.8, 1.5)), gamma=gamma,
                        beta=beta, g=g_fn, h=h_fn, u0=u0, T=T)
+
+
+def factored_matrices(monkeypatch):
+    """Record every matrix handed to ``fem.spd_factor`` from now on: the
+    matrices it serves are formed only inside the call that factorizes
+    them."""
+    factored = []
+
+    def spy(a, real=fem.spd_factor):
+        factored.append(a)
+        return real(a)
+
+    monkeypatch.setattr(fem, "spd_factor", spy)
+    monkeypatch.setattr(stepper, "spd_factor", spy)
+    return factored
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import io
 import os
@@ -415,6 +416,19 @@ class TestCli:
         header = (out / "estimates.csv").read_text().splitlines()[0]
         assert header == "graph,property,lambda,x,passed,error"
         assert "all_pass = true" in (out / "summary.txt").read_text()
+
+    def test_graph_check_estimates_are_valid_csv(self, tmp_path):
+        # labels such as saturating(1,1) hold commas, so their fields are
+        # quoted and every row parses to the six header columns
+        out = tmp_path / "gc"
+        assert main(["graph-check", "--out", str(out)]) == 0
+        with open(out / "estimates.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(len(row) == 6 and None not in row for row in rows)
+        assert any("," in row["graph"] for row in rows)
+        semigroup = [row for row in rows if row["property"] == "resolvent_semigroup"]
+        assert len(semigroup) == 500
+        assert all(row["passed"] == "true" for row in semigroup)
 
     def test_graph_check_empty_lists_exit_three(self, tmp_path, capsys):
         for key, reason in (("lambdas", "must be nonempty and strictly decreasing"),

@@ -10,9 +10,10 @@ import scipy.sparse.linalg as spla
 
 from monoheat import fem, graphs as gr
 from monoheat.cli import _BLOCK_ROWS, _dump_mesh, main
-from monoheat.errors import DegenerateElement, EmptyBoundary, InvalidArgument
+from monoheat.errors import DegenerateElement, EmptyBoundary, InvalidArgument, NonConvergence
 from monoheat.fem import GAMMA0, GAMMA1
 from monoheat.stepper import ProblemSpec, SolverConfig, _StepSolver, smooth_initial
+from conftest import factored_matrices
 
 
 class TestMesh1d:
@@ -271,6 +272,13 @@ class TestLargeMeshTrace:
         assert calls == [1]
         assert c_power == pytest.approx(c_arpack, rel=1e-10)
 
+    def test_power_iteration_raises_when_out_of_iterations(self):
+        ops = fem.assemble(fem.build_mesh_rect(1.0, 1.0, 6, 6, True))
+        with pytest.raises(NonConvergence, match="trace constant"):
+            fem._power_iteration(ops.boundary_mass,
+                                 lambda x: ops.mass * x + ops.stiffness @ x,
+                                 ops.h1_factor.solve, np.ones(ops.n_nodes), iters=1)
+
 
 def _served_matrices(mesh):
     """Every matrix that goes through ``spd_factor``, each with the solve
@@ -309,18 +317,24 @@ class TestSpdFactor:
         default = spla.splu(picard.tocsc())
         assert spd.L.nnz + spd.U.nnz < default.L.nnz + default.U.nnz
 
-    def test_served_matrices_are_bitwise_symmetric(self):
+    def test_served_matrices_are_bitwise_symmetric(self, monkeypatch):
         # spd_factor reads a CSR matrix's arrays as its CSC arrays, which is
-        # exact only for a matrix equal to its transpose bit for bit
+        # exact only for a matrix equal to its transpose bit for bit; the
+        # h1 Gram, Picard and smoothing matrices are read where they are
+        # factorized, the only place they exist
         for mesh in (fem.build_mesh_1d(2.0, 300, "both"),
                      fem.build_mesh_rect(1.0, 0.5, 24, 12, True)):
+            factored = factored_matrices(monkeypatch)
             ops = fem.assemble(mesh)
             spec = ProblemSpec(mesh=mesh, c0=1.3, gamma=gr.SaturatingBiLipschitz(2.0, 0.7),
                                beta=gr.Linear(3.0), g=0.0, h=0.0, u0=0.0, T=0.1)
             solver = _StepSolver(spec, ops, SolverConfig(tau=0.05, lambda_schedule=(0.25,)),
                                  0.25, 0.0)
-            for matrix in (ops.stiffness, solver._picard_matrix, ops.h1_matrix,
-                           sp.diags(ops.mass) + 0.5 * ops.stiffness):
+            ops.h1_factor
+            solver._picard_solve
+            smooth_initial(mesh, ops, ops.mass, 0.5)
+            assert len(factored) == 3
+            for matrix in (ops.stiffness, *factored):
                 assert matrix.format == "csr"
                 assert (matrix != matrix.T).nnz == 0
 
@@ -400,9 +414,10 @@ class TestBlockwiseAssembly:
         assert peak < 7 * 2**20
 
     def test_trace_constant_peak_memory(self):
-        # with the h1 factor built, ARPACK's basis and the shared Gram matrix
-        # are all it needs; rebuilding M + K and a CSC copy peaked at 3.0 MiB
-        # on 96x96, and a dense eigh of the pencil takes 36 MiB on 32x32
+        # with the h1 factor built, ARPACK's basis and the products with
+        # M + K and Mb are all it needs; rebuilding M + K and a CSC copy
+        # peaked at 3.0 MiB on 96x96, and a dense eigh of the pencil takes
+        # 36 MiB on 32x32
         for n in (32, 96):
             ops = fem.assemble(fem.build_mesh_rect(1.0, 1.0, n, n, True))
             ops.h1_factor

@@ -15,7 +15,7 @@ from monoheat.stepper import (
     smooth_initial,
     solve_transient,
 )
-from conftest import random_problem, random_problem_2d, smooth_nodal
+from conftest import factored_matrices, random_problem, random_problem_2d, smooth_nodal
 
 
 def steady_spec(n=8, c=1.3, gamma=None, beta=None):
@@ -410,18 +410,21 @@ class TestCrossSolverContracts:
             u_n, _, _ = solver.newton(spec.u0, b)
             assert np.linalg.norm(u_p - u_n) <= advance_allowance(spec, ops, cfg, b)
 
-    def test_picard_matrix_is_spd_with_lambda_mass(self, rng):
+    def test_picard_matrix_is_spd_with_lambda_mass(self, rng, monkeypatch):
+        factored = factored_matrices(monkeypatch)
         spec = random_problem(rng, n_elems=6, T=0.1)
         cfg = SolverConfig(tau=0.05, lambda_schedule=(0.5,))
         solver = _StepSolver(spec, fem.assemble(spec.mesh), cfg, 0.5, 0.0)
-        mat = solver._picard_matrix.toarray()
+        solver._picard_solve
+        assert len(factored) == 1
+        mat = factored[0].toarray()
         assert np.allclose(mat, mat.T)
         assert np.linalg.eigvalsh(mat).min() > 0.0
 
 
-def direct_newton(solver, u, b):
+def direct_newton(solver, k_tau, u, b):
     """Reference Newton: an exact sparse solve on the assembled Jacobian
-    and the solver's own backtracking rule."""
+    ``diag + k_tau`` and the solver's own backtracking rule."""
     tol = solver.config.newton_tol * (1.0 + np.linalg.norm(b))
     r = solver.residual(u, b)
     res = np.linalg.norm(r)
@@ -430,7 +433,7 @@ def direct_newton(solver, u, b):
             return u
         diag = solver._jacobian_diagonal(np.asarray(solver.spec.gamma.derivative(u)),
                                          solver.beta_reg_deriv(u[solver.g1]))
-        delta = spla.spsolve((sp.diags(diag) + solver.k_tau).tocsc(), -r)
+        delta = spla.spsolve((sp.diags(diag) + k_tau).tocsc(), -r)
         step = 1.0
         while True:
             r_try = solver.residual(u + step * delta, b)
@@ -501,7 +504,7 @@ class TestNewtonLinearSolve:
             solver = _StepSolver(spec, ops, cfg, lam, cfg.epsilon)
             b = solver.rhs(spec.v_of(spec.u0), cfg.tau)
             u_cg, _, _ = solver.newton(spec.u0, b)
-            u_direct = direct_newton(solver, spec.u0.copy(), b)
+            u_direct = direct_newton(solver, cfg.tau * ops.stiffness, spec.u0.copy(), b)
             assert np.linalg.norm(u_cg - u_direct) <= advance_allowance(spec, ops, cfg, b)
 
 

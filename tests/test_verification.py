@@ -1,5 +1,8 @@
+import gc
 import math
 import sys
+import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from monoheat import fem, graphs as gr
-from monoheat import verification as ver
+from monoheat import stepper, verification as ver
 from monoheat.errors import (
     ConfigError,
     HypothesisViolation,
@@ -445,8 +448,8 @@ class TestDualRate:
         assert max(rates) <= 2.0 * min(rates)
 
     def test_one_h1_factor_for_trace_and_monitors(self, rng, monkeypatch):
-        # 41x41 nodes takes trace_constant's ARPACK path, whose generalized
-        # mode would factorize M + K itself unless it is handed M^-1
+        # trace_constant's ARPACK path, taken at every mesh size, would
+        # factorize M + K itself in generalized mode unless handed M^-1
         spec = random_problem_2d(rng, n=40, T=0.1)
         ops = fem.assemble(spec.mesh)
         state = solve_transient(spec, SolverConfig(tau=0.05, lambda_schedule=(0.125,)),
@@ -466,6 +469,70 @@ class TestDualRate:
         dv = ops.mass * np.diff(state.v, axis=0) / state.tau
         direct = np.sqrt([f @ spla.spsolve(h1, f) for f in dv])
         assert np.allclose(report.dual_rate[1:], direct, rtol=1e-12, atol=0.0)
+
+
+def reachable_sparse(*roots):
+    """Every scipy.sparse matrix reachable from ``roots`` by references,
+    not counting classes, modules and functions' globals."""
+    seen, found, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if sp.issparse(obj):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestStoredMatrices:
+    """Lumping makes every operator a diagonal plus a multiple of K, so the
+    stiffness matrix is the only sparse matrix kept between calls."""
+
+    def test_only_the_stiffness_matrix_is_stored(self, rng, monkeypatch):
+        solvers = []
+
+        class Recorded(stepper._StepSolver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                solvers.append(self)
+
+        monkeypatch.setattr(stepper, "_StepSolver", Recorded)
+        for kind in ("newton", "picard"):
+            spec = random_problem_2d(rng, n=6, T=0.1)
+            ops = fem.assemble(spec.mesh)
+            state = solve_transient(spec, SolverConfig(
+                tau=0.05, lambda_schedule=(0.125,), solver_kind=kind,
+                smooth_u0_lambda=0.01), ops=ops)
+            report = ver.verify_solution(state, spec, ops)
+            assert report.skip_reason is None
+            assert ops._trace_cache is not None and "h1_factor" in vars(ops)
+            assert "_picard_solve" in vars(solvers[-1])
+            found = reachable_sparse(ops, solvers[-1])
+            assert [id(m) for m in found] == [id(ops.stiffness)], kind
+
+    def test_verify_solution_leaves_little_allocated(self, rng):
+        # a cached h1 Gram matrix M + K left 0.25 MiB allocated here at
+        # 48x48 (0.89 MiB at 96x96); the report and the h1 factor, which
+        # SuperLU allocates outside the traced heap, leave 0.02 MiB
+        spec = random_problem_2d(rng, n=48, T=0.1)
+        ops = fem.assemble(spec.mesh)
+        state = solve_transient(spec, SolverConfig(tau=0.05, lambda_schedule=(0.125,)),
+                                ops=ops)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = ver.verify_solution(state, spec, ops)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.skip_reason is None
+        assert left < 0.05 * 2**20
 
 
 def assert_close(actual, expected):
