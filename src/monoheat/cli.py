@@ -305,18 +305,22 @@ def run(rc: RunConfig) -> int:
     except OSError as exc:  # an output file that cannot be written
         print(f"error: output file {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 1
-    except ViolationError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return 2
     except MonoheatError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _report(exc)
+
+
+#: stderr prefix and exit code of each error branch of ``errors``
+_ERROR_EXITS = ((ConfigError, "error: ", 3), (SolverError, "solver failure: ", 1),
+                (ViolationError, "violation: ", 2))
+
+
+def _report(exc: MonoheatError) -> int:
+    """Print the one stderr line of a package error and return its exit
+    code; an error of no branch names its class and exits 1."""
+    prefix, code = next(((prefix, code) for cls, prefix, code in _ERROR_EXITS
+                         if isinstance(exc, cls)), (f"error: {type(exc).__name__}: ", 1))
+    print(f"{prefix}{exc}", file=sys.stderr)
+    return code
 
 
 def _parse_args(argv):
@@ -361,9 +365,8 @@ def main(argv=None) -> int:
         return 3
     try:
         rc = parse_config(text, command=args.command, strict=args.strict)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except MonoheatError as exc:
+        return _report(exc)
     rc.out_dir = args.out
     rc.dump_mesh = getattr(args, "dump_mesh", False)
     return run(rc)

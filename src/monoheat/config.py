@@ -389,7 +389,8 @@ def _build_data_field(value, line_no, mesh, beta, time_dependent):
             return _expr_field(text, mesh, line_no, time_dependent)
         if value.name == "beta_of":
             (u_b,) = _bind(value, ("u",), line_no)
-            return float(np.asarray(beta.value(_number(u_b, line_no))))
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected
+                return _number(float(beta.value(_number(u_b, line_no))), line_no)
     raise ValidationError(f"line {line_no}: expected constant(...), expr(...) or beta_of(...)")
 
 
@@ -509,7 +510,8 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
         rc.solver = _build_solver(sections["solver"])
     if command == "continuation" and rc.solver is not None:
         if len(rc.solver.lambda_schedule) < 2:
-            raise ValidationError("continuation needs at least two lambda values")
+            _, line_no = sections["solver"].get("lambda_schedule", (None, None))
+            raise ValidationError(f"{_at(line_no)}continuation needs at least two lambda values")
 
     if command == "graph-check":
         gc = {"lambdas": [1.0, 0.5, 0.25, 0.125],

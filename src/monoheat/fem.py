@@ -23,7 +23,8 @@ factorization goes through ``spd_factor``, whose inputs, those sums, are
 bitwise symmetric CSR matrices that it reads as CSC without a copy.  The
 factor of the h1 Gram matrix ``M + K`` is computed once per operator set
 and serves the dual norms and the trace constant, which Lanczos iteration
-(ARPACK) finds at every mesh size.
+(ARPACK) finds at every mesh size as the top eigenvalue of one symmetric
+operator, ``s (M + K)^-1 s`` with ``s = sqrt(Mb)``; there is no fallback.
 
 Both mesh families have nonnegative stiffness edge weights (intervals
 trivially, rectangles because the triangles are right triangles), a fact
@@ -86,10 +87,6 @@ class Mesh:
     def gamma1_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.boundary_labels == GAMMA1)
 
-    @property
-    def gamma0_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.boundary_labels == GAMMA0)
-
 
 def spd_factor(a) -> spla.SuperLU:
     """Sparse LU factor of a symmetric positive definite matrix ``a``.
@@ -115,7 +112,6 @@ def spd_factor(a) -> spla.SuperLU:
 class AssembledOperators:
     """Lumped mass, stiffness and boundary mass for one mesh."""
 
-    mesh: Mesh
     mass: np.ndarray               # lumped diagonal, volume measure
     stiffness: sp.csr_matrix
     boundary_mass: np.ndarray      # lumped diagonal, active-boundary measure
@@ -245,7 +241,6 @@ def assemble(mesh: Mesh) -> AssembledOperators:
                                 weights=np.repeat(measure / d, d))
 
     return AssembledOperators(
-        mesh=mesh,
         mass=mass,
         stiffness=stiffness,
         boundary_mass=boundary_mass,
@@ -257,48 +252,22 @@ def trace_constant(ops: AssembledOperators) -> float:
     """Sharp discrete constant C with ||z||_boundary <= C ||z||_h1.
 
     Square root of the largest generalized eigenvalue of the pair
-    (boundary mass, mass + stiffness).  Cached on the operator set.  ARPACK
-    solves it in generalized mode at every mesh size, with both matrices
-    as products (``Mb*x`` and ``M*x + K@x``), the shared
-    factor ``ops.h1_factor`` as ``M^-1`` and at most ``_ARPACK_NCV``
-    Lanczos vectors, falling back to a power iteration with the same
-    product and factor.
+    (boundary mass ``Mb``, mass + stiffness), which for the nonnegative
+    diagonal ``Mb`` is the largest eigenvalue of the symmetric operator
+    ``s (M + K)^-1 s``, ``s = sqrt(Mb)``.  Cached on the operator set.
+    ARPACK finds it in standard mode with the shared ``ops.h1_factor`` and
+    at most ``_ARPACK_NCV`` Lanczos vectors; its error is NonConvergence.
     """
     if ops._trace_cache is not None:
         return ops._trace_cache
     if not np.any(ops.boundary_mass > 0.0):
         raise EmptyBoundary("active boundary has no nodes")
-    n, bm = ops.n_nodes, ops.boundary_mass
-
-    def h1_product(x):
-        return ops.mass * x + ops.stiffness @ x
-
-    h1_solve = ops.h1_factor.solve
-    v0 = np.ones(n)
+    n, s, h1_solve = ops.n_nodes, np.sqrt(ops.boundary_mass), ops.h1_factor.solve
+    operator = spla.LinearOperator((n, n), matvec=lambda x: s * h1_solve(s * x), dtype=float)
     try:
-        w = spla.eigsh(spla.LinearOperator((n, n), matvec=lambda x: bm * x, dtype=float),
-                       k=1, M=spla.LinearOperator((n, n), matvec=h1_product, dtype=float),
-                       Minv=spla.LinearOperator((n, n), matvec=h1_solve, dtype=float),
-                       which="LA", v0=v0, ncv=min(_ARPACK_NCV, n),
+        w = spla.eigsh(operator, k=1, which="LA", v0=np.ones(n), ncv=min(_ARPACK_NCV, n),
                        return_eigenvectors=False)
-        mu = float(w[0])
-    except spla.ArpackError:
-        mu = _power_iteration(bm, h1_product, h1_solve, v0)
-    ops._trace_cache = float(np.sqrt(max(mu, 0.0)))
+    except spla.ArpackError as exc:
+        raise NonConvergence(f"trace constant: {exc}") from exc
+    ops._trace_cache = float(np.sqrt(max(float(w[0]), 0.0)))
     return ops._trace_cache
-
-
-def _power_iteration(bm_diag, h1_product, h1_solve, v0, iters=5000, tol=1e-13):
-    z = v0 / np.linalg.norm(v0)
-    mu = 0.0
-    for _ in range(iters):
-        w = h1_solve(bm_diag * z)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        z_new = w / nrm
-        mu_new = float((z_new * bm_diag * z_new).sum() / (z_new @ h1_product(z_new)))
-        if abs(mu_new - mu) <= tol * max(1.0, abs(mu_new)):
-            return mu_new
-        z, mu = z_new, mu_new
-    raise NonConvergence(f"trace constant: no convergence in {iters} power iterations")

@@ -23,8 +23,9 @@ conjugates as a supremum over a grid.  The graph classes are the
 problem's graphs only: the heat capacity c0 enters as a number where
 c0*gamma is used, never as a graph of its own.
 
-All evaluation routines accept scalars or numpy arrays and are pure;
-graph objects are immutable after construction.
+All evaluation routines take scalars or float arrays, return numpy
+floats or float arrays of the input's shape, and are pure; graph objects
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -53,13 +54,6 @@ _SIMPSON_BLOCK = 1024
 
 def _asarray(x):
     return np.asarray(x, dtype=float)
-
-
-def _match(x_in, out):
-    """Return a float for scalar input, an ndarray otherwise."""
-    if np.isscalar(x_in) or (isinstance(x_in, np.ndarray) and x_in.ndim == 0):
-        return float(np.asarray(out).reshape(-1)[0]) if np.ndim(out) else float(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -119,17 +113,16 @@ class ScalarGraph:
 
     def potential(self, r):
         """Convex potential ``int_0^r A0(s) ds``, normalized to 0 at 0."""
-        r_arr = _asarray(r)
-        self._check_domain(r_arr)
-        return _match(r, _adaptive_simpson(self.value, r_arr))
+        r = _asarray(r)
+        self._check_domain(r)
+        return _adaptive_simpson(self.value, r)
 
     # -- resolvent machinery ---------------------------------------------------
 
     def resolvent(self, lam, x):
         """Unique y with ``x in y + lam*graph(y)``, by ``_resolvent_solve``."""
-        x_arr = _asarray(x)
-        y = _resolvent_solve(self, lam, np.atleast_1d(x_arr).astype(float))
-        return _match(x, y.reshape(np.atleast_1d(x_arr).shape) if np.ndim(x) else y[0])
+        x = _asarray(x)
+        return _resolvent_solve(self, lam, x).reshape(x.shape)
 
     # -- metadata --------------------------------------------------------------
 
@@ -309,11 +302,10 @@ class Linear(ScalarGraph):
         return self.alpha
 
     def potential(self, r):
-        r_arr = _asarray(r)
-        return _match(r, 0.5 * self.alpha * r_arr**2)
+        return 0.5 * self.alpha * _asarray(r) ** 2
 
     def resolvent(self, lam, x):
-        return _match(x, _asarray(x) / (1.0 + lam * self.alpha))
+        return _asarray(x) / (1.0 + lam * self.alpha)
 
     def constants(self):
         return GraphConstants(
@@ -349,9 +341,9 @@ class SaturatingBiLipschitz(ScalarGraph):
         return self.alpha + self.b / (1.0 + np.abs(x)) ** 2
 
     def potential(self, r):
-        r_arr = _asarray(r)
-        a = np.abs(r_arr)
-        return _match(r, 0.5 * self.alpha * r_arr**2 + self.b * (a - np.log1p(a)))
+        r = _asarray(r)
+        a = np.abs(r)
+        return 0.5 * self.alpha * r**2 + self.b * (a - np.log1p(a))
 
     def constants(self):
         return GraphConstants(
@@ -384,8 +376,7 @@ class Power(ScalarGraph):
         return d
 
     def potential(self, r):
-        r_arr = _asarray(r)
-        return _match(r, np.abs(r_arr) ** (self.p + 1.0) / (self.p + 1.0))
+        return np.abs(_asarray(r)) ** (self.p + 1.0) / (self.p + 1.0)
 
     def constants(self):
         lip = GraphConstants(
@@ -430,12 +421,12 @@ class Sign(ScalarGraph):
         return np.where(x == 0.0, np.inf, 0.0)
 
     def potential(self, r):
-        return _match(r, np.abs(_asarray(r)))
+        return np.abs(_asarray(r))
 
     def resolvent(self, lam, x):
-        x_arr = _asarray(x)
+        x = _asarray(x)
         # soft threshold with dead zone |x| <= lam
-        return _match(x, np.sign(x_arr) * np.maximum(np.abs(x_arr) - lam, 0.0))
+        return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
     def constants(self):
         return GraphConstants(
@@ -480,11 +471,11 @@ class PhysicalBeta(ScalarGraph):
     def potential(self, r):
         cd = self.inner.constant_derivative()
         if cd is not None:
-            r_arr = _asarray(r)
-            val = 0.5 * self.h_coef * cd * r_arr**2
+            r = _asarray(r)
+            val = 0.5 * self.h_coef * cd * r**2
             if self.s_coef > 0.0:
-                val = val + 0.2 * self.s_coef * cd**4 * np.abs(r_arr) ** 5
-            return _match(r, val)
+                val = val + 0.2 * self.s_coef * cd**4 * np.abs(r) ** 5
+            return val
         return super().potential(r)
 
     def constants(self):
@@ -563,18 +554,18 @@ def yosida(graph: ScalarGraph, lam: float, x):
     """Yosida approximation ``(x - J_lam(x))/lam``."""
     if not lam > 0.0:
         raise InvalidArgument("yosida needs lam > 0")
-    x_arr = _asarray(x)
-    return _match(x, (x_arr - _asarray(graph.resolvent(lam, x_arr))) / lam)
+    x = _asarray(x)
+    return (x - graph.resolvent(lam, x)) / lam
 
 
 def moreau_envelope(graph: ScalarGraph, lam: float, x):
     """Quadratic inf-convolution of the potential; minimum sits at J_lam(x)."""
     if not lam > 0.0:
         raise InvalidArgument("moreau envelope needs lam > 0")
-    x_arr = _asarray(x)
-    j = _asarray(graph.resolvent(lam, x_arr))
-    a_lam = (x_arr - j) / lam
-    return _match(x, 0.5 * lam * a_lam**2 + _asarray(graph.potential(j)))
+    x = _asarray(x)
+    j = graph.resolvent(lam, x)
+    a_lam = (x - j) / lam
+    return 0.5 * lam * a_lam**2 + graph.potential(j)
 
 
 def regularized_value(graph: ScalarGraph, lam: float, eps: float, r):
@@ -584,14 +575,11 @@ def regularized_value(graph: ScalarGraph, lam: float, eps: float, r):
     its minimal section; eps > 0 applies the hard clamp at 1/eps, eps == 0
     disables it.
     """
-    r_arr = _asarray(r)
-    if lam > 0.0:
-        out = _asarray(yosida(graph, lam, r_arr))
-    else:
-        out = _asarray(graph.value(r_arr))
+    r = _asarray(r)
+    out = yosida(graph, lam, r) if lam > 0.0 else graph.value(r)
     if eps > 0.0:
         out = np.clip(out, -1.0 / eps, 1.0 / eps)
-    return _match(r, out)
+    return out
 
 
 def regularized_derivative(graph: ScalarGraph, lam: float, eps: float, r):
@@ -604,19 +592,18 @@ def regularized_derivative(graph: ScalarGraph, lam: float, eps: float, r):
     centered difference of the map itself selects a valid element of the
     generalized Jacobian on either side of (or astride) every kink.
     """
-    r_arr = _asarray(r)
+    r = _asarray(r)
     if lam > 0.0:
-        delta = 1e-6 * np.maximum(1.0, np.abs(r_arr))
-        up = _asarray(regularized_value(graph, lam, eps, r_arr + delta))
-        dn = _asarray(regularized_value(graph, lam, eps, r_arr - delta))
-        return _match(r, np.maximum((up - dn) / (2.0 * delta), 0.0))
+        delta = 1e-6 * np.maximum(1.0, np.abs(r))
+        up = regularized_value(graph, lam, eps, r + delta)
+        dn = regularized_value(graph, lam, eps, r - delta)
+        return np.maximum((up - dn) / (2.0 * delta), 0.0)
     with np.errstate(all="ignore"):
-        d = _asarray(graph.derivative(r_arr))
+        d = graph.derivative(r)
     d = np.where(np.isfinite(d), d, 0.0)
     if eps > 0.0:
-        val = _asarray(graph.value(r_arr))
-        d = np.where(np.abs(val) >= 1.0 / eps, 0.0, d)
-    return _match(r, d)
+        d = np.where(np.abs(graph.value(r)) >= 1.0 / eps, 0.0, d)
+    return d
 
 
 def regularized_potential(graph: ScalarGraph, lam: float, r):
@@ -647,8 +634,8 @@ def audit_constants(graph: ScalarGraph) -> None:
     """
     x, rel_slack = _AUDIT_SAMPLES, _AUDIT_REL_SLACK
     c = graph.constants()
-    sec = _asarray(graph.value(x))
-    pot = _asarray(graph.potential(x))
+    sec = graph.value(x)
+    pot = graph.potential(x)
     slack = rel_slack * np.maximum(1.0, np.abs(sec))
 
     if c.lipschitz_lower is not None or c.lipschitz_upper is not None:
@@ -694,8 +681,8 @@ class PropertyReport:
 def _grid_conjugate(graph, xi, anchor):
     """Conjugate values by finite supremum over a grid plus each anchor point."""
     grid = np.linspace(-12.0, 12.0, 2001)
-    on_grid = np.max(np.outer(xi, grid) - _asarray(graph.potential(grid)), axis=1)
-    return np.maximum(on_grid, anchor * xi - _asarray(graph.potential(anchor)))
+    on_grid = np.max(np.outer(xi, grid) - graph.potential(grid), axis=1)
+    return np.maximum(on_grid, anchor * xi - graph.potential(anchor))
 
 
 def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
@@ -727,14 +714,14 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
         for x, ok, e in zip(xs, passed, error):
             rep.checks.append(PropertyCheck(name, prop, lam, float(x), bool(ok), float(e)))
 
-    a0 = np.abs(_asarray(graph.value(xs)))
-    j_by_lam = {l: _asarray(graph.resolvent(l, xs)) for l in lams}
+    a0 = np.abs(graph.value(xs))
+    j_by_lam = {l: graph.resolvent(l, xs) for l in lams}
     a_by_lam = {l: (xs - j_by_lam[l]) / l for l in lams}
     env_by_lam = {
-        l: 0.5 * l * a_by_lam[l] ** 2 + _asarray(graph.potential(j_by_lam[l]))
+        l: 0.5 * l * a_by_lam[l] ** 2 + graph.potential(j_by_lam[l])
         for l in lams
     }
-    pot = _asarray(graph.potential(xs))
+    pot = graph.potential(xs)
     scale = np.maximum(1.0, np.abs(xs))
     pot_scale = np.maximum(1.0, np.abs(pot))
     dxs = np.abs(xs[:, None] - xs[None, :])
@@ -757,15 +744,15 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
         # nested regularization collapses, (A_mu)_lam == A_{mu+lam}: at
         # mu = lam, a = A_{2 lam}(x) solves its defining relation
         # a = A_lam(x - lam*a)
-        a2 = _asarray(yosida(graph, 2.0 * l, xs))
-        e = np.abs(_asarray(yosida(graph, l, xs - l * a2)) - a2)
+        a2 = yosida(graph, 2.0 * l, xs)
+        e = np.abs(yosida(graph, l, xs - l * a2) - a2)
         add("resolvent_semigroup", l, e <= tol * scale, e)
         # envelope gradient matches the Yosida approximation; checked as a
         # limit: the central difference either sits at tolerance already or
         # shrinks by the expected factor when h is reduced
         def _fd_error(h):
-            env_p = _asarray(moreau_envelope(graph, l, xs + h))
-            env_m = _asarray(moreau_envelope(graph, l, xs - h))
+            env_p = moreau_envelope(graph, l, xs + h)
+            env_m = moreau_envelope(graph, l, xs - h)
             return np.abs((env_p - env_m) / (2.0 * h) - a)
 
         h1 = 1e-3 * scale
@@ -789,7 +776,7 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
     # conjugate duality: potential(x) + conjugate(xi) == x*xi on the graph;
     # the grid supremum exceeds its anchor x*xi - potential(x) exactly when
     # the potential is not the primitive of the graph's values
-    sec = _asarray(graph.value(xs))
+    sec = graph.value(xs)
     e = np.abs(pot + _grid_conjugate(graph, sec, xs) - xs * sec)
     add("fenchel_young", None, e <= tol * np.maximum(1.0, np.abs(xs * sec)), e)
 

@@ -68,6 +68,7 @@ from .errors import (
     InvalidArgument,
     LinearSolveFailure,
     NonConvergence,
+    QuadratureFailure,
     SingularJacobian,
     SolverDisagreement,
     ValidationError,
@@ -134,9 +135,15 @@ class ProblemSpec:
             self.u0 = np.asarray(self.u0, dtype=float)
             if self.u0.shape != (n,):
                 raise ValidationError(f"u0 has shape {self.u0.shape}, expected ({n},)", key="u0")
-        if not np.all(np.isfinite(self.gamma.value(self.u0))):
-            raise ValidationError("gamma(u0) is not finite everywhere", key="u0")
-        if not np.all(np.isfinite(np.asarray(self.beta.potential(self.u0)))):
+        # an overflow here is bad data, reported below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(self.gamma.value(self.u0))):
+                raise ValidationError("gamma(u0) is not finite everywhere", key="u0")
+            try:
+                summable = np.all(np.isfinite(self.beta.potential(self.u0)))
+            except QuadratureFailure:
+                summable = False
+        if not summable:
             raise ValidationError("boundary potential of u0 is not summable", key="u0")
         self._g_fn = _as_time_field(self.g, n, "g")
         self._h_fn = _as_time_field(self.h, n, "h")
@@ -148,7 +155,7 @@ class ProblemSpec:
         return np.asarray(self._h_fn(t), dtype=float)
 
     def v_of(self, u: np.ndarray) -> np.ndarray:
-        return self.c0 * np.asarray(self.gamma.value(u), dtype=float)
+        return self.c0 * self.gamma.value(u)
 
 
 @dataclass(frozen=True)
@@ -215,9 +222,9 @@ class SolutionState:
         return self.times.shape[0] - 1
 
 
-def smooth_initial(mesh: Mesh, ops: AssembledOperators, u0: np.ndarray,
-                   lam: float) -> np.ndarray:
-    """Elliptic mollification of the initial field: (M + lam*K) U = M u0.
+def smooth_initial(ops: AssembledOperators, u0: np.ndarray, lam: float) -> np.ndarray:
+    """Elliptic mollification of the initial field: (M + lam*K) U = M u0,
+    with the lumped mass ``M`` and stiffness ``K`` of ``ops``.
 
     Constants are preserved exactly, the lumped l2 norm never grows, and
     the smoothed field converges back to u0 as lam goes to zero.
@@ -277,12 +284,10 @@ class _StepSolver:
     # -- building blocks ----------------------------------------------------
 
     def beta_reg(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            gr.regularized_value(self.spec.beta, self.lam, self.eps, u), dtype=float)
+        return gr.regularized_value(self.spec.beta, self.lam, self.eps, u)
 
     def beta_reg_deriv(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            gr.regularized_derivative(self.spec.beta, self.lam, self.eps, u), dtype=float)
+        return gr.regularized_derivative(self.spec.beta, self.lam, self.eps, u)
 
     def rhs(self, v_prev: np.ndarray, t_next: float) -> np.ndarray:
         b = (self.mass * v_prev
@@ -302,7 +307,7 @@ class _StepSolver:
 
     def residual(self, u: np.ndarray, b: np.ndarray) -> np.ndarray:
         spec = self.spec
-        r = (self.mass * (spec.c0 * np.asarray(spec.gamma.value(u), dtype=float))
+        r = (self.mass * (spec.c0 * spec.gamma.value(u))
              + self.tau * (self.stiffness @ u)
              + self.boundary_term(u)
              - b)
@@ -403,7 +408,7 @@ class _StepSolver:
             return u, 0, res
         eta = 0.1
         for it in range(1, self.config.max_iters + 1):
-            gamma_d = np.asarray(spec.gamma.derivative(u), dtype=float)
+            gamma_d = spec.gamma.derivative(u)
             if not np.all(np.isfinite(gamma_d)) or np.any(gamma_d <= 0.0):
                 raise SingularJacobian(
                     "gamma derivative not positive; graph mis-declared as bi-Lipschitz")
@@ -486,7 +491,7 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
 
     u0 = np.asarray(spec.u0, dtype=float)
     if config.smooth_u0_lambda > 0.0:
-        u0 = smooth_initial(spec.mesh, ops, u0, config.smooth_u0_lambda)
+        u0 = smooth_initial(ops, u0, config.smooth_u0_lambda)
 
     solver = _StepSolver(spec, ops, config, lam, config.epsilon)
 

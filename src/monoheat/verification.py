@@ -121,11 +121,10 @@ def energy_monitors(solution: SolutionState, spec: ProblemSpec,
     # the graph functionals run one level at a time: on the whole history
     # their resolvent and quadrature temporaries raised the peak RSS of a
     # solve by 0.5-0.7 MB (6x6 and 96x96 meshes)
-    phi_star = np.array([np.sum(m * (v_k * u_k - spec.c0 * np.asarray(
-        spec.gamma.potential(u_k), dtype=float))) for u_k, v_k in zip(u, v)])
-    bhat = np.array([np.sum(m * np.asarray(
-        gr.regularized_potential(spec.beta, solution.lam, u_k), dtype=float))
-        for u_k in u])
+    phi_star = np.array([np.sum(m * (v_k * u_k - spec.c0 * spec.gamma.potential(u_k)))
+                         for u_k, v_k in zip(u, v)])
+    bhat = np.array([np.sum(m * gr.regularized_potential(spec.beta, solution.lam, u_k))
+                     for u_k in u])
     g1 = spec.mesh.gamma1_nodes
     bwork = _lumped(xi, u[:, g1], bm[g1])
 
@@ -181,7 +180,7 @@ def data_norms(spec: ProblemSpec, ops: AssembledOperators,
     g = _sampled(spec.g_at, solution.times[1:])
     h = _sampled(spec.h_at, solution.times[1:])
     g_linf = np.max(np.abs(g), axis=1)
-    bpot = float(np.sum(m * np.asarray(spec.beta.potential(u0), dtype=float)))
+    bpot = float(np.sum(m * spec.beta.potential(u0)))
     return DataNorms(
         m1=m1, m2_sq=tau * float(np.sum(_lumped(h, h, ops.boundary_mass))),
         g_l2l2_sq=tau * float(np.sum(_lumped(g, g, m))),

@@ -23,9 +23,10 @@ from monoheat.errors import (
     EmptyBoundary,
     InsufficientLevels,
     ParseError,
+    QuadratureFailure,
     ValidationError,
 )
-from monoheat.stepper import SolutionState, lambda_continuation
+from monoheat.stepper import SolutionState, _StepSolver, lambda_continuation
 
 STEADY = """
 [problem]
@@ -43,6 +44,10 @@ tau = 0.1
 lambda_schedule = [0.0]
 solver_kind = newton
 """
+
+# STEADY with the README example's volume graph: beta's potential is then a
+# quadrature
+README_PHYSICS = STEADY.replace("gamma = linear(2.0)", "gamma = saturating(1.0, 1.0)")
 
 DEPENDENCE = """
 [problem]
@@ -796,6 +801,36 @@ class TestCli:
          "error: line {line}: smoothing parameter must be nonnegative"),
         ("solve", STEADY, "solver_kind = newton", "solver_kind = newtn", 3,
          "error: line {line}: solver_kind must be picard, newton or both"),
+        # README physics: physical beta around saturating gamma, whose
+        # potential is a quadrature that overflows at u0 = 1e80
+        ("solve", README_PHYSICS, "u0 = constant(1.0)", "u0 = 1e80", 3,
+         "error: line {line}: boundary potential of u0 is not summable"),
+        ("solve", README_PHYSICS, "h = beta_of(1.0)", "h = beta_of(1e80)", 3,
+         "error: line {line}: expected a finite number, got inf"),
+        ("solve", STEADY, "u0 = constant(1.0)", "u0 = 1e80", 3,
+         "error: line {line}: boundary potential of u0 is not summable"),
+        ("continuation", STEADY, "lambda_schedule = [0.0]", "lambda_schedule = [0.5]", 3,
+         "error: line {line}: continuation needs at least two lambda values"),
+        ("solve", STEADY, "[solver]", "[solver", 3,
+         "error: line {line}: unterminated section header"),
+        ("solve", STEADY, "[solver]", "[ ]", 3, "error: line {line}: empty section name"),
+        ("solve", STEADY, "c0 = 1.0", "c0 1.0", 3, "error: line {line}: expected 'key = value'"),
+        ("solve", STEADY, "c0 = 1.0", "c-0 = 1.0", 3, "error: line {line}: bad key 'c-0'"),
+        ("solve", STEADY, "gamma = linear(2.0)", "gamma = 2.0", 3,
+         "error: line {line}: expected a graph constructor"),
+        ("solve", STEADY, "beta = physical(h=1.0, s=1.0)", "beta = cubic(1.0)", 3,
+         "error: line {line}: unknown graph kind 'cubic'"),
+        ("solve", STEADY, "domain = interval(1.0, 8, gamma1=right)",
+         "domain = rect(1.0, 1.0, 4, 4, top)", 3,
+         "error: line {line}: rect boundary must be lateral or none"),
+        ("solve", STEADY, "domain = interval(1.0, 8, gamma1=right)", "domain = disk(1.0)", 3,
+         "error: line {line}: expected interval(...) or rect(...)"),
+        ("solve", STEADY, "g = constant(0.0)", "g = zero", 3,
+         "error: line {line}: expected constant(...), expr(...) or beta_of(...)"),
+        ("solve", STEADY, "T = 0.5", "# no T", 3, "error: problem section missing keys ['T']"),
+        ("solve", STEADY, "tau = 0.1", "# no tau", 3, "error: solver section must set tau"),
+        ("convergence", CONVERGENCE, 'exact_time = "exp(-t)*cos(pi*x/2)"', "# no exact_time",
+         3, "error: [convergence] missing key 'exact_time'"),
     ], ids=["space_levels", "time_levels", "zero_time_level", "repeated_time_levels",
             "negative_space_level", "negative_fine_time", "zero_fine_space",
             "negative_length", "unknown_gamma1", "zero_c0", "convergence_negative_T",
@@ -805,7 +840,12 @@ class TestCli:
             "infinite_u0", "negative_tau", "increasing_lambda_schedule",
             "negative_lambda", "negative_epsilon", "large_picard_damping",
             "zero_newton_tol", "zero_max_iters", "negative_smoothing",
-            "misspelled_solver_kind"])
+            "misspelled_solver_kind", "overflowing_u0_quadrature", "overflowing_beta_of",
+            "overflowing_u0_closed_form", "one_level_continuation",
+            "unterminated_section", "empty_section", "missing_equals", "bad_key",
+            "non_constructor_graph", "unknown_graph_kind", "bad_rect_boundary",
+            "unknown_domain", "bad_data_field", "missing_problem_key", "missing_tau",
+            "missing_convergence_key"])
     def test_package_error_exit_code(self, tmp_path, capsys, command, base, old, new,
                                      code, message):
         text = base.replace(old, new)
@@ -816,6 +856,46 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(message.format(line=line_no))
         assert len(err.splitlines()) == 1
+
+    def test_solver_disagreement_exits_two(self, tmp_path, monkeypatch, capsys):
+        # a fixed-point answer moved by 1e-6 is past the cross-check allowance
+        picard = _StepSolver.picard
+
+        def shifted(self, u_init, b):
+            u, sweeps, res = picard(self, u_init, b)
+            return u + 1e-6, sweeps, res
+
+        monkeypatch.setattr(_StepSolver, "picard", shifted)
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text(STEADY.replace("solver_kind = newton", "solver_kind = both"))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("violation: fixed-point and Newton answers differ by ")
+        assert len(err.splitlines()) == 1
+
+    def test_no_strict_warns_once_and_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "extra.cfg"
+        cfg.write_text(STEADY + "colour = blue\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "--no-strict"]) == 0
+        assert capsys.readouterr().err == "warning: unknown keys in [solver]: ['colour']\n"
+
+    @pytest.mark.parametrize("error, line", [
+        (QuadratureFailure, "solver failure: cannot go on"),
+        (DomainError, "error: DomainError: cannot go on")])
+    def test_parse_time_package_error_maps_as_in_run(self, tmp_path, monkeypatch, capsys,
+                                                     error, line):
+        def fail(text, command, strict):
+            raise error("cannot go on")
+        monkeypatch.setattr(cli, "parse_config", fail)
+        cfg = tmp_path / "steady.cfg"
+        cfg.write_text(STEADY)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == line + "\n"
+
+    def test_solve_without_config_exits_three(self, tmp_path, capsys):
+        assert main(["solve", "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == "error: --config is required for this command\n"
 
     @pytest.mark.parametrize("error", [DomainError, DegenerateElement, EmptyBoundary,
                                        InsufficientLevels])

@@ -42,7 +42,7 @@ class TestMeshRect:
         mesh = fem.build_mesh_rect(1.0, 1.0, 2, 2, True)
         # corners plus the two lateral midside nodes are active
         assert len(mesh.gamma1_nodes) == 6
-        assert len(mesh.gamma0_nodes) == 2
+        assert np.count_nonzero(mesh.boundary_labels == GAMMA0) == 2
 
     def test_minimal_rectangle(self):
         mesh = fem.build_mesh_rect(1.0, 1.0, 1, 1, True)
@@ -258,26 +258,23 @@ class TestLargeMeshTrace:
                                subset_by_index=[ops.n_nodes - 1, ops.n_nodes - 1])[0]
         assert fem.trace_constant(ops) ** 2 == pytest.approx(mu, rel=1e-12)
 
-    def test_power_iteration_fallback_matches_arpack(self, monkeypatch):
-        mesh = fem.build_mesh_rect(1.0, 1.0, 40, 40, True)
-        c_arpack = fem.trace_constant(fem.assemble(mesh))
-        calls = []
-
+    def test_arpack_failure_raises_nonconvergence(self, tmp_path, monkeypatch, capsys):
+        # no fallback: an ARPACK error is a solver failure, exit 1 in one line
         def no_convergence(*args, **kwargs):
-            calls.append(1)
             raise fem.spla.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
 
         monkeypatch.setattr(fem.spla, "eigsh", no_convergence)
-        c_power = fem.trace_constant(fem.assemble(mesh))
-        assert calls == [1]
-        assert c_power == pytest.approx(c_arpack, rel=1e-10)
-
-    def test_power_iteration_raises_when_out_of_iterations(self):
         ops = fem.assemble(fem.build_mesh_rect(1.0, 1.0, 6, 6, True))
-        with pytest.raises(NonConvergence, match="trace constant"):
-            fem._power_iteration(ops.boundary_mass,
-                                 lambda x: ops.mass * x + ops.stiffness @ x,
-                                 ops.h1_factor.solve, np.ones(ops.n_nodes), iters=1)
+        with pytest.raises(NonConvergence, match="^trace constant: .*forced"):
+            fem.trace_constant(ops)
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("[problem]\ndomain = interval(1.0, 8, gamma1=right)\n"
+                       "gamma = linear(2.0)\nbeta = linear(1.0)\nT = 0.2\n"
+                       "[solver]\ntau = 0.1\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: trace constant: ")
+        assert len(err.splitlines()) == 1
 
 
 def _served_matrices(mesh):
@@ -296,7 +293,7 @@ def _served_matrices(mesh):
     return {
         "h1": (mass + stiff, ops.h1_factor.solve),
         "smoothing": (mass + 0.5 * stiff,
-                      lambda b: smooth_initial(mesh, ops, b / ops.mass, 0.5)),
+                      lambda b: smooth_initial(ops, b / ops.mass, 0.5)),
         "picard": (picard, solver._picard_solve),
     }
 
@@ -332,7 +329,7 @@ class TestSpdFactor:
                                  0.25, 0.0)
             ops.h1_factor
             solver._picard_solve
-            smooth_initial(mesh, ops, ops.mass, 0.5)
+            smooth_initial(ops, ops.mass, 0.5)
             assert len(factored) == 3
             for matrix in (ops.stiffness, *factored):
                 assert matrix.format == "csr"

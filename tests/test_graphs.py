@@ -337,6 +337,14 @@ class TestRegularizedValue:
         # clamped at 1/eps = 2
         assert gr.regularized_value(gr.Linear(5.0), 1.0, 0.5, x) == pytest.approx(expected)
 
+    def test_clamped_slope_at_zero_lambda(self):
+        # at lam = 0 the map is power(3) cut at 1/eps = 2: its slope is 0
+        # where |r|^3 >= 2 and 3 r^2 below
+        r = np.linspace(-2.0, 2.0, 81)
+        d = gr.regularized_derivative(gr.Power(3.0), 0.0, 0.5, r)
+        np.testing.assert_array_equal(d, np.where(np.abs(r) ** 3.0 >= 2.0, 0.0, 3.0 * r**2))
+        assert np.count_nonzero(d == 0.0) > 20
+
 
 class TestPropertySuite:
     def test_linear_all_pass(self):

@@ -78,7 +78,7 @@ class TestSmoothInitial:
         mesh = fem.build_mesh_1d(1.0, 10, "right")
         ops = fem.assemble(mesh)
         for lam in (1.0, 0.1, 0.01):
-            out = smooth_initial(mesh, ops, np.full(ops.n_nodes, 2.5), lam)
+            out = smooth_initial(ops, np.full(ops.n_nodes, 2.5), lam)
             assert np.abs(out - 2.5).max() < 1e-12
 
     def test_energy_bound(self, rng):
@@ -86,7 +86,7 @@ class TestSmoothInitial:
         ops = fem.assemble(mesh)
         u0 = rng.normal(size=ops.n_nodes)
         lam = 0.05
-        out = smooth_initial(mesh, ops, u0, lam)
+        out = smooth_initial(ops, u0, lam)
         lhs = 0.5 * float(out @ (ops.mass * out)) \
             + lam * float(out @ (ops.stiffness @ out))
         rhs = 0.5 * float(u0 @ (ops.mass * u0))
@@ -98,7 +98,7 @@ class TestSmoothInitial:
         u0 = smooth_nodal(mesh, rng)
 
         def dist(lam):
-            d = smooth_initial(mesh, ops, u0, lam) - u0
+            d = smooth_initial(ops, u0, lam) - u0
             return np.sqrt(float(d @ (ops.mass * d)))
 
         dists = [dist(l) for l in (1e-1, 1e-2, 1e-3)]
@@ -409,6 +409,26 @@ class TestCrossSolverContracts:
             u_p, _, _ = solver.picard(spec.u0, b)
             u_n, _, _ = solver.newton(spec.u0, b)
             assert np.linalg.norm(u_p - u_n) <= advance_allowance(spec, ops, cfg, b)
+
+    def test_clamped_limit_march_meets_residual_contract(self):
+        # lambda = 0 with the clamp at 1/eps = 2 active on Gamma1 at every
+        # level: the bath h = 3 heats the boundary past 2^(1/3), where the
+        # clamped power(3) is constant and Newton takes its slope as 0
+        mesh = fem.build_mesh_1d(1.0, 8, "right")
+        beta = gr.Power(3.0)
+        spec = ProblemSpec(mesh=mesh, c0=1.0, gamma=gr.SaturatingBiLipschitz(1.0, 1.0),
+                           beta=beta, g=0.0, h=3.0, u0=1.5, T=0.2)
+        ops = fem.assemble(mesh)
+        cfg = SolverConfig(tau=0.05, lambda_schedule=(0.0,), epsilon=0.5, solver_kind="both")
+        state = solve_transient(spec, cfg, ops=ops)
+        assert np.all(state.xi == 2.0)
+        assert np.all(np.abs(state.u[:, mesh.gamma1_nodes]) ** 3 >= 2.0)
+        for k in range(1, state.n_steps + 1):
+            u = state.u[k]
+            b = ops.mass * state.v[k - 1] + cfg.tau * ops.boundary_mass * 3.0
+            res = (ops.mass * spec.v_of(u) + cfg.tau * (ops.stiffness @ u)
+                   + cfg.tau * ops.boundary_mass * np.clip(beta.value(u), -2.0, 2.0) - b)
+            assert np.linalg.norm(res) <= cfg.newton_tol * (1 + np.linalg.norm(b))
 
     def test_picard_matrix_is_spd_with_lambda_mass(self, rng, monkeypatch):
         factored = factored_matrices(monkeypatch)

@@ -448,8 +448,9 @@ class TestDualRate:
         assert max(rates) <= 2.0 * min(rates)
 
     def test_one_h1_factor_for_trace_and_monitors(self, rng, monkeypatch):
-        # trace_constant's ARPACK path, taken at every mesh size, would
-        # factorize M + K itself in generalized mode unless handed M^-1
+        # trace_constant's Lanczos iteration, run at every mesh size on the
+        # standard-mode operator s (M + K)^-1 s, solves with the shared
+        # factor of M + K and factorizes nothing of its own
         spec = random_problem_2d(rng, n=40, T=0.1)
         ops = fem.assemble(spec.mesh)
         state = solve_transient(spec, SolverConfig(tau=0.05, lambda_schedule=(0.125,)),
