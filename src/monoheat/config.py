@@ -7,6 +7,10 @@ quoted string, a bracketed list or a call like ``linear(2.0)`` and
 constructor's parameters by ``_bind``.  Parsing is strict by default:
 unknown sections or keys are errors, so silently ignored physics cannot
 happen.
+
+No value builder knows its line: ``_parse_sections`` adds it to a grammar
+error, ``_entry`` to any other error of the section entry it builds (a time
+field's too, at each call) and ``_at_key_line`` to a cross-field check's.
 """
 
 from __future__ import annotations
@@ -34,46 +38,42 @@ COMMANDS = ("graph-check", "solve", "continuation", "convergence", "dependence")
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Call:
-    name: str
-    args: list
-    kwargs: dict
+Call = namedtuple("Call", "name args kwargs")
 
 
 def _quoted(text: str, width: int = 40) -> str:
     return repr(text if len(text) <= width else text[:width - 3] + "...")
 
 
-def _parse_text(text: str, line_no: int, what: str) -> ast.AST:
+def _parse_text(text: str, what: str) -> ast.AST:
     """The stripped ``text`` parsed, never evaluated, as one expression; what the
     parser rejects (on 3.10 a NUL byte is a ``ValueError``, and deep nesting can
-    exhaust its recursion or memory) is a ``ParseError`` naming the line."""
+    exhaust its recursion or memory) is a ``ParseError``."""
     try:
         return ast.parse(text, mode="eval").body
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise ParseError(f"bad {what} {_quoted(text)}: "
-                         f"{getattr(exc, 'msg', None) or repr(exc)}", line_no) from exc
+                         f"{getattr(exc, 'msg', None) or repr(exc)}") from exc
 
 
-def _not_allowed(text: str, node: ast.AST, line_no: int, where: str, hint: str = ""):
+def _not_allowed(text: str, node: ast.AST, where: str, hint: str = ""):
     # quotes the node's own text: ast.unparse(node) recurses through the node
     # and can itself overflow the stack
     segment = _quoted(ast.get_source_segment(text, node))
-    return ParseError(f"{segment} is not allowed in {where}{hint}", line_no)
+    return ParseError(f"{segment} is not allowed in {where}{hint}")
 
 
 def _is_number(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and type(node.value) in (int, float)
 
 
-def _value(node: ast.AST, text: str, line_no: int):
+def _value(node: ast.AST, text: str):
     """A parsed right-hand side as a config value: a float, a str (bare
     word or quoted string), a list or a ``Call``."""
     if (isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub))
             and _is_number(node.operand)):
         sign = -1.0 if isinstance(node.op, ast.USub) else 1.0
-        return sign * _value(node.operand, text, line_no)
+        return sign * _value(node.operand, text)
     if _is_number(node):
         # through the decimal text, so an integer beyond the float range is inf
         return float(repr(node.value))
@@ -82,14 +82,14 @@ def _value(node: ast.AST, text: str, line_no: int):
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.List):
-        return [_value(item, text, line_no) for item in node.elts]
+        return [_value(item, text) for item in node.elts]
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        args = [_value(arg, text, line_no) for arg in node.args]  # rejects a *starred one
-        kwargs = {kw.arg: _value(kw.value, text, line_no) for kw in node.keywords}
+        args = [_value(arg, text) for arg in node.args]  # rejects a *starred one
+        kwargs = {kw.arg: _value(kw.value, text) for kw in node.keywords}
         if None in kwargs or len(kwargs) < len(node.keywords):
-            raise ParseError(f"**keywords or a repeated keyword in {node.func.id}(...)", line_no)
+            raise ParseError(f"**keywords or a repeated keyword in {node.func.id}(...)")
         return Call(node.func.id, args, kwargs)
-    raise _not_allowed(text, node, line_no, "a value")
+    raise _not_allowed(text, node, "a value")
 
 
 def _parse_sections(text: str):
@@ -98,27 +98,29 @@ def _parse_sections(text: str):
     current = ""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError("unterminated section header", line_no)
-            current = line[1:-1].strip()
-            if not current:
-                raise ParseError("empty section name", line_no)
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ParseError("expected 'key = value'", line_no)
-        key, _, rhs = line.partition("=")
-        key = key.strip()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", key):
-            raise ParseError(f"bad key {key!r}", line_no)
-        if key in sections[current]:
-            raise ParseError(f"duplicate key {key!r}", line_no)
-        rhs = rhs.strip()
-        sections[current][key] = (_value(_parse_text(rhs, line_no, "value"), rhs, line_no),
-                                  line_no)
+        try:
+            if not line:
+                continue
+            if line.startswith("["):
+                if not line.endswith("]"):
+                    raise ParseError("unterminated section header")
+                current = line[1:-1].strip()
+                if not current:
+                    raise ParseError("empty section name")
+                sections.setdefault(current, {})
+                continue
+            if "=" not in line:
+                raise ParseError("expected 'key = value'")
+            key, _, rhs = line.partition("=")
+            key = key.strip()
+            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", key):
+                raise ParseError(f"bad key {key!r}")
+            if key in sections[current]:
+                raise ParseError(f"duplicate key {key!r}")
+            rhs = rhs.strip()
+            sections[current][key] = (_value(_parse_text(rhs, "value"), rhs), line_no)
+        except ParseError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from exc
     return sections
 
 
@@ -127,11 +129,11 @@ def _parse_sections(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _bind(call: Call, params, line_no: int, **defaults) -> list:
+def _bind(call: Call, params, **defaults) -> list:
     """The arguments of ``call`` bound to ``params`` by position, then by
     keyword, then from ``defaults``, in the order of ``params``; a ``*name``
     parameter takes the other positional arguments as a tuple.  A missing,
-    extra or repeated argument is a ``ValidationError`` naming the line."""
+    extra or repeated argument is a ``ValidationError``."""
     P = inspect.Parameter
     signature = inspect.Signature([
         P(p.lstrip("*"), P.VAR_POSITIONAL if p.startswith("*") else P.POSITIONAL_OR_KEYWORD,
@@ -139,33 +141,48 @@ def _bind(call: Call, params, line_no: int, **defaults) -> list:
     try:
         bound = signature.bind(*call.args, **call.kwargs)
     except TypeError as exc:
-        raise ValidationError(f"line {line_no}: {call.name}(...): {exc}") from exc
+        raise ValidationError(f"{call.name}(...): {exc}") from exc
     bound.apply_defaults()
     return list(bound.arguments.values())
 
 
-def _number(value, line_no, kind=float, listed=False):
+def _number(value, kind=float, listed=False):
     """A config value as a finite ``kind`` (float or int), or a list of them
-    when ``listed``; anything else is a ``ValidationError`` naming the line."""
+    when ``listed``; anything else is a ``ValidationError``."""
     if listed:
         if not isinstance(value, list):
-            raise ValidationError(f"line {line_no}: expected a list of numbers, got {value!r}")
-        return [_number(v, line_no, kind) for v in value]
+            raise ValidationError(f"expected a list of numbers, got {value!r}")
+        return [_number(v, kind) for v in value]
     if not isinstance(value, float) or not math.isfinite(value):
-        raise ValidationError(f"line {line_no}: expected a finite number, got {value!r}")
+        raise ValidationError(f"expected a finite number, got {value!r}")
     if kind is int:
         if not value.is_integer():
-            raise ValidationError(f"line {line_no}: expected an integer, got {value!r}")
+            raise ValidationError(f"expected an integer, got {value!r}")
         return int(value)
     return value
 
 
-def _at_line(line_no, what, build, *args):
-    """``build(*args)``, with a ``ValidationError`` it raises naming the line."""
+def _numbers(value) -> list:
+    """A number or a list of numbers as a list of finite floats."""
+    return _number(value if isinstance(value, list) else [value], listed=True)
+
+
+def _positive(value, key, kind=float):
+    out = _number(value, kind)
+    if not out > 0:
+        raise ValidationError(f"{key} must be positive, got {out!r}")
+    return out
+
+
+def _prefixed(prefix, build, *args):
+    """``build(*args)``, with a config error it raises behind ``prefix``: a
+    ``ParseError`` for the grammar, a ``ValidationError`` for anything else."""
     try:
         return build(*args)
+    except ParseError as exc:
+        raise ParseError(f"{prefix}{exc}") from exc
     except ValidationError as exc:
-        raise ValidationError(f"line {line_no}: {what}{exc}") from exc
+        raise ValidationError(f"{prefix}{exc}") from exc
 
 
 #: graph constructors by name: their parameters, all numbers except
@@ -180,44 +197,41 @@ _GRAPHS = {
 }
 
 
-def _build_graph(value, line_no, gamma: Optional[gr.ScalarGraph] = None) -> gr.ScalarGraph:
+def _build_graph(value, gamma: Optional[gr.ScalarGraph] = None) -> gr.ScalarGraph:
     if value == "sign":
         value = Call("sign", [], {})
     if not isinstance(value, Call):
-        raise ValidationError(f"line {line_no}: expected a graph constructor")
+        raise ValidationError("expected a graph constructor")
     if value.name not in _GRAPHS:
-        raise ValidationError(f"line {line_no}: unknown graph kind {value.name!r}")
+        raise ValidationError(f"unknown graph kind {value.name!r}")
     params, build = _GRAPHS[value.name]
-    args = _bind(value, params, line_no)
+    args = _bind(value, params)
     if value.name == "composite":
-        args = [_build_graph(part, line_no, gamma) for part in args[0]]
+        args = [_build_graph(part, gamma) for part in args[0]]
     else:
-        args = [_number(arg, line_no) for arg in args]
-    return _at_line(line_no, f"bad graph {value.name}: ", build, gamma, *args)
+        args = [_number(arg) for arg in args]
+    return _prefixed(f"bad graph {value.name}: ", build, gamma, *args)
 
 
-def _volume_graph(value, line_no) -> gr.ScalarGraph:
+def _volume_graph(value) -> gr.ScalarGraph:
     """A graph built to serve as ``gamma``: bi-Lipschitz, constants audited."""
-    gamma = _build_graph(value, line_no)
-    _at_line(line_no, "", check_volume_graph, gamma)
+    gamma = _build_graph(value)
+    check_volume_graph(gamma)
     return gamma
 
 
-def _build_mesh(value, line_no) -> Mesh:
+def _build_mesh(value) -> Mesh:
     if isinstance(value, Call) and value.name == "interval":
-        length, n, side = _bind(value, ("length", "n", "gamma1"), line_no, gamma1="right")
-        return _at_line(line_no, "bad domain: ", build_mesh_1d, _number(length, line_no),
-                        _number(n, line_no, int), side)
+        length, n, side = _bind(value, ("length", "n", "gamma1"), gamma1="right")
+        return _prefixed("bad domain: ", build_mesh_1d, _number(length), _number(n, int), side)
     if isinstance(value, Call) and value.name == "rect":
         lx, ly, nx, ny, boundary = _bind(value, ("lx", "ly", "nx", "ny", "boundary"),
-                                         line_no, boundary="lateral")
+                                         boundary="lateral")
         if boundary not in ("lateral", "none"):
-            raise ValidationError(
-                f"line {line_no}: rect boundary must be lateral or none, got {boundary!r}")
-        return _at_line(line_no, "bad domain: ", build_mesh_rect, _number(lx, line_no),
-                        _number(ly, line_no), _number(nx, line_no, int),
-                        _number(ny, line_no, int), boundary == "lateral")
-    raise ValidationError(f"line {line_no}: expected interval(...) or rect(...)")
+            raise ValidationError(f"rect boundary must be lateral or none, got {boundary!r}")
+        return _prefixed("bad domain: ", build_mesh_rect, _number(lx), _number(ly),
+                         _number(nx, int), _number(ny, int), boundary == "lateral")
+    raise ValidationError("expected interval(...) or rect(...)")
 
 
 #: an expression's value with its first derivatives ``d`` in (x, [y,] [t]) and
@@ -285,19 +299,19 @@ def _chain(op, jets, first, second) -> Jet:
                      for i in range(len(jets[0].dd))))
 
 
-def compile_expr(text: str, dim: int, time_dependent: bool, line_no: Optional[int] = None):
+def compile_expr(text: str, dim: int, time_dependent: bool):
     """Check ``text`` against the ``expr(...)`` grammar and compile it.
 
     The grammar is numbers, ``pi``, the variables x, y (when ``dim`` is 2)
     and t (when ``time_dependent``), ``+ - * / **``, unary ``+``/``-`` and
     one-argument calls of ``_EXPR_FUNCTIONS``; any other node is a
-    ``ConfigError`` (naming ``line_no`` when given).  The text is parsed,
+    ``ConfigError``.  The text is parsed,
     never evaluated.  Returns ``evaluate(env, derivatives=False)``: one
     forward-mode walk of the tree with numpy at the variable values ``env``,
     in that order, to its ``Jet``."""
     names = ("x", "y")[:dim] + (("t",) if time_dependent else ())
     text = text.strip()
-    root = _expr_node(_parse_text(text, line_no, "expression"), text, names, line_no, 0)
+    root = _expr_node(_parse_text(text, "expression"), text, names, 0)
     n = len(names)
     # (d, dd) of each variable and, last, of a constant
     seeds = {False: [((), ())] * (n + 1),
@@ -309,24 +323,19 @@ def _jet(node, env, seeds) -> Jet:
     return node(env, seeds) if callable(node) else Jet(node, *seeds[-1])
 
 
-def _at(line_no) -> str:
-    return "" if line_no is None else f"line {line_no}: "
-
-
-def _expr_node(node, text, names, line_no, depth):
+def _expr_node(node, text, names, depth):
     """A checked node as an ``np.float64`` when it holds no variable (so
     constants are folded here, in float64 arithmetic), else as a function
     of the variable tuple and the seeds of ``compile_expr`` to its ``Jet``."""
     if depth > _EXPR_DEPTH:
-        raise ValidationError(
-            f"{_at(line_no)}expression nested more than {_EXPR_DEPTH} levels deep")
+        raise ValidationError(f"expression nested more than {_EXPR_DEPTH} levels deep")
     if _is_number(node):
-        return _folded(lambda: node.value, node, text, line_no)
+        return _folded(lambda: node.value, node, text)
     if isinstance(node, ast.Name):
         if node.id == "pi":
             return np.float64(np.pi)
         if node.id not in names:
-            raise ValidationError(f"{_at(line_no)}unknown name {node.id!r} in expression; "
+            raise ValidationError(f"unknown name {node.id!r} in expression; "
                                   f"the variables here are {', '.join(names)}")
         i = names.index(node.id)
         # numpy values, so a partial such as 1/t at t = 0 is inf, not an exception
@@ -341,14 +350,14 @@ def _expr_node(node, text, names, line_no, depth):
     else:
         hint = " (the power operator is **)" if isinstance(
             getattr(node, "op", None), ast.BitXor) else ""
-        raise _not_allowed(text, node, line_no, "an expression", hint)
-    args = [_expr_node(part, text, names, line_no, depth + 1) for part in parts]
+        raise _not_allowed(text, node, "an expression", hint)
+    args = [_expr_node(part, text, names, depth + 1) for part in parts]
     if not any(callable(a) for a in args):
-        return _folded(lambda: op(*args), node, text, line_no)
+        return _folded(lambda: op(*args), node, text)
     return lambda env, seeds: _chain(op, [_jet(a, env, seeds) for a in args], first, second)
 
 
-def _folded(compute, node, text, line_no) -> np.float64:
+def _folded(compute, node, text) -> np.float64:
     try:
         with np.errstate(all="raise"):
             value = np.float64(compute())
@@ -356,48 +365,95 @@ def _folded(compute, node, text, line_no) -> np.float64:
         value = np.float64(np.nan)
     if not np.isfinite(value):
         segment = _quoted(ast.get_source_segment(text, node))
-        raise ValidationError(f"{_at(line_no)}{segment} is not a finite number")
+        raise ValidationError(f"{segment} is not a finite number")
     return value
 
 
-def _expr_field(expr_text: str, mesh: Mesh, line_no: int, time_dependent: bool):
-    fn = compile_expr(expr_text, mesh.dim, time_dependent, line_no)
+def _expr_field(expr_text: str, mesh: Mesh, time_dependent: bool):
+    fn = compile_expr(expr_text, mesh.dim, time_dependent)
     coords = (mesh.nodes,) if mesh.dim == 1 else (mesh.nodes[:, 0], mesh.nodes[:, 1])
 
-    def values(env) -> np.ndarray:
-        # a non-finite value is rejected where the field is used, not warned of here
-        with np.errstate(all="ignore"):
-            out = fn(env).value
-        return np.broadcast_to(np.asarray(out, dtype=float), (mesh.n_nodes,)).copy()
+    def values(*t) -> np.ndarray:
+        with np.errstate(all="ignore"):  # a non-finite value is rejected, not warned of
+            out = np.broadcast_to(np.asarray(fn(coords + t).value, dtype=float),
+                                  (mesh.n_nodes,)).copy()
+        if t and not np.all(np.isfinite(out)):  # a non-finite u0 is left to ProblemSpec
+            raise ValidationError(f"{_quoted(expr_text.strip())} is not finite at t = {t[0]:g}")
+        return out
 
-    if time_dependent:
-        return lambda tv: values(coords + (tv,))
-    return values(coords)
+    return values if time_dependent else values()
 
 
-def _build_data_field(value, line_no, mesh, beta, time_dependent):
+def _build_data_field(value, mesh, beta, time_dependent):
     if isinstance(value, float):
-        return _number(value, line_no)
+        return _number(value)
     if isinstance(value, Call):
         if value.name == "constant":
-            (c,) = _bind(value, ("c",), line_no)
-            return _number(c, line_no)
+            (c,) = _bind(value, ("c",))
+            return _number(c)
         if value.name == "expr":
-            (text,) = _bind(value, ("text",), line_no)
+            (text,) = _bind(value, ("text",))
             if not isinstance(text, str):
-                raise ValidationError(f"line {line_no}: expr(...) needs a string, got {text!r}")
-            return _expr_field(text, mesh, line_no, time_dependent)
+                raise ValidationError(f"expr(...) needs a string, got {text!r}")
+            return _expr_field(text, mesh, time_dependent)
         if value.name == "beta_of":
-            (u_b,) = _bind(value, ("u",), line_no)
+            (u_b,) = _bind(value, ("u",))
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected
-                return _number(float(beta.value(_number(u_b, line_no))), line_no)
-    raise ValidationError(f"line {line_no}: expected constant(...), expr(...) or beta_of(...)")
+                return _number(float(beta.value(_number(u_b))))
+    raise ValidationError("expected constant(...), expr(...) or beta_of(...)")
+
+
+def _lambdas(value) -> list:
+    lams = _numbers(value)
+    if not lams or any(b >= a for a, b in zip(lams, lams[1:])):
+        raise ValidationError("lambdas must be nonempty and strictly decreasing")
+    if lams[-1] <= 0.0:
+        raise ValidationError(f"lambdas must be positive, got {lams[-1]!r}")
+    return lams
+
+
+def _samples(value) -> np.ndarray:
+    samples = np.asarray(_number(value, listed=True))
+    if not samples.size:
+        raise ValidationError("samples must be nonempty")
+    return samples
+
+
+def _levels(value, key) -> list:
+    out = _number(value, int, listed=True)
+    if len(out) < 3:
+        raise ValidationError(f"{key} needs at least three refinement levels")
+    if min(out) <= 0 or len(set(out)) < len(out):
+        raise ValidationError(f"{key} must be positive and pairwise distinct, got {out!r}")
+    return out
+
+
+def _gamma1(value) -> str:
+    if value not in GAMMA1_SIDES:
+        raise ValidationError(f"gamma1 must be one of {', '.join(GAMMA1_SIDES)}, got {value!r}")
+    return value
+
+
+def _dim(value) -> int:
+    dim = _number(value, int)
+    if dim not in (1, 2):
+        raise ValidationError(f"dim must be 1 or 2, got {dim!r}")
+    return dim
+
+
+def _exact(value, dim) -> str:
+    compile_expr(str(value), dim, True)
+    return str(value)
 
 
 _PROBLEM_KEYS = {"domain", "c0", "gamma", "beta", "g", "h", "u0", "T"}
-_SOLVER_KEYS = {"tau", "lambda_schedule", "epsilon", "picard_damping", "picard_tol",
-                "newton_tol", "max_iters", "solver_kind", "smooth_u0_lambda"}
-_GRAPH_CHECK_KEYS = {"lambdas", "samples", "tolerance"}
+#: builders of the independent entries of [solver] and [graph_check]
+_SOLVER = {**dict.fromkeys(("tau", "epsilon", "picard_damping", "picard_tol", "newton_tol",
+                            "smooth_u0_lambda"), _number),
+           "lambda_schedule": lambda value: tuple(_numbers(value)),
+           "max_iters": lambda value: _number(value, int), "solver_kind": str}
+_GRAPH_CHECK = {"lambdas": _lambdas, "samples": _samples,
+                "tolerance": lambda value: _positive(value, "tolerance")}
 _CONVERGENCE_KEYS = {"dim", "length", "gamma1", "c0", "gamma", "beta", "T",
                      "exact_space", "exact_time", "space_levels", "time_levels",
                      "fine_space", "fine_time"}
@@ -405,8 +461,8 @@ _CONVERGENCE_KEYS = {"dim", "length", "gamma1", "c0", "gamma", "beta", "T",
 _SECTION_KEYS = {
     "problem": _PROBLEM_KEYS,
     "problem2": _PROBLEM_KEYS,
-    "solver": _SOLVER_KEYS,
-    "graph_check": _GRAPH_CHECK_KEYS,
+    "solver": _SOLVER.keys(),
+    "graph_check": _GRAPH_CHECK.keys(),
     "convergence": _CONVERGENCE_KEYS,
 }
 
@@ -432,6 +488,20 @@ class RunConfig:
     warnings: list = field(default_factory=list)
 
 
+def _entry(entries, key, build, *args, default=None):
+    """``build(value, *args)`` for the ``key`` entry of a section, or ``default``
+    without one.  A config error it raises names the entry's line, and so
+    does one of the time field it may return, at each call."""
+    if key not in entries:
+        return default
+    value, line_no = entries[key]
+    at_line = f"line {line_no}: "
+    built = _prefixed(at_line, build, value, *args)
+    if callable(built):
+        return lambda t: _prefixed(at_line, built, t)
+    return built
+
+
 def _at_key_line(entries, build, **kwargs):
     """``build(**kwargs)``, with a ``ValidationError`` whose ``key`` is an
     entry of the section naming that entry's line."""
@@ -447,39 +517,32 @@ def _build_problem(entries) -> ProblemSpec:
     missing = {"domain", "gamma", "beta", "T"} - set(entries)
     if missing:
         raise ValidationError(f"problem section missing keys {sorted(missing)}")
-    mesh = _build_mesh(*entries["domain"])
-    gamma = _volume_graph(*entries["gamma"])
-    beta = _build_graph(*entries["beta"], gamma=gamma)
-    c0 = _number(*entries["c0"]) if "c0" in entries else 1.0
-    T = _number(*entries["T"])
-
-    def datum(key, time_dependent=True):
-        if key not in entries:
-            return None
-        return _build_data_field(*entries[key], mesh, beta, time_dependent)
-
-    u0 = datum("u0", time_dependent=False)
+    mesh = _entry(entries, "domain", _build_mesh)
+    gamma = _entry(entries, "gamma", _volume_graph)
+    beta = _entry(entries, "beta", _build_graph, gamma)
+    c0 = _entry(entries, "c0", _number, default=1.0)
+    T = _entry(entries, "T", _number)
+    u0 = _entry(entries, "u0", _build_data_field, mesh, beta, False, default=0.0)
+    g, h = (_entry(entries, key, _build_data_field, mesh, beta, True) for key in ("g", "h"))
     return _at_key_line(entries, ProblemSpec, mesh=mesh, c0=c0, gamma=gamma, beta=beta,
-                        g=datum("g"), h=datum("h"), u0=0.0 if u0 is None else u0, T=T)
+                        g=g, h=h, u0=u0, T=T)
 
 
-def _build_solver(entries) -> SolverConfig:
-    kwargs = {}
-    for key, (value, line_no) in entries.items():
-        if key not in _SOLVER_KEYS:
-            continue  # reported by parse_config; an error in strict mode
-        if key == "lambda_schedule":
-            sched = value if isinstance(value, list) else [value]
-            kwargs["lambda_schedule"] = tuple(_number(sched, line_no, listed=True))
-        elif key == "max_iters":
-            kwargs[key] = _number(value, line_no, int)
-        elif key == "solver_kind":
-            kwargs[key] = str(value)
-        else:
-            kwargs[key] = _number(value, line_no)
+def _continuation_solver(**kwargs) -> SolverConfig:
+    config = SolverConfig(**kwargs)
+    if len(config.lambda_schedule) < 2:
+        raise ValidationError("continuation needs at least two lambda values",
+                              key="lambda_schedule")
+    return config
+
+
+def _build_solver(entries, command) -> SolverConfig:
+    # an unknown key is reported by parse_config; an error in strict mode
+    kwargs = {key: _entry(entries, key, _SOLVER[key]) for key in entries if key in _SOLVER}
     if "tau" not in kwargs:
         raise ValidationError("solver section must set tau")
-    return _at_key_line(entries, SolverConfig, **kwargs)
+    build = _continuation_solver if command == "continuation" else SolverConfig
+    return _at_key_line(entries, build, **kwargs)
 
 
 def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
@@ -507,100 +570,35 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
     if "problem2" in sections and command == "dependence":
         rc.problem2 = _build_problem(sections["problem2"])
     if "solver" in sections and command != "graph-check":
-        rc.solver = _build_solver(sections["solver"])
-    if command == "continuation" and rc.solver is not None:
-        if len(rc.solver.lambda_schedule) < 2:
-            _, line_no = sections["solver"].get("lambda_schedule", (None, None))
-            raise ValidationError(f"{_at(line_no)}continuation needs at least two lambda values")
+        rc.solver = _build_solver(sections["solver"], command)
 
     if command == "graph-check":
-        gc = {"lambdas": [1.0, 0.5, 0.25, 0.125],
-              "samples": np.linspace(-3.0, 3.0, 25),
-              "tolerance": None}
         entries = sections.get("graph_check", {})
-        if "lambdas" in entries:
-            lambdas, line_no = entries["lambdas"]
-            lams = _number(lambdas if isinstance(lambdas, list) else [lambdas],
-                           line_no, listed=True)
-            if not lams or any(b >= a for a, b in zip(lams, lams[1:])):
-                raise ValidationError(
-                    f"line {line_no}: lambdas must be nonempty and strictly decreasing")
-            if lams[-1] <= 0.0:
-                raise ValidationError(
-                    f"line {line_no}: lambdas must be positive, got {lams[-1]!r}")
-            gc["lambdas"] = lams
-        if "samples" in entries:
-            samples, line_no = entries["samples"]
-            gc["samples"] = np.asarray(_number(samples, line_no, listed=True))
-            if not gc["samples"].size:
-                raise ValidationError(f"line {line_no}: samples must be nonempty")
-        if "tolerance" in entries:
-            tolerance, line_no = entries["tolerance"]
-            gc["tolerance"] = _number(tolerance, line_no)  # rejects inf and nan
-            if gc["tolerance"] <= 0.0:
-                raise ValidationError(
-                    f"line {line_no}: tolerance must be positive, got {gc['tolerance']!r}")
-        rc.graph_check = gc
+        rc.graph_check = {"lambdas": [1.0, 0.5, 0.25, 0.125],
+                          "samples": np.linspace(-3.0, 3.0, 25), "tolerance": None}
+        rc.graph_check.update({key: _entry(entries, key, build)
+                               for key, build in _GRAPH_CHECK.items() if key in entries})
 
     if command == "convergence":
         entries = sections["convergence"]
 
-        def need(key):
-            if key not in entries:
+        def entry(key, build, *args, default=None):
+            if key not in entries and default is None:
                 raise ValidationError(f"[convergence] missing key {key!r}")
-            return entries[key]
+            return _entry(entries, key, build, *args, default=default)
 
-        def positive(key, kind=float, default=None):
-            if default is not None and key not in entries:
-                return default
-            value, line_no = need(key)
-            out = _number(value, line_no, kind)
-            if not out > 0:
-                raise ValidationError(f"line {line_no}: {key} must be positive, got {out!r}")
-            return out
-
-        def levels(key):
-            value, line_no = need(key)
-            out = _number(value, line_no, int, listed=True)
-            if len(out) < 3:
-                raise ValidationError(
-                    f"line {line_no}: {key} needs at least three refinement levels")
-            if min(out) <= 0 or len(set(out)) < len(out):
-                raise ValidationError(
-                    f"line {line_no}: {key} must be positive and pairwise distinct, got {out!r}")
-            return out
-
-        gamma1, line_no = entries.get("gamma1", ("right", 0))
-        if gamma1 not in GAMMA1_SIDES:
-            raise ValidationError(f"line {line_no}: gamma1 must be one of "
-                                  f"{', '.join(GAMMA1_SIDES)}, got {gamma1!r}")
-
-        value, line_no = need("dim")
-        dim = _number(value, line_no, int)
-        if dim not in (1, 2):
-            raise ValidationError(f"line {line_no}: dim must be 1 or 2, got {dim!r}")
-        gamma = _volume_graph(*need("gamma"))
-        beta = _build_graph(*need("beta"), gamma=gamma)
-
-        def exact(key):
-            value, line_no = need(key)
-            compile_expr(str(value), dim, True, line_no)
-            return str(value)
-
-        rc.convergence = {
-            "dim": dim,
-            "length": positive("length", default=1.0),
-            "gamma1": gamma1,
-            "c0": positive("c0", default=1.0),
-            "gamma": gamma,
-            "beta": beta,
-            "T": positive("T"),
-            "exact_space": exact("exact_space"),
-            "exact_time": exact("exact_time"),
-            "space_levels": levels("space_levels"),
-            "time_levels": levels("time_levels"),
-            "fine_space": positive("fine_space", int),
-            "fine_time": positive("fine_time", int),
-        }
+        conv = rc.convergence
+        conv["gamma1"] = entry("gamma1", _gamma1, default="right")
+        conv["dim"] = entry("dim", _dim)
+        conv["gamma"] = entry("gamma", _volume_graph)
+        conv["beta"] = entry("beta", _build_graph, conv["gamma"])
+        for key, default in (("length", 1.0), ("c0", 1.0), ("T", None)):
+            conv[key] = entry(key, _positive, key, default=default)
+        for key in ("exact_space", "exact_time"):
+            conv[key] = entry(key, _exact, conv["dim"])
+        for key in ("space_levels", "time_levels"):
+            conv[key] = entry(key, _levels, key)
+        for key in ("fine_space", "fine_time"):
+            conv[key] = entry(key, _positive, key, int)
 
     return rc

@@ -17,11 +17,7 @@ class ConfigError(MonoheatError):
 
 
 class ParseError(ConfigError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Configuration text that the grammar rejects."""
 
 
 class ValidationError(ConfigError):

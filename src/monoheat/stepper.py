@@ -232,9 +232,13 @@ def smooth_initial(ops: AssembledOperators, u0: np.ndarray, lam: float) -> np.nd
     if not lam > 0.0:
         raise InvalidArgument("smoothing parameter must be positive")
     u0 = np.asarray(u0, dtype=float)
+    # a lam so large that lam*K overflows leaves M + lam*K singular, as a
+    # merely huge one does: a failed factorization, not a warning
+    with np.errstate(over="ignore"):
+        matrix = sp.diags(ops.mass) + lam * ops.stiffness
     try:
-        out = spd_factor(sp.diags(ops.mass) + lam * ops.stiffness).solve(ops.mass * u0)
-    except RuntimeError as exc:  # pragma: no cover - assembly corruption guard
+        out = spd_factor(matrix).solve(ops.mass * u0)
+    except RuntimeError as exc:
         raise LinearSolveFailure(f"smoothing solve failed: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise LinearSolveFailure("smoothing solve produced non-finite values")

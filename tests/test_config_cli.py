@@ -94,6 +94,8 @@ tau = 0.1
 lambda_schedule = [0.0]
 """
 
+GRAPH_CHECK = "[graph_check]\nsamples = [0.0, 1.0]\n"
+
 # the limit problem lambda = 0 with a multi-valued boundary graph: at u = 0
 # the minimal section of sign is 0, so the step equation has no root there
 LIMIT_PROBE = """
@@ -325,7 +327,7 @@ class TestExprGrammar:
                        sympy.diff(exact, x, 2) + sympy.diff(exact, y, 2)]
         references = [sympy.lambdify((x, y, t), e.replace(sympy.DiracDelta, lambda *a: 0),
                                      "numpy") for e in [exact] + derivatives]
-        evaluate = compile_expr(text, 2, True, 1)
+        evaluate = compile_expr(text, 2, True)
         xs, ys = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7))
         for tv in (0.3, 1.7):
             env = (xs.ravel(), ys.ravel(), tv)
@@ -630,8 +632,8 @@ class TestCli:
         cfg = tmp_path / "log.cfg"
         cfg.write_text(STEADY.replace("g = constant(0.0)", 'g = expr("log(x)")'))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
-        assert capsys.readouterr().err == (
-            "error: step right-hand side at t = 0.1 is not finite (data g or h)\n")
+        assert capsys.readouterr().err == "error: line 7: 'log(x)' is not finite at t = 0.1\n"
+
 
     def test_tiny_tau_exit_three(self, tmp_path, capsys):
         # 5e299 steps, or infinitely many for a subnormal tau: rejected before
@@ -831,6 +833,72 @@ class TestCli:
         ("solve", STEADY, "tau = 0.1", "# no tau", 3, "error: solver section must set tau"),
         ("convergence", CONVERGENCE, 'exact_time = "exp(-t)*cos(pi*x/2)"', "# no exact_time",
          3, "error: [convergence] missing key 'exact_time'"),
+        # the full text of messages raised below the section that locates them
+        ("convergence", CONVERGENCE, "space_levels = [16, 32, 64]", "space_levels = 16", 3,
+         "error: line {line}: expected a list of numbers, got 16.0\n"),
+        ("graph-check", GRAPH_CHECK, "samples = [0.0, 1.0]", "samples = 0.5", 3,
+         "error: line {line}: expected a list of numbers, got 0.5\n"),
+        ("solve", STEADY, "lambda_schedule = [0.0]", "max_iters = 2.5", 3,
+         "error: line {line}: expected an integer, got 2.5\n"),
+        ("convergence", CONVERGENCE, "dim = 1", "dim = 1.5", 3,
+         "error: line {line}: expected an integer, got 1.5\n"),
+        ("solve", STEADY, "h = beta_of(1.0)", "h = beta_of(fast)", 3,
+         "error: line {line}: expected a finite number, got 'fast'\n"),
+        ("solve", STEADY, "g = constant(0.0)", 'g = expr("' + "+".join(["x"] * 200) + '")', 3,
+         "error: line {line}: expression nested more than 100 levels deep\n"),
+        ("solve", STEADY, "g = constant(0.0)", 'g = expr("1/0")', 3,
+         "error: line {line}: '1/0' is not a finite number\n"),
+        ("convergence", CONVERGENCE, 'exact_space = "(1 + t/2)*cos(pi*x/2)"',
+         'exact_space = "1/0 + x"', 3, "error: line {line}: '1/0' is not a finite number\n"),
+        ("solve", STEADY, "g = constant(0.0)", 'g = expr("z")', 3,
+         "error: line {line}: unknown name 'z' in expression; the variables here are x, t\n"),
+        ("convergence", CONVERGENCE, 'exact_space = "(1 + t/2)*cos(pi*x/2)"',
+         'exact_space = "(1 + t/2)*cos(pi*y/2)"', 3,
+         "error: line {line}: unknown name 'y' in expression; the variables here are x, t\n"),
+        ("solve", STEADY, "g = constant(0.0)", 'g = expr("x^2")', 3,
+         "error: line {line}: 'x^2' is not allowed in an expression (the power operator is **)\n"),
+        ("solve", STEADY, "g = constant(0.0)", 'g = expr("sin(pi*x")', 3,
+         "error: line {line}: bad expression 'sin(pi*x': '(' was never closed\n"),
+        ("solve", STEADY, "c0 = 1.0", "c0 = 1.0 + 2.0", 3,
+         "error: line {line}: '1.0 + 2.0' is not allowed in a value\n"),
+        ("solve", STEADY, "c0 = 1.0", "c0 = @@@", 3,
+         "error: line {line}: bad value '@@@': invalid syntax\n"),
+        ("solve", STEADY, "gamma = linear(2.0)", "gamma = linear(-1.0)", 3,
+         "error: line {line}: bad graph linear: linear graph needs a positive slope\n"),
+        ("solve", STEADY, "gamma = linear(2.0)", "gamma = composite(linear(2.0), linear(-1.0))",
+         3, "error: line {line}: bad graph linear: linear graph needs a positive slope\n"),
+        ("solve", STEADY, "beta = physical(h=1.0, s=1.0)", "beta = physical(h=-1.0, s=1.0)", 3,
+         "error: line {line}: bad graph physical: physical graph needs nonnegative h, s, "
+         "not both zero\n"),
+        ("solve", STEADY, "domain = interval(1.0, 8, gamma1=right)", "domain = interval(1.0, 0)",
+         3, "error: line {line}: bad domain: need at least one element\n"),
+        ("solve", STEADY, "domain = interval(1.0, 8, gamma1=right)",
+         "domain = interval(1.0, 8, gamma1=top)", 3,
+         "error: line {line}: bad domain: gamma1_side must be one of "
+         "('left', 'right', 'both', 'none')\n"),
+        ("solve", STEADY, "domain = interval(1.0, 8, gamma1=right)",
+         "domain = rect(1.0, 1.0, 0, 3)", 3,
+         "error: line {line}: bad domain: need at least one subdivision per direction\n"),
+        ("solve", STEADY, "beta = physical(h=1.0, s=1.0)", "beta = physical(**k)", 3,
+         "error: line {line}: **keywords or a repeated keyword in physical(...)\n"),
+        ("solve", STEADY, "beta = physical(h=1.0, s=1.0)", "beta = physical(1.0, 1.0, 2.0)", 3,
+         "error: line {line}: physical(...): too many positional arguments\n"),
+        ("solve", STEADY, "g = constant(0.0)", "g = constant()", 3,
+         "error: line {line}: constant(...): missing a required argument: 'c'\n"),
+        ("solve", STEADY, "g = constant(0.0)", "g = expr(3.0)", 3,
+         "error: line {line}: expr(...) needs a string, got 3.0\n"),
+        # finite when the config is read, infinite from the first step on
+        ("solve", _readme_example(), 'g = expr("sin(pi*x)*exp(-t)")',
+         'g = expr("exp(100000*t)")', 3,
+         "error: line {line}: 'exp(100000*t)' is not finite at t = 0.01\n"),
+        ("continuation", _readme_example(), 'g = expr("sin(pi*x)*exp(-t)")',
+         'g = expr("exp(100000*t)")', 3,
+         "error: line {line}: 'exp(100000*t)' is not finite at t = 0.01\n"),
+        # valid numbers for which M + lambda*K is singular in floating point
+        ("solve", _readme_example(), "epsilon = 0.0", "smooth_u0_lambda = 1e200", 1,
+         "solver failure: smoothing solve failed: Factor is exactly singular\n"),
+        ("solve", _readme_example(), "epsilon = 0.0", "smooth_u0_lambda = 1e308", 1,
+         "solver failure: smoothing solve failed: Factor is exactly singular\n"),
     ], ids=["space_levels", "time_levels", "zero_time_level", "repeated_time_levels",
             "negative_space_level", "negative_fine_time", "zero_fine_space",
             "negative_length", "unknown_gamma1", "zero_c0", "convergence_negative_T",
@@ -845,7 +913,14 @@ class TestCli:
             "unterminated_section", "empty_section", "missing_equals", "bad_key",
             "non_constructor_graph", "unknown_graph_kind", "bad_rect_boundary",
             "unknown_domain", "bad_data_field", "missing_problem_key", "missing_tau",
-            "missing_convergence_key"])
+            "missing_convergence_key", "scalar_levels", "scalar_samples",
+            "fractional_max_iters", "fractional_dim", "word_beta_of", "too_deep_expr",
+            "folded_division", "folded_exact", "unknown_expr_name", "y_in_1d_exact",
+            "caret_expr", "unclosed_expr", "operator_value", "bad_value", "bad_graph",
+            "bad_composite_part", "bad_physical", "bad_interval", "bad_gamma1",
+            "bad_rect", "star_keywords", "extra_argument", "missing_argument",
+            "expr_number", "data_overflow_mid_march", "continuation_data_overflow_mid_march",
+            "unfactorable_smoothing", "overflowing_smoothing"])
     def test_package_error_exit_code(self, tmp_path, capsys, command, base, old, new,
                                      code, message):
         text = base.replace(old, new)

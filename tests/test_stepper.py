@@ -302,6 +302,20 @@ class TestTransient:
         with pytest.raises(ValidationError):
             solve_transient(spec, SolverConfig(tau=0.3, lambda_schedule=(0.0,)))
 
+    @pytest.mark.parametrize("field", ["g", "h"])
+    def test_infinite_library_data_rejected(self, field):
+        # a callable datum that no config entry checked, infinite on the
+        # Gamma1 node from t = 0.2 on: the step right-hand side rejects it
+        def datum(t):
+            out = np.zeros(9)
+            out[-1] = np.inf if t > 0.15 else 1.0
+            return out
+
+        spec = dataclasses.replace(affine_spec(), **{field: datum})
+        with pytest.raises(ValidationError, match=r"^step right-hand side at t = 0\.2 is not "
+                                                  r"finite \(data g or h\)$"):
+            solve_transient(spec, SolverConfig(tau=0.1, lambda_schedule=(0.0,)))
+
 
 class TestLambdaContinuation:
     def test_zero_lambda_multivalued_beta_rejected_before_marching(self, monkeypatch):
