@@ -27,7 +27,7 @@ import numpy as np
 
 from . import graphs as gr
 from .errors import ParseError, ValidationError
-from .fem import GAMMA1_SIDES, Mesh, build_mesh_1d, build_mesh_rect
+from .fem import Mesh, build_mesh_1d, build_mesh_rect, check_gamma1
 from .stepper import ProblemSpec, SolverConfig, check_volume_graph
 
 COMMANDS = ("graph-check", "solve", "continuation", "convergence", "dependence")
@@ -428,10 +428,11 @@ def _levels(value, key) -> list:
     return out
 
 
-def _gamma1(value) -> str:
-    if value not in GAMMA1_SIDES:
-        raise ValidationError(f"gamma1 must be one of {', '.join(GAMMA1_SIDES)}, got {value!r}")
-    return value
+def _gamma1(value, dim) -> str:
+    # a 2-D study runs on a rect with lateral Gamma1
+    if dim != 1:
+        raise ValidationError("gamma1 applies to dim = 1 only")
+    return check_gamma1(value)
 
 
 def _dim(value) -> int:
@@ -448,8 +449,8 @@ def _exact(value, dim) -> str:
 
 _PROBLEM_KEYS = {"domain", "c0", "gamma", "beta", "g", "h", "u0", "T"}
 #: builders of the independent entries of [solver] and [graph_check]
-_SOLVER = {**dict.fromkeys(("tau", "epsilon", "picard_damping", "picard_tol", "newton_tol",
-                            "smooth_u0_lambda"), _number),
+_SOLVER = {**dict.fromkeys(("tau", "epsilon", "picard_tol", "newton_tol", "smooth_u0_lambda"),
+                           _number),
            "lambda_schedule": lambda value: tuple(_numbers(value)),
            "max_iters": lambda value: _number(value, int), "solver_kind": str}
 _GRAPH_CHECK = {"lambdas": _lambdas, "samples": _samples,
@@ -588,8 +589,8 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
             return _entry(entries, key, build, *args, default=default)
 
         conv = rc.convergence
-        conv["gamma1"] = entry("gamma1", _gamma1, default="right")
         conv["dim"] = entry("dim", _dim)
+        conv["gamma1"] = entry("gamma1", _gamma1, conv["dim"], default="right")
         conv["gamma"] = entry("gamma", _volume_graph)
         conv["beta"] = entry("beta", _build_graph, conv["gamma"])
         for key, default in (("length", 1.0), ("c0", 1.0), ("T", None)):

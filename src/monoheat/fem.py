@@ -134,6 +134,13 @@ class AssembledOperators:
 GAMMA1_SIDES = ("left", "right", "both", "none")
 
 
+def check_gamma1(side: str) -> str:
+    """``side`` if it names the active ends of an interval, else ``InvalidArgument``."""
+    if side not in GAMMA1_SIDES:
+        raise InvalidArgument(f"gamma1 must be one of {', '.join(GAMMA1_SIDES)}, got {side!r}")
+    return side
+
+
 def build_mesh_1d(length: float, n_elems: int, gamma1_side: str = "right") -> Mesh:
     """Uniform mesh of [0, L]; endpoints labeled by ``gamma1_side``.
 
@@ -143,8 +150,7 @@ def build_mesh_1d(length: float, n_elems: int, gamma1_side: str = "right") -> Me
         raise InvalidArgument("interval length must be positive")
     if n_elems < 1:
         raise InvalidArgument("need at least one element")
-    if gamma1_side not in GAMMA1_SIDES:
-        raise InvalidArgument(f"gamma1_side must be one of {GAMMA1_SIDES}")
+    check_gamma1(gamma1_side)
     n = n_elems + 1
     nodes = np.linspace(0.0, length, n)
     elements = np.column_stack([np.arange(n - 1), np.arange(1, n)])

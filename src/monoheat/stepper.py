@@ -18,14 +18,15 @@ the stored boundary selection ``xi`` holds the Gamma1 columns only.
 Two per-step solvers are provided: fixed-point sweeps on the correction
 ``f(U) = -P^{-1} r(U)``, where ``r`` is the step residual and ``P`` the SPD
 Picard matrix, factorized once, accelerated by Anderson mixing over the
-last few sweeps (the first sweep is ``U + theta f(U)``, damped by
-``picard_damping``), so each sweep costs one residual and one triangular
-solve and needs no derivative of either graph; and a semismooth Newton
-iteration.  They satisfy the same residual contract and are cross-checked
-in the tests.  ``P`` takes a constant slope in place of ``gamma'`` and, on
-Gamma1, the slope of ``beta_reg`` where that slope is constant (linear
-``beta`` and ``eps = 0``; no boundary term otherwise), so with linear
-``gamma`` and ``beta`` and ``eps = 0`` it is the step Jacobian itself.
+last few sweeps (the first sweep, with no history, is ``U + f(U)``), so
+each sweep costs one residual and one triangular solve and needs no
+derivative of either graph; and a semismooth Newton iteration.  They
+satisfy the same residual contract and are cross-checked in the tests.
+``P`` takes a constant slope in place of ``gamma'`` and, on Gamma1, the
+slope of ``beta_reg`` where that slope is constant (linear ``beta`` and
+``eps = 0``; no boundary term otherwise), so with linear ``gamma`` and
+``beta`` and ``eps = 0`` it is the step Jacobian itself, and the first
+sweep solves the step.
 
 Each solver factorizes exactly one matrix, ``P``.  Newton factorizes
 nothing per iteration: its SPD Jacobian differs from ``P`` only by a
@@ -165,7 +166,6 @@ class SolverConfig:
     tau: float
     lambda_schedule: tuple = (0.0,)
     epsilon: float = 0.0
-    picard_damping: float = 0.5
     picard_tol: float = 1e-10
     newton_tol: float = 1e-12
     max_iters: int = 200
@@ -185,8 +185,6 @@ class SolverConfig:
         require(not any(b >= a for a, b in zip(sched, sched[1:])),
                 "lambda schedule must be strictly decreasing", "lambda_schedule")
         object.__setattr__(self, "lambda_schedule", sched)
-        require(0.0 < self.picard_damping <= 1.0, "picard damping must lie in (0, 1]",
-                "picard_damping")
         require(self.picard_tol > 0.0, "tolerances must be positive", "picard_tol")
         require(self.newton_tol > 0.0, "tolerances must be positive", "newton_tol")
         require(not self.epsilon < 0.0, "epsilon must be nonnegative", "epsilon")
@@ -354,19 +352,18 @@ class _StepSolver:
         """Anderson-accelerated fixed-point sweeps on the correction
         ``f(u) = -P^{-1} r(u)``.
 
-        The first sweep is ``u <- u + theta f(u)`` with ``theta`` the
-        configured damping; every later one is the undamped Anderson step
+        Every sweep is the Anderson step
         ``u_{k+1} = u_k + f_k - (dU + dF) gamma`` with
         ``gamma = argmin |f_k - dF gamma|`` over the last ``_ANDERSON_DEPTH``
         differences of iterates ``dU`` and corrections ``dF`` (Walker & Ni,
-        SIAM J. Numer. Anal. 49, 2011).  The residual of the convergence test
+        SIAM J. Numer. Anal. 49, 2011); the first, with no history, is
+        ``u_1 = u_0 + f_0``.  The residual of the convergence test
         gives the next correction, so a sweep costs one residual and one
         solve with ``P``.  Returns ``(u, sweeps, |r(u)|)``.
         """
         tol = self.config.picard_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
-        f = -self._picard_solve(self.residual(u, b))
-        step = self.config.picard_damping * f
+        step = f = -self._picard_solve(self.residual(u, b))
         depth = _ANDERSON_DEPTH
         d_u = np.empty((depth, u.shape[0]))
         d_f = np.empty_like(d_u)

@@ -494,8 +494,9 @@ def dependence_check(spec1: ProblemSpec, spec2: ProblemSpec,
     dh = _sampled(spec1.h_at, later) - _sampled(spec2.h_at, later)
     rhs_g = tau * float(np.sum(_lumped(dg, dg, ops.mass)))
     rhs_h = tau * float(np.sum(_lumped(dh, dh, ops.boundary_mass)))
-    c_tr = trace_constant(ops)
-    rhs = rhs_initial + rhs_g + c_tr**2 * rhs_h
+    # Mb vanishes off Gamma1: without a Gamma1 node rhs_h is 0 and needs no C_tr
+    c_tr_sq = trace_constant(ops) ** 2 if np.any(ops.boundary_mass > 0.0) else 0.0
+    rhs = rhs_initial + rhs_g + c_tr_sq * rhs_h
     c_dep = 2.0 * math.exp(spec1.T / alpha) / (alpha * min(1.0, 1.0 / alpha))
     return DependenceReport(
         lhs=lhs, rhs=rhs, c_dep=c_dep, margin=c_dep * rhs - lhs,

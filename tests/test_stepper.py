@@ -211,7 +211,7 @@ class TestSingleStep:
         spec = ProblemSpec(mesh=spec.mesh, c0=spec.c0, gamma=spec.gamma,
                            beta=spec.beta, g=5.0, h=None, u0=0.0, T=1.0)
         cfg = SolverConfig(tau=0.5, lambda_schedule=(0.001,), solver_kind="picard",
-                           max_iters=3, picard_damping=1.0)
+                           max_iters=3)
         with pytest.raises(NonConvergence) as info:
             solve_transient(spec, cfg)
         assert info.value.time_index == 1
@@ -225,8 +225,7 @@ class TestSingleStep:
                            gamma=gr.Linear(1.0),
                            beta=gr.CompositeSum([gr.Linear(1.0), gr.Power(8.0)]),
                            g=0.0, h=500.0, u0=0.0, T=0.4)
-        cfg = SolverConfig(tau=0.2, lambda_schedule=(0.0,), solver_kind="picard",
-                           picard_damping=1.0)
+        cfg = SolverConfig(tau=0.2, lambda_schedule=(0.0,), solver_kind="picard")
         with pytest.raises(NonConvergence, match="diverged") as info:
             solve_transient(spec, cfg)
         history = info.value.residual_history
