@@ -1,27 +1,27 @@
 """Calculus for maximal monotone graphs on the real line.
 
-Every graph here is a (possibly set-valued) monotone map on R with
-``0 in graph(0)``.  Its ``value`` is the minimal section, the element of
-graph(x) with the smallest absolute value, and ``section_bounds`` gives
-the ends of graph(x).  Away from lam == 0 the solver goes through the
-resolvent
+Every graph here is a (possibly set-valued) maximal monotone map on all
+of R with ``0 in graph(0)``.  Its ``value`` is the minimal section, the
+element of graph(x) with the smallest absolute value, and
+``section_bounds`` gives the ends of graph(x).  Away from lam == 0 the
+solver goes through the resolvent
 
     J_lam(x) = (I + lam*A)^(-1) x,
 
 which is single valued and nonexpansive, and the Yosida approximation
-``A_lam = (I - J_lam)/lam``, a monotone ``1/lam``-Lipschitz function.
+``A_lam = (I - J_lam)/lam``, a monotone ``1/lam``-Lipschitz function,
+formed by ``yosida`` alone (Moreau envelopes build on it).
 Graphs without a closed-form resolvent share one vectorized route,
 single- and multi-valued alike: safeguarded Newton inside the bracket
 [min(0,x), max(0,x)], which the section bounds shrink
 (``_resolvent_solve``).
-The module also provides convex potentials (``A = d(potential)``),
-Moreau envelopes, the regularized boundary map the stepper uses
-(``regularized_value``: Yosida approximation or ``value``, optionally
-clamped at 1/eps), and a diagnostic suite that samples the standard
-regularization identities.  No graph is inverted: the suite takes convex
-conjugates as a supremum over a grid.  The graph classes are the
-problem's graphs only: the heat capacity c0 enters as a number where
-c0*gamma is used, never as a graph of its own.
+The module also provides convex potentials (``A = d(potential)``), the
+regularized boundary map the stepper uses (``regularized_value``: Yosida
+approximation or ``value``, optionally clamped at 1/eps), and a diagnostic
+suite that samples the standard regularization identities.  No graph is
+inverted: the suite takes convex conjugates as a supremum over a grid.
+The graph classes are the problem's graphs only: the heat capacity c0
+enters as a number where c0*gamma is used, never as a graph of its own.
 
 All evaluation routines take scalars or float arrays, return numpy
 floats or float arrays of the input's shape, and are pure; graph objects
@@ -30,7 +30,6 @@ are immutable after construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -83,7 +82,6 @@ class ScalarGraph:
     """Base class: a maximal monotone graph on R with 0 in graph(0)."""
 
     label = "graph"
-    domain = (-math.inf, math.inf)
     #: graph(x) is one number at every x, so ``value`` is the whole graph
     single_valued = True
     #: closed forms exist for every operation (tighter test tolerances apply)
@@ -113,9 +111,7 @@ class ScalarGraph:
 
     def potential(self, r):
         """Convex potential ``int_0^r A0(s) ds``, normalized to 0 at 0."""
-        r = _asarray(r)
-        self._check_domain(r)
-        return _adaptive_simpson(self.value, r)
+        return _adaptive_simpson(self.value, _asarray(r))
 
     # -- resolvent machinery ---------------------------------------------------
 
@@ -128,11 +124,6 @@ class ScalarGraph:
 
     def constants(self) -> GraphConstants:
         return GraphConstants()
-
-    def _check_domain(self, x):
-        lo, hi = self.domain
-        if np.any(_asarray(x) < lo) or np.any(_asarray(x) > hi):
-            raise DomainError(f"argument outside domain of {self.label}")
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
@@ -200,9 +191,10 @@ def _resolvent_solve(graph, lam, x):
     """Vectorized safeguarded root finder for the resolvent inclusion.
 
     Monotonicity and 0 in graph(0) bracket the solution y of
-    ``x in y + lam*graph(y)`` in [min(0,x), max(0,x)].  Every graph takes
-    one loop from ``y = x``; a multi-valued one starts at 0 where 0
-    already solves the inclusion, so that its dead zone gives exactly 0.
+    ``x in y + lam*graph(y)`` in [min(0,x), max(0,x)] (``DomainError`` for
+    a graph that breaks that contract).  Every graph takes one loop from
+    ``y = x``; a multi-valued one starts at 0 where 0 already solves the
+    inclusion, so that its dead zone gives exactly 0.
     With ``[lo(y), hi(y)]`` the section bounds, ``f = y + lam*lo(y) - x``
     and ``f_hi = y + lam*hi(y) - x``; ``f > 0`` moves the bracket's top to
     y and ``f_hi < 0`` its bottom.  A single-valued graph returns one
@@ -223,9 +215,7 @@ def _resolvent_solve(graph, lam, x):
     overflows) still orders the bracket.
     """
     x = x.ravel()
-    dom_lo, dom_hi = graph.domain
-    lo = np.maximum(np.minimum(0.0, x), dom_lo)
-    hi = np.minimum(np.maximum(0.0, x), dom_hi)
+    lo, hi = np.minimum(0.0, x), np.maximum(0.0, x)
     with np.errstate(over="ignore"):
         # a steep graph overflows to inf at a far x, which still orders the bracket
         flo_lo, _ = graph.section_bounds(lo)
@@ -529,9 +519,8 @@ class CompositeSum(ScalarGraph):
             vals = [getattr(c, attr) for c in parts]
             return None if any(v is None for v in vals) else sum(vals)
 
-        lower = [c.lipschitz_lower for c in parts]
         return GraphConstants(
-            lipschitz_lower=None if any(v is None for v in lower) else sum(lower),
+            lipschitz_lower=total("lipschitz_lower"),
             lipschitz_upper=total("lipschitz_upper"),
             linear_bound_c1=total("linear_bound_c1"),
             linear_bound_c2=total("linear_bound_c2"),
@@ -551,21 +540,26 @@ def resolvent(graph: ScalarGraph, lam: float, x):
 
 
 def yosida(graph: ScalarGraph, lam: float, x):
-    """Yosida approximation ``(x - J_lam(x))/lam``."""
+    """Yosida approximation ``(x - J_lam(x))/lam``, clipped into graph(J) where
+    J meets the resolvent's residual test: a single-valued graph gives its
+    value at J, which no cancellation in ``x - J`` at a tiny lam can lose."""
     if not lam > 0.0:
         raise InvalidArgument("yosida needs lam > 0")
     x = _asarray(x)
-    return (x - graph.resolvent(lam, x)) / lam
+    j = graph.resolvent(lam, x)
+    target = _NEWTON_REL_RESIDUAL * np.maximum(1.0, np.abs(x))
+    with np.errstate(over="ignore"):
+        # inf from a steep graph fails the test; an inf quotient clips back
+        lo, hi = graph.section_bounds(j)
+        quotient = (x - j) / lam
+        solved = (j + lam * lo - x <= target) & (j + lam * hi - x >= -target)
+    return np.clip(quotient, np.where(solved, lo, -np.inf), np.where(solved, hi, np.inf))
 
 
 def moreau_envelope(graph: ScalarGraph, lam: float, x):
-    """Quadratic inf-convolution of the potential; minimum sits at J_lam(x)."""
-    if not lam > 0.0:
-        raise InvalidArgument("moreau envelope needs lam > 0")
-    x = _asarray(x)
-    j = graph.resolvent(lam, x)
-    a_lam = (x - j) / lam
-    return 0.5 * lam * a_lam**2 + graph.potential(j)
+    """Quadratic inf-convolution of the potential; minimum sits at J_lam(x) = x - lam*A_lam(x)."""
+    a = yosida(graph, lam, x)
+    return 0.5 * lam * a**2 + graph.potential(_asarray(x) - lam * a)
 
 
 def regularized_value(graph: ScalarGraph, lam: float, eps: float, r):
@@ -716,11 +710,8 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
 
     a0 = np.abs(graph.value(xs))
     j_by_lam = {l: graph.resolvent(l, xs) for l in lams}
-    a_by_lam = {l: (xs - j_by_lam[l]) / l for l in lams}
-    env_by_lam = {
-        l: 0.5 * l * a_by_lam[l] ** 2 + graph.potential(j_by_lam[l])
-        for l in lams
-    }
+    a_by_lam = {l: yosida(graph, l, xs) for l in lams}
+    env_by_lam = {l: moreau_envelope(graph, l, xs) for l in lams}
     pot = graph.potential(xs)
     scale = np.maximum(1.0, np.abs(xs))
     pot_scale = np.maximum(1.0, np.abs(pot))
@@ -734,9 +725,10 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
         add("resolvent_nonexpansive", l, e <= tol * scale, np.maximum(e, 0.0))
         e = np.max(np.abs(a[:, None] - a[None, :]) - dxs / l, axis=1)
         add("yosida_lipschitz", l, e <= tol * scale / l, np.maximum(e, 0.0))
-        # A_lam(x) lands in graph(J_lam(x))
+        # A_lam(x) lands in graph(J_lam(x)), checked on the unclipped quotient
         lo, hi = graph.section_bounds(j)
-        e = np.maximum(np.maximum(lo - a, a - hi), 0.0)
+        quotient = (xs - j) / l
+        e = np.maximum(np.maximum(lo - quotient, quotient - hi), 0.0)
         add("yosida_in_graph", l, e <= tol * scale, e)
         # dominated by the minimal section
         e = np.maximum(np.abs(a) - a0, 0.0)

@@ -475,9 +475,17 @@ def dependence_check(spec1: ProblemSpec, spec2: ProblemSpec,
         raise HypothesisViolation("dependence check runs without truncation")
     if config.smooth_u0_lambda != 0.0:
         raise HypothesisViolation("dependence check compares raw initial data")
+    alpha = spec1.c0 * g1.alpha
+    overflow = HypothesisViolation(
+        f"dependence constant overflows a float at T/alpha = {spec1.T / alpha:g}")
+    try:
+        c_dep = 2.0 * math.exp(spec1.T / alpha) / (alpha * min(1.0, 1.0 / alpha))
+    except OverflowError:
+        raise overflow from None
+    if not math.isfinite(c_dep):
+        raise overflow
 
     ops = ops if ops is not None else assemble(m1)
-    alpha = spec1.c0 * g1.alpha
     sol1 = solve_transient(spec1, config, ops=ops)
     sol2 = solve_transient(spec2, config, ops=ops)
     tau = config.tau
@@ -497,7 +505,6 @@ def dependence_check(spec1: ProblemSpec, spec2: ProblemSpec,
     # Mb vanishes off Gamma1: without a Gamma1 node rhs_h is 0 and needs no C_tr
     c_tr_sq = trace_constant(ops) ** 2 if np.any(ops.boundary_mass > 0.0) else 0.0
     rhs = rhs_initial + rhs_g + c_tr_sq * rhs_h
-    c_dep = 2.0 * math.exp(spec1.T / alpha) / (alpha * min(1.0, 1.0 / alpha))
     return DependenceReport(
         lhs=lhs, rhs=rhs, c_dep=c_dep, margin=c_dep * rhs - lhs,
         alpha_eff=alpha, sup_sq_l2=sup_sq, grad_sq_l2l2=grad_sq,

@@ -503,6 +503,27 @@ class TestCli:
         assert "bounds.evaluated = true" in summary
         assert "bounds.all_pass = true" in summary
 
+    def test_tiny_lambda_reproduces_zero_lambda_march(self, tmp_path):
+        # (x - J)/lam cancels in x - J at a tiny lam: read as the Yosida
+        # value, it stalled Newton's backtracking at lam = 1e-13 and gave
+        # xi = 0 on Gamma1 at lam = 1e-300, where the lam = 0 march reaches
+        # xi = 0.745
+        example = re.sub(r"^beta = .*$", "beta = composite(linear(1.0), power(4.0))",
+                         _readme_example(), flags=re.M)
+        xi = {}
+        for lam in ("0.0", "1e-300", "1e-13"):
+            text = re.sub(r"^lambda_schedule = .*$", f"lambda_schedule = [{lam}]", example,
+                          flags=re.M)
+            assert f"lambda_schedule = [{lam}]" in text
+            cfg, out = tmp_path / f"{lam}.cfg", tmp_path / lam
+            cfg.write_text(text)
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+            assert "bounds.all_pass = true" in (out / "summary.txt").read_text().splitlines()
+            with open(out / "boundary.csv", newline="") as fh:
+                xi[lam] = np.array([float(row["xi"]) for row in csv.DictReader(fh)])
+        assert np.max(xi["0.0"]) > 0.7
+        assert np.max(np.abs(xi["1e-300"] - xi["0.0"])) <= 1e-12
+
     @pytest.mark.parametrize("old,new,reason", [
         ("gamma1=right", "gamma1=none", "no active boundary"),
         ("T = 0.5\n\n[solver]\ntau = 0.1", "T = 4.0\n\n[solver]\ntau = 2.0",
@@ -785,6 +806,9 @@ class TestCli:
         # an insulated domain runs: with no Gamma1 node the boundary datum drops
         # out of the data distance, and the trace constant with it
         ("dependence", DEPENDENCE, "gamma1=right", "gamma1=none", 0, ""),
+        # exp(T/alpha) overflows a float past T/alpha = 709.8
+        ("dependence", DEPENDENCE, "gamma = linear(2.0)", "gamma = linear(0.0001)", 3,
+         "error: dependence constant overflows a float at T/alpha = 5000\n"),
         ("solve", DEPENDENCE, "gamma = linear(2.0)", "gamma = composite(linear(2.0), sign)", 3,
          "error: line {line}: gamma must declare bi-Lipschitz constants"),
         ("solve", STEADY, "c0 = 1.0", "c0 = -1.0", 3, "error: line {line}: c0 must be positive"),
@@ -909,7 +933,8 @@ class TestCli:
             "negative_length", "unknown_gamma1", "gamma1_in_2d", "zero_c0",
             "convergence_negative_T", "dim_three",
             "non_bilipschitz_gamma", "unclosed_exact",
-            "empty_boundary", "problem_non_bilipschitz_gamma", "negative_c0", "negative_T",
+            "empty_boundary", "overflowing_dependence_constant",
+            "problem_non_bilipschitz_gamma", "negative_c0", "negative_T",
             "infinite_u0", "negative_tau", "increasing_lambda_schedule",
             "negative_lambda", "negative_epsilon",
             "zero_newton_tol", "zero_max_iters", "negative_smoothing",

@@ -119,21 +119,20 @@ class TestSafeguardedNewtonResolvent:
         assert np.array_equal(y.ravel(), gr.resolvent(gr.Power(3.0), 0.5, x.ravel()))
 
     def test_unbracketable_root_is_domain_error(self):
-        class Clipped(gr.ScalarGraph):
-            # defined on [-1, 1] only, without the vertical ends that would
-            # make it maximal: x = 5 has no resolvent point inside the domain
-            label = "clipped"
-            domain = (-1.0, 1.0)
+        class Shifted(gr.ScalarGraph):
+            # monotone, but 0 is not in graph(0): the root of y + (y + 1) = x
+            # leaves the bracket [min(0,x), max(0,x)] for x < 1
+            label = "shifted"
 
             def value(self, x):
-                return np.asarray(x, dtype=float)
+                return np.asarray(x, dtype=float) + 1.0
 
             def derivative(self, x):
                 return np.ones_like(np.asarray(x, dtype=float))
 
-        assert gr.resolvent(Clipped(), 1.0, 1.0) == pytest.approx(0.5)
+        assert gr.resolvent(Shifted(), 1.0, 3.0) == pytest.approx(1.0)
         with pytest.raises(DomainError, match="cannot be bracketed"):
-            gr.resolvent(Clipped(), 1.0, 5.0)
+            gr.resolvent(Shifted(), 1.0, 0.5)
 
     def test_undefined_graph_raises_on_nan(self):
         # a NaN graph value orders nothing, so the loop stops at once
@@ -210,6 +209,24 @@ class TestYosida:
     def test_sign_clamp(self):
         assert gr.yosida(gr.Sign(), 1.0, 0.3) == pytest.approx(0.3, abs=1e-14)
         assert gr.yosida(gr.Sign(), 0.1, 3.0) == pytest.approx(1.0, abs=1e-14)
+
+    def test_tiny_lambda_reads_the_graph_at_the_resolvent(self):
+        # x - J cancels to 0 or to rounding once lam is far below the
+        # spacing of x, so the quotient (x - J)/lam alone reads 0 here
+        np.testing.assert_array_equal(gr.yosida(gr.Sign(), 1e-300, [0.5, 0.3, -0.7]),
+                                      [1.0, 1.0, -1.0])
+        comp = gr.CompositeSum([gr.Linear(1.0), gr.Power(4.0)])
+        assert gr.yosida(comp, 1e-15, 0.5) == pytest.approx(0.5625, rel=1e-14)
+
+    def test_dead_zone_and_closed_bracket_keep_the_quotient(self):
+        # J = 0 in the dead zone, where graph(0) = [-1, 1] holds x/lam
+        assert gr.yosida(gr.Sign(), 1e-3, 1e-301) == pytest.approx(1e-298, rel=1e-15)
+        # near 0, J = x only closes its bracket, with a residual of sqrt(x):
+        # beta(J) would be 1e6 times |x|/lam and fall as x grows
+        x = np.array([1e-13, 1.5e-13, 1e-12])
+        a = gr.yosida(gr.Power(0.5), 1.0, x)
+        assert np.all(np.diff(a) >= 0.0)
+        assert np.all(np.abs(a) <= np.abs(x))
 
     def test_physical_beta_lands_in_graph(self):
         beta = gr.PhysicalBeta(1.0, 1.0)
