@@ -13,9 +13,10 @@ with ``bounds.evaluated = false``, its ``bounds.skip_reason``).  Exit
 codes: 0 success, including a skipped bound chain, 1 solver failure or
 any other package error (``DomainError``, ``DegenerateElement``,
 ``EmptyBoundary``, ...; one ``error:`` line, no traceback), 2 violated
-bound or dependence margin or graph property, 3 configuration error or a
-config file, output directory or output file that cannot be used (one
-``error:`` line naming the path).
+bound or dependence margin or graph property, 3 configuration error, a
+bad command line (unknown flag or command, or none) or a config file,
+output directory or output file that cannot be used (one ``error:`` line
+naming the path).
 
 Identical configuration and build produce byte-identical outputs; floats
 are written with 17 significant digits so files round-trip exactly.
@@ -323,8 +324,17 @@ def _report(exc: MonoheatError) -> int:
     return code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors are configuration errors, exit 3:
+    argparse itself prints its usage and exits 2, the code of a violated
+    bound."""
+
+    def error(self, message):
+        raise ConfigError(f"command line: {message}")
+
+
 def _parse_args(argv):
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="monoheat",
         description="doubly nonlinear heat flow solver and estimate checker")
     parser.add_argument("command", choices=COMMANDS)
@@ -350,7 +360,10 @@ def main(argv=None) -> int:
     cyclic garbage is uncollected at that moment, until exit.
     """
     gc.freeze()
-    args = _parse_args(argv)
+    try:
+        args = _parse_args(argv)
+    except ConfigError as exc:
+        return _report(exc)
     text = ""
     if args.config is not None:
         path = Path(args.config)

@@ -21,10 +21,12 @@ multiple of ``K``, so a product with one is ``d*x + c*(K @ x)``, and such a
 matrix is formed only inside the call that factorizes it.  Every sparse
 factorization goes through ``spd_factor``, whose inputs, those sums, are
 bitwise symmetric CSR matrices that it reads as CSC without a copy.  The
-factor of the h1 Gram matrix ``M + K`` is computed once per operator set
-and serves the dual norms and the trace constant, which Lanczos iteration
-(ARPACK) finds at every mesh size as the top eigenvalue of one symmetric
-operator, ``s (M + K)^-1 s`` with ``s = sqrt(Mb)``; there is no fallback.
+factor of the h1 Gram matrix ``M + K`` is the one thing an operator set
+caches: it is computed on first use and serves the dual norms and the
+trace constant.  Each call of ``trace_constant`` runs Lanczos iteration
+(ARPACK) on that factor, at every mesh size, for the top eigenvalue of one
+symmetric operator, ``s (M + K)^-1 s`` with ``s = sqrt(Mb)``; there is no
+fallback.
 
 Both mesh families have nonnegative stiffness edge weights (intervals
 trivially, rectangles because the triangles are right triangles), a fact
@@ -36,9 +38,8 @@ Nothing here writes files: the mesh files of ``--dump-mesh`` come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,7 +117,6 @@ class AssembledOperators:
     stiffness: sp.csr_matrix
     boundary_mass: np.ndarray      # lumped diagonal, active-boundary measure
     domain_measure: float
-    _trace_cache: Optional[float] = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -260,12 +260,10 @@ def trace_constant(ops: AssembledOperators) -> float:
     Square root of the largest generalized eigenvalue of the pair
     (boundary mass ``Mb``, mass + stiffness), which for the nonnegative
     diagonal ``Mb`` is the largest eigenvalue of the symmetric operator
-    ``s (M + K)^-1 s``, ``s = sqrt(Mb)``.  Cached on the operator set.
+    ``s (M + K)^-1 s``, ``s = sqrt(Mb)``, computed on each call.
     ARPACK finds it in standard mode with the shared ``ops.h1_factor`` and
     at most ``_ARPACK_NCV`` Lanczos vectors; its error is NonConvergence.
     """
-    if ops._trace_cache is not None:
-        return ops._trace_cache
     if not np.any(ops.boundary_mass > 0.0):
         raise EmptyBoundary("active boundary has no nodes")
     n, s, h1_solve = ops.n_nodes, np.sqrt(ops.boundary_mass), ops.h1_factor.solve
@@ -275,5 +273,4 @@ def trace_constant(ops: AssembledOperators) -> float:
                        return_eigenvectors=False)
     except spla.ArpackError as exc:
         raise NonConvergence(f"trace constant: {exc}") from exc
-    ops._trace_cache = float(np.sqrt(max(float(w[0]), 0.0)))
-    return ops._trace_cache
+    return float(np.sqrt(max(float(w[0]), 0.0)))

@@ -103,10 +103,6 @@ class ScalarGraph:
         """Pointwise a.e. derivative (used by Newton steppers)."""
         raise NotImplementedError
 
-    def constant_derivative(self) -> Optional[float]:
-        """Slope if the graph is globally linear, else ``None``."""
-        return None
-
     # -- integral quantities -------------------------------------------------
 
     def potential(self, r):
@@ -288,9 +284,6 @@ class Linear(ScalarGraph):
     def derivative(self, x):
         return np.full_like(_asarray(x), self.alpha)
 
-    def constant_derivative(self):
-        return self.alpha
-
     def potential(self, r):
         return 0.5 * self.alpha * _asarray(r) ** 2
 
@@ -459,8 +452,8 @@ class PhysicalBeta(ScalarGraph):
         return slope * self.inner.derivative(x)
 
     def potential(self, r):
-        cd = self.inner.constant_derivative()
-        if cd is not None:
+        if isinstance(self.inner, Linear):
+            cd = self.inner.alpha
             r = _asarray(r)
             val = 0.5 * self.h_coef * cd * r**2
             if self.s_coef > 0.0:

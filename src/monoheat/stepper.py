@@ -32,9 +32,9 @@ Each solver factorizes exactly one matrix, ``P``.  Newton factorizes
 nothing per iteration: its SPD Jacobian differs from ``P`` only by a
 bounded volume slope and a Gamma1 term, so it is solved by conjugate
 gradients preconditioned with the one factor of ``P``, to the
-Eisenstat-Walker relative tolerance (choice 2).  When the Jacobian's
-diagonal is within that tolerance of ``P``'s, ``P^{-1} r`` is tried first
-and the CG loop runs only if its residual misses the tolerance.
+Eisenstat-Walker relative tolerance (choice 2).  ``P``'s diagonal is the
+Jacobian's formula at the constant slopes, so where ``P`` is the Jacobian
+CG stops after one iteration.
 
 Both matrices factorized here (``P`` and the smoothing matrix
 ``M + lam*K``) are SPD, so both go through ``fem.spd_factor``: minimum
@@ -82,6 +82,26 @@ FieldLike = Union[None, float, np.ndarray, Callable[[float], np.ndarray]]
 # below which singular values of its correction differences are dropped
 _ANDERSON_DEPTH = 5
 _ANDERSON_RCOND = 1e-12
+
+
+def _scale_exponent(x: np.ndarray) -> int:
+    """Exponent ``e`` with ``max|x|`` in ``[2^(e-1), 2^e)``, or 0 when ``x``
+    is zero or not finite.  ``x * 2^-e`` has entries of order one, so their
+    squares neither overflow nor underflow, and the scaling is exact."""
+    peak = float(np.max(np.abs(x), initial=0.0))
+    return math.frexp(peak)[1] if math.isfinite(peak) else 0
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of ``x``, finite whenever the norm itself is:
+    ``np.linalg.norm`` squares the entries, which overflows for a finite
+    ``x`` with entries past about 1e154 and would make every residual
+    test of the contract read inf."""
+    e = _scale_exponent(x)
+    try:
+        return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)
+    except OverflowError:
+        return math.inf
 
 
 def _as_time_field(data: FieldLike, n_nodes: int, name: str) -> Callable[[float], np.ndarray]:
@@ -267,14 +287,12 @@ class _StepSolver:
         self.split_slope = 0.5 * (consts.lipschitz_lower + consts.lipschitz_upper)
         # the slope of beta_reg where it is constant (linear beta, no clamp),
         # else 0; with a linear gamma too, P is then the Jacobian itself
-        cd_beta = spec.beta.constant_derivative() if self.eps == 0.0 else None
-        slope_beta = 0.0 if cd_beta is None else cd_beta / (1.0 + self.lam * cd_beta)
-        diag = spec.c0 * self.split_slope * self.mass
-        diag[self.g1] += self.tau_bmass_g1 * slope_beta
-        diag = diag + self.tau_lam_mass
+        slope_beta = 0.0
+        if isinstance(spec.beta, gr.Linear) and self.eps == 0.0:
+            slope_beta = spec.beta.alpha / (1.0 + self.lam * spec.beta.alpha)
         # P u - r(u) = b - M c0 (gamma(u) - split_slope u)
         #              - tau Mb (beta_reg(u) - slope_beta u)
-        self._picard_diag = diag
+        self._picard_diag = self._jacobian_diagonal(self.split_slope, slope_beta)
 
     @cached_property
     def _picard_solve(self):
@@ -324,22 +342,17 @@ class _StepSolver:
 
     def _jacobian_cg(self, diag, rhs, rtol):
         """Solve ``(diag(diag) + tau*K) x = rhs`` to ``rtol`` relative to
-        ``|rhs|`` by CG, preconditioned with the Picard factor.
-
-        Where ``diag`` is within ``rtol`` of ``P``'s diagonal (linear
-        ``gamma`` and ``beta``), ``x = P^{-1} rhs`` is tried first: its
-        residual is ``(diag - diag_P) * x``, and if that meets the
-        tolerance the CG loop is skipped."""
-        gap = diag - self._picard_diag
-        if np.all(np.abs(gap) <= rtol * self._picard_diag):
-            x = self._picard_solve(rhs)
-            if np.linalg.norm(gap * x) <= rtol * np.linalg.norm(rhs):
-                return x
+        ``|rhs|`` by CG, preconditioned with the Picard factor.  With linear
+        ``gamma`` and ``beta``, ``P`` is the Jacobian and CG stops after one
+        iteration."""
         n = rhs.shape[0]
         jac = spla.LinearOperator(
             (n, n), matvec=lambda p: self.tau * (self.stiffness @ p) + diag * p, dtype=float)
         precond = spla.LinearOperator((n, n), matvec=self._picard_solve, dtype=float)
-        x, info = spla.cg(jac, rhs, rtol=rtol, atol=0.0, M=precond)
+        # cg takes |rhs| itself: scaled, it cannot overflow
+        e = _scale_exponent(rhs)
+        x, info = spla.cg(jac, np.ldexp(rhs, -e), rtol=rtol, atol=0.0, M=precond)
+        x = np.ldexp(x, e)
         if info != 0 or not np.all(np.isfinite(x)):
             raise LinearSolveFailure(
                 f"Newton's conjugate gradient solve failed (info {info}, "
@@ -361,7 +374,7 @@ class _StepSolver:
         gives the next correction, so a sweep costs one residual and one
         solve with ``P``.  Returns ``(u, sweeps, |r(u)|)``.
         """
-        tol = self.config.picard_tol * (1.0 + np.linalg.norm(b))
+        tol = self.config.picard_tol * (1.0 + _norm(b))
         u = u_init.copy()
         step = f = -self._picard_solve(self.residual(u, b))
         depth = _ANDERSON_DEPTH
@@ -374,7 +387,7 @@ class _StepSolver:
             for it in range(1, self.config.max_iters + 1):
                 u += step
                 r = self.residual(u, b)
-                res = float(np.linalg.norm(r))
+                res = _norm(r)
                 history.append(res)
                 if not math.isfinite(res):
                     raise NonConvergence("fixed-point sweep diverged", history)
@@ -400,10 +413,10 @@ class _StepSolver:
         """Semismooth Newton with backtracking; the Jacobian is SPD.  Its
         linear solves are inexact, with Eisenstat-Walker forcing terms."""
         spec = self.spec
-        tol = self.config.newton_tol * (1.0 + np.linalg.norm(b))
+        tol = self.config.newton_tol * (1.0 + _norm(b))
         u = u_init.copy()
         r = self.residual(u, b)
-        res = float(np.linalg.norm(r))
+        res = _norm(r)
         history = self.last_residual_history = [res]
         if res <= tol:
             return u, 0, res
@@ -420,7 +433,7 @@ class _StepSolver:
                 u_try = u + step * delta
                 with np.errstate(over="ignore", invalid="ignore"):
                     r_try = self.residual(u_try, b)
-                    res_try = float(np.linalg.norm(r_try))
+                    res_try = _norm(r_try)
                 if math.isfinite(res_try) and res_try <= (1.0 - 1e-4 * step) * res:
                     break
                 step *= 0.5
@@ -444,13 +457,13 @@ class _StepSolver:
             return self.newton(u_prev, b) + (0.0,)
         u_p, it_p, _ = self.picard(u_prev, b)
         u_n, it_n, res_n = self.newton(u_prev, b)
-        gap = float(np.linalg.norm(u_p - u_n))
+        gap = _norm(u_p - u_n)
         # the mean-value Jacobian dominates c0*c_low*diag(mass), which bounds
         # how far two residual-accepted answers can sit apart
         sigma_floor = (self.spec.c0 * self.spec.gamma.constants().lipschitz_lower
                        * float(np.min(self.mass)))
         allowed = 10.0 * max(self.config.picard_tol, self.config.newton_tol) \
-            * (1.0 + float(np.linalg.norm(b))) / min(sigma_floor, 1.0)
+            * (1.0 + _norm(b)) / min(sigma_floor, 1.0)
         if gap > allowed:
             raise SolverDisagreement(
                 f"fixed-point and Newton answers differ by {gap:.3e} (allowed {allowed:.3e})")

@@ -197,6 +197,24 @@ def _implicit_gronwall_factor(q: np.ndarray) -> float:
     return float(np.exp(-np.sum(np.log1p(-q))))
 
 
+def _in_float_range(names: str, chain: Callable[[], tuple]) -> tuple:
+    """The bound constants ``names`` that ``chain`` computes, or
+    ``ValidationError`` when one of them is not a finite float: with ``c0``
+    or a declared graph constant near the ends of the float range a square
+    underflows to 0 or overflows, and a long march near the Gronwall step
+    limit overflows the growth factor."""
+    message = (f"bound constants {names} fall outside the float range; c0 or a "
+               "declared graph constant is too small or too large")
+    try:
+        with np.errstate(over="ignore"):
+            values = chain()
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(message) from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(message)
+    return values
+
+
 def apriori_bounds(report: EstimateReport, c0: float, gamma_constants: GraphConstants,
                    beta_constants: GraphConstants, norms: DataNorms,
                    c_tr: float) -> EstimateReport:
@@ -216,12 +234,15 @@ def apriori_bounds(report: EstimateReport, c0: float, gamma_constants: GraphCons
     c_up = c0 * gamma_constants.lipschitz_upper
     tau, n_steps = norms.tau, norms.n_steps
 
-    c1 = c_low**2 / (4.0 * c_up)
-    c2 = norms.m1 + norms.g_l2l2_sq + c_tr**2 * norms.m2_sq
-    grow1 = _implicit_gronwall_factor(np.full(n_steps, tau / (2.0 * c1)))
-    a1 = math.sqrt(c2 / c1 * grow1)
-    a2 = math.sqrt(2.0 * c2 + 2.0 * norms.T * a1**2)
-    a3 = c_up * a2
+    def chain_a():
+        c1 = c_low**2 / (4.0 * c_up)
+        c2 = norms.m1 + norms.g_l2l2_sq + c_tr**2 * norms.m2_sq
+        grow1 = _implicit_gronwall_factor(np.full(n_steps, tau / (2.0 * c1)))
+        a1 = math.sqrt(c2 / c1 * grow1)
+        a2 = math.sqrt(2.0 * c2 + 2.0 * norms.T * a1**2)
+        return c1, c2, a1, a2, c_up * a2
+
+    c1, c2, a1, a2, a3 = _in_float_range("C1, C2, A1, A2, A3", chain_a)
 
     constants = dict(C1=c1, C2=c2, A1=a1, A2=a2, A3=a3,
                      M1=norms.m1, M2=math.sqrt(norms.m2_sq),
@@ -247,11 +268,14 @@ def apriori_bounds(report: EstimateReport, c0: float, gamma_constants: GraphCons
     d1 = beta_constants.potential_bound_d1
     d2 = beta_constants.potential_bound_d2
     if d1 is not None and d2 is not None:
-        a_core = (c_up * norms.initial_bpot_l1 + 0.5 * norms.m2_sq
-                  + d2 * norms.omega * norms.g_l1linf)
-        grow2 = _implicit_gronwall_factor(tau * d1 * norms.g_linf_steps / c_low)
-        b1 = a_core / c_low * grow2
-        b2 = math.sqrt(2.0 * a_core + 2.0 * d1 * norms.g_l1linf * b1)
+        def chain_b():
+            a_core = (c_up * norms.initial_bpot_l1 + 0.5 * norms.m2_sq
+                      + d2 * norms.omega * norms.g_l1linf)
+            grow2 = _implicit_gronwall_factor(tau * d1 * norms.g_linf_steps / c_low)
+            b1 = a_core / c_low * grow2
+            return b1, math.sqrt(2.0 * a_core + 2.0 * d1 * norms.g_l1linf * b1)
+
+        b1, b2 = _in_float_range("B1, B2", chain_b)
         constants.update(B1=b1, B2=b2, D1=d1, D2=d2)
         add_series("B1_sup_l1_bpot", b1, report.bhat_l1)
         add("B2_l2_boundary_flux", b2,

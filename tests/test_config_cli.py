@@ -528,7 +528,11 @@ class TestCli:
         ("gamma1=right", "gamma1=none", "no active boundary"),
         ("T = 0.5\n\n[solver]\ntau = 0.1", "T = 4.0\n\n[solver]\ntau = 2.0",
          "time step too large for the discrete Gronwall chain; reduce tau"),
-    ], ids=["no_boundary", "large_tau"])
+        # c_low^2 underflows to 0, which the chain divides by
+        ("c0 = 1.0", "c0 = 1e-200",
+         "bound constants C1, C2, A1, A2, A3 fall outside the float range; c0 or a "
+         "declared graph constant is too small or too large"),
+    ], ids=["no_boundary", "large_tau", "tiny_c0"])
     def test_skipped_bound_chain_exit_zero(self, tmp_path, old, new, reason):
         text = STEADY.replace(old, new)
         assert new in text
@@ -631,6 +635,36 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert str(named) in err
+
+    @pytest.mark.parametrize("kind", ["newton", "picard"])
+    def test_residual_past_1e154_is_finite(self, tmp_path, kind):
+        # at tau = 1e160 the residual entries pass 1e154: their squares
+        # overflow, and an unscaled norm read inf, which accepted every
+        # Newton step unsolved and ended the sweep as diverged
+        text = re.sub(r"^T = .*$", "T = 1e161", _readme_example(), flags=re.M)
+        text = re.sub(r"^tau = .*$", "tau = 1e160", text, flags=re.M)
+        text = re.sub(r"^solver_kind = .*$", f"solver_kind = {kind}", text, flags=re.M)
+        assert "T = 1e161" in text and "tau = 1e160" in text
+        cfg, out = tmp_path / "huge.cfg", tmp_path / "huge"
+        cfg.write_text(text)
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = dict(line.split(" = ", 1)
+                       for line in (out / "summary.txt").read_text().splitlines())
+        assert int(summary["max_iterations"]) > 0
+        assert 1e140 < float(summary["max_residual"]) < 1e155
+
+    @pytest.mark.parametrize("argv", [["solve", "--bogus"], ["frobnicate"], []],
+                             ids=["unknown_flag", "unknown_command", "no_command"])
+    def test_bad_command_line_exit_three(self, capsys, argv):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: command line: ")
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: monoheat")
 
     def test_nonconvergence_exit_one(self, tmp_path):
         text = STEADY.replace("tau = 0.1", "tau = 0.5") \

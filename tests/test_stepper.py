@@ -511,14 +511,21 @@ class TestNewtonLinearSolve:
         assert calls == {"splu": 3, "spsolve": 0}
 
     @pytest.mark.parametrize("lam", [0.0, 0.125])
-    def test_linear_problem_skips_cg(self, monkeypatch, lam):
-        # P is the Jacobian, so P^{-1}(-r) meets the forcing tolerance and
-        # each Newton step is one triangular solve
-        def no_cg(*args, **kwargs):
-            raise AssertionError("CG ran on a linear problem")
-        monkeypatch.setattr(spla, "cg", no_cg)
+    def test_linear_problem_takes_one_cg_iteration(self, monkeypatch, lam):
+        # P is the Jacobian, so CG preconditioned with P stops after one
+        # iteration, and that one solve lands each step on its solution
+        cg, counts = spla.cg, []
+
+        def counted_cg(*args, **kwargs):
+            counts.append(0)
+
+            def callback(xk):
+                counts[-1] += 1
+            return cg(*args, callback=callback, **kwargs)
+        monkeypatch.setattr(spla, "cg", counted_cg)
         state = solve_transient(affine_spec(),
                                 SolverConfig(tau=0.1, lambda_schedule=(lam,)))
+        assert counts == [1, 1, 1]
         assert np.all(state.iterations == 1)
 
     def test_cg_failure_is_linear_solve_failure(self, rng, monkeypatch):
