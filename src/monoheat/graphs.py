@@ -11,15 +11,17 @@ solver goes through the resolvent
 which is single valued and nonexpansive, and the Yosida approximation
 ``A_lam = (I - J_lam)/lam``, a monotone ``1/lam``-Lipschitz function,
 formed by ``yosida`` alone (Moreau envelopes build on it).
-Graphs without a closed-form resolvent share one vectorized route,
-single- and multi-valued alike: safeguarded Newton inside the bracket
+Every graph takes one vectorized resolvent route, single- and
+multi-valued alike: safeguarded Newton inside the bracket
 [min(0,x), max(0,x)], which the section bounds shrink
 (``_resolvent_solve``).
 The module also provides convex potentials (``A = d(potential)``), the
 regularized boundary map the stepper uses (``regularized_value``: Yosida
-approximation or ``value``, optionally clamped at 1/eps), and a diagnostic
-suite that samples the standard regularization identities.  No graph is
-inverted: the suite takes convex conjugates as a supremum over a grid.
+approximation or ``value``, optionally clamped at 1/eps) with its one
+slope, a centred difference at every lam (``regularized_derivative``),
+and a diagnostic suite that samples the standard regularization
+identities.  No graph is inverted: the suite takes convex conjugates as
+a supremum over a grid.
 The graph classes are the problem's graphs only: the heat capacity c0
 enters as a number where c0*gamma is used, never as a graph of its own.
 
@@ -45,6 +47,7 @@ from .errors import (
 
 _BISECT_CAP = 200
 _BISECT_REL_WIDTH = 1e-13
+_BISECT_WIDE = 2.0**32
 _NEWTON_REL_RESIDUAL = 1e-15
 _SIMPSON_TOL = 1e-11
 _SIMPSON_MAX_DEPTH = 48
@@ -84,7 +87,8 @@ class ScalarGraph:
     label = "graph"
     #: graph(x) is one number at every x, so ``value`` is the whole graph
     single_valued = True
-    #: closed forms exist for every operation (tighter test tolerances apply)
+    #: value, derivative and potential have closed forms (the property
+    #: suite's default tolerance is then tighter)
     closed_form = False
 
     # -- pointwise evaluation ------------------------------------------------
@@ -200,7 +204,10 @@ def _resolvent_solve(graph, lam, x):
     ``rtsafe`` rule of Press et al., Numerical Recipes: far from the root
     of a steep graph, Newton alone shrinks y by a constant factor per step
     and can exhaust the iteration cap).  An infinite slope at a kink gives
-    a zero step from a bracket end, so that point bisects too.  A point
+    a zero step from a bracket end, so that point bisects too.  A bracket
+    wider than ``_BISECT_WIDE`` bisects at the geometric mean of its ends,
+    the nearer end floored at 1, which halves its exponent: halving
+    [0, 1e100] would take some 250 steps to reach a root near 1e25.  A point
     stops once ``f <= t`` and ``f_hi >= -t`` for
     ``t = _NEWTON_REL_RESIDUAL*max(1,|x|)``, or once its bracket is
     narrower than ``_BISECT_REL_WIDTH*max(1,|lo|,|hi|)``, relative to the
@@ -216,7 +223,9 @@ def _resolvent_solve(graph, lam, x):
         # a steep graph overflows to inf at a far x, which still orders the bracket
         flo_lo, _ = graph.section_bounds(lo)
         _, fhi_hi = graph.section_bounds(hi)
-    if np.any(lo + lam * flo_lo - x > 0.0) or np.any(hi + lam * fhi_hi - x < 0.0):
+        unbracketed = (np.any(lo + lam * flo_lo - x > 0.0)
+                       or np.any(hi + lam * fhi_hi - x < 0.0))
+    if unbracketed:
         raise DomainError(f"resolvent of {graph.label} cannot be bracketed")
 
     target = _NEWTON_REL_RESIDUAL * np.maximum(1.0, np.abs(x))
@@ -247,9 +256,16 @@ def _resolvent_solve(graph, lam, x):
         with np.errstate(all="ignore"):
             # the slope only where the point goes on
             step = f / (1.0 + lam * graph.derivative(y))
-        y_new = y - step
+            y_new = y - step
         newton = (lo < y_new) & (y_new < hi) & (np.abs(step) <= 0.5 * last_step)
-        y = np.where(newton, y_new, 0.5 * (lo + hi))
+        # halved ends: lo + hi overflows for a bracket near the float limit
+        mid = 0.5 * lo + 0.5 * hi
+        wide = hi - lo > _BISECT_WIDE
+        if wide.any():
+            near = np.maximum(1.0, np.minimum(np.abs(lo), np.abs(hi)))
+            far = np.maximum(np.abs(lo), np.abs(hi))
+            mid = np.where(wide, np.sign(mid) * np.sqrt(near) * np.sqrt(far), mid)
+        y = np.where(newton, y_new, mid)
         last_step = np.where(newton, np.abs(step), 0.5 * (hi - lo))
     raise NonConvergence(
         f"resolvent iteration for {graph.label} exceeded {_BISECT_CAP} iterations")
@@ -286,9 +302,6 @@ class Linear(ScalarGraph):
 
     def potential(self, r):
         return 0.5 * self.alpha * _asarray(r) ** 2
-
-    def resolvent(self, lam, x):
-        return _asarray(x) / (1.0 + lam * self.alpha)
 
     def constants(self):
         return GraphConstants(
@@ -405,11 +418,6 @@ class Sign(ScalarGraph):
 
     def potential(self, r):
         return np.abs(_asarray(r))
-
-    def resolvent(self, lam, x):
-        x = _asarray(x)
-        # soft threshold with dead zone |x| <= lam
-        return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
     def constants(self):
         return GraphConstants(
@@ -570,27 +578,21 @@ def regularized_value(graph: ScalarGraph, lam: float, eps: float, r):
 
 
 def regularized_derivative(graph: ScalarGraph, lam: float, eps: float, r):
-    """Generalized slope of ``regularized_value``, in [0, Lipschitz bound].
+    """Generalized slope of ``regularized_value``: nonnegative, and at most
+    its Lipschitz bound 1/lam when lam > 0.
 
-    For lam > 0 the regularized map is Lipschitz but only piecewise smooth
-    (resolvent dead zones, clamp thresholds); evaluating a branch
-    derivative at the resolvent point picks the wrong branch whenever the
-    iterate sits within rounding of a kink, which stalls Newton.  A short
-    centered difference of the map itself selects a valid element of the
-    generalized Jacobian on either side of (or astride) every kink.
+    The regularized map is only piecewise smooth (resolvent dead zones,
+    clamp thresholds, kinks of the graph itself); a branch derivative picks
+    the wrong branch whenever the iterate sits within rounding of a kink,
+    which stalls Newton.  A short centered difference of the map itself
+    selects a valid element of the generalized Jacobian on either side of
+    (or astride) every kink, at every lam >= 0.
     """
     r = _asarray(r)
-    if lam > 0.0:
-        delta = 1e-6 * np.maximum(1.0, np.abs(r))
-        up = regularized_value(graph, lam, eps, r + delta)
-        dn = regularized_value(graph, lam, eps, r - delta)
-        return np.maximum((up - dn) / (2.0 * delta), 0.0)
-    with np.errstate(all="ignore"):
-        d = graph.derivative(r)
-    d = np.where(np.isfinite(d), d, 0.0)
-    if eps > 0.0:
-        d = np.where(np.abs(graph.value(r)) >= 1.0 / eps, 0.0, d)
-    return d
+    delta = 1e-6 * np.maximum(1.0, np.abs(r))
+    up = regularized_value(graph, lam, eps, r + delta)
+    dn = regularized_value(graph, lam, eps, r - delta)
+    return np.maximum((up - dn) / (2.0 * delta), 0.0)
 
 
 def regularized_potential(graph: ScalarGraph, lam: float, r):
@@ -672,6 +674,8 @@ def _grid_conjugate(graph, xi, anchor):
     return np.maximum(on_grid, anchor * xi - graph.potential(anchor))
 
 
+# a sample that overflows reads inf or NaN and fails the checks made on it
+@np.errstate(over="ignore", invalid="ignore")
 def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
                          sample_points: Sequence[float],
                          tol: Optional[float] = None) -> PropertyReport:
@@ -718,10 +722,12 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
         add("resolvent_nonexpansive", l, e <= tol * scale, np.maximum(e, 0.0))
         e = np.max(np.abs(a[:, None] - a[None, :]) - dxs / l, axis=1)
         add("yosida_lipschitz", l, e <= tol * scale / l, np.maximum(e, 0.0))
-        # A_lam(x) lands in graph(J_lam(x)), checked on the unclipped quotient
+        # A_lam(x) lands in graph(J_lam(x)), checked as the inclusion the
+        # resolvent solves, x - J in lam*graph(J): in x's units, as its own
+        # stopping test, since dividing by lam would scale an ulp of J by 1/lam
         lo, hi = graph.section_bounds(j)
-        quotient = (xs - j) / l
-        e = np.maximum(np.maximum(lo - quotient, quotient - hi), 0.0)
+        gap = xs - j
+        e = np.maximum(np.maximum(l * lo - gap, gap - l * hi), 0.0)
         add("yosida_in_graph", l, e <= tol * scale, e)
         # dominated by the minimal section
         e = np.maximum(np.abs(a) - a0, 0.0)

@@ -94,6 +94,25 @@ tau = 0.1
 lambda_schedule = [0.0]
 """
 
+# the convergence-2d benchmark study without its amplitude, on coarser levels
+CONVERGENCE_2D = """
+[convergence]
+dim = 2
+gamma = linear(2.0)
+beta = linear(1.0)
+T = 0.5
+exact_space = "(1 + t/2)*cos(pi*x/2)*cos(pi*y)"
+exact_time = "exp(-2*t)*cos(pi*x/2)*cos(pi*y)"
+space_levels = [4, 8, 16]
+time_levels = [4, 8, 16]
+fine_space = 48
+fine_time = 8
+
+[solver]
+tau = 0.1
+lambda_schedule = [0.0]
+"""
+
 GRAPH_CHECK = "[graph_check]\nsamples = [0.0, 1.0]\n"
 
 # the limit problem lambda = 0 with a multi-valued boundary graph: at u = 0
@@ -676,6 +695,54 @@ class TestCli:
         cfg.write_text(text)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
 
+    def test_newton_iteration_cap_exit_one(self, tmp_path, capsys):
+        text = re.sub(r"^tau = .*$", "\\g<0>\nmax_iters = 1", _readme_example(), flags=re.M)
+        assert "\nmax_iters = 1\n" in text
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(text)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            "solver failure: Newton did not reach tolerance in 1 iterations\n")
+
+    @pytest.mark.parametrize("sample", ["1e50", "1e100"])
+    def test_overflowing_graph_check_fails_without_warning(self, tmp_path, capsys, sample):
+        # power(3) and physical overflow at these samples: their checks read
+        # inf or NaN and fail, with no floating-point warning, which the
+        # suite's filter would raise; at 1e100 physical's resolvent converges
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(f"[graph_check]\nsamples = [{sample}]\n")
+        out = tmp_path / "far"
+        assert main(["graph-check", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        assert "all_pass = false" in (out / "summary.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("command", ["solve", "continuation"])
+    @pytest.mark.parametrize("c0", ["1e200", "1e300"])
+    def test_huge_heat_capacity_skips_bounds_without_warning(self, tmp_path, capsys,
+                                                             command, c0):
+        # v = c0*gamma(u) passes 1e200, so the monitors' v^2 overflows to inf
+        # and the bound chain leaves the float range: skipped, not warned of
+        text = re.sub(r"^c0 = .*$", f"c0 = {c0}", _readme_example(), flags=re.M)
+        assert f"\nc0 = {c0}\n" in text
+        cfg, out = tmp_path / "huge.cfg", tmp_path / "huge"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "bounds.evaluated = false" in summary
+        assert ("bounds.skip_reason = bound constants C1, C2, A1, A2, A3 fall outside the "
+                "float range; c0 or a declared graph constant is too small or too large"
+                in summary)
+
+    def test_unknown_section(self, tmp_path, capsys):
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text(STEADY + "\n[bogus]\nx = 1\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == "error: unknown section [bogus]\n"
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                     "--no-strict"]) == 0
+        assert capsys.readouterr().err == "warning: unknown section [bogus]\n"
+
     def test_linear_solve_failure_exit_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (np.zeros_like(b), 1))
         cfg = tmp_path / "cg.cfg"
@@ -791,6 +858,16 @@ class TestCli:
         order_space = float([l for l in summary.splitlines()
                              if l.startswith("order_space")][0].split("=")[1])
         assert 1.9 <= order_space <= 2.1
+
+    def test_convergence_2d_command(self, tmp_path):
+        cfg = tmp_path / "conv2d.cfg"
+        cfg.write_text(CONVERGENCE_2D)
+        out = tmp_path / "conv2d"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = dict(line.split(" = ", 1)
+                       for line in (out / "summary.txt").read_text().splitlines())
+        assert 1.9 <= float(summary["order_space"]) <= 2.1
+        assert 0.9 <= float(summary["order_time"]) <= 1.1
 
     def test_convergence_saturating_gamma_exit_zero(self, tmp_path):
         # the manufactured source takes gamma' through the kink of its |u|

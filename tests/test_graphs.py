@@ -105,6 +105,25 @@ class TestSafeguardedNewtonResolvent:
             y = gr.resolvent(gr.Power(9.0), 1.0, x)
             assert y + y**9 == pytest.approx(x, rel=1e-14)
 
+    @pytest.mark.parametrize("graph,lam,x", [
+        (gr.PhysicalBeta(1.0, 1.0), 1.0, [1e100, -1e100]),
+        (gr.PhysicalBeta(1.0, 1.0), 0.5, [1e100]),
+        (gr.Power(9.0), 1.0, [1e250, -1e250, 1e300]),
+        (gr.CompositeSum([gr.Power(9.0), gr.Sign()]), 1.0, [1e250, -1e250, 1e300]),
+        (gr.Linear(2.0), 1.0, [1.7e308, -1.7e308]),
+    ], ids=["physical", "physical-half", "power9", "power9-sign", "linear-float-limit"])
+    def test_root_anywhere_in_the_float_range(self, graph, lam, x):
+        # halving [0, 1e100] takes some 250 steps to reach physical's root
+        # near 1e25, past the iteration cap; a wide bracket bisects at the
+        # geometric mean of its ends.  Near the float limit lo + hi and
+        # x + lam*graph(x) overflow, silently
+        x = np.array(x)
+        y = gr.resolvent(graph, lam, x)
+        lo, hi = graph.section_bounds(y)
+        gap = x - y
+        e = np.maximum(np.maximum(lam * lo - gap, gap - lam * hi), 0.0)
+        assert np.all(e <= 1e-15 * np.abs(x))
+
     def test_matches_bisection_oracle(self):
         beta = gr.CompositeSum([gr.Linear(1.0), gr.Power(4.0)])
         for x in (-7.5, -0.3, 0.8, 2.0, 41.0):
@@ -359,8 +378,22 @@ class TestRegularizedValue:
         # where |r|^3 >= 2 and 3 r^2 below
         r = np.linspace(-2.0, 2.0, 81)
         d = gr.regularized_derivative(gr.Power(3.0), 0.0, 0.5, r)
-        np.testing.assert_array_equal(d, np.where(np.abs(r) ** 3.0 >= 2.0, 0.0, 3.0 * r**2))
+        beyond = np.abs(r) ** 3.0 >= 2.0
+        np.testing.assert_array_equal(d[beyond], 0.0)
+        # the centred difference of r^3 is 3 r^2 + delta^2, 1e-12 at r = 0
+        np.testing.assert_allclose(d[~beyond], 3.0 * r[~beyond] ** 2, rtol=1e-9, atol=1e-11)
         assert np.count_nonzero(d == 0.0) > 20
+
+    def test_slope_astride_the_clamp_at_zero_lambda(self):
+        # at r = +-cbrt(2) and the floats next to it, r^3 sits on the clamp
+        # at 1/eps = 2: a branch slope is 0 or 3 r^2 as one ulp decides,
+        # while the centred difference straddles the kink and gives a slope
+        # strictly between the two
+        c = np.cbrt(2.0)
+        r = np.array([-c, c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)])
+        d = gr.regularized_derivative(gr.Power(3.0), 0.0, 0.5, r)
+        assert np.all(d > 0.0)
+        assert np.all(d < 3.0 * r**2)
 
 
 class TestPropertySuite:
@@ -384,6 +417,31 @@ class TestPropertySuite:
         for graph in gr.builtin_graphs():
             rep = gr.graph_property_suite(graph, [1.0, 0.5, 0.25, 0.125], xs)
             assert rep.passed, rep.failures()[:3]
+
+    @pytest.mark.parametrize("lams", [[1e-3, 1e-6, 1e-9], [1e-12]])
+    def test_all_builtins_pass_at_small_lambda(self, lams):
+        # yosida_in_graph tests x - J in lam*graph(J) in x's units: divided
+        # by lam, an ulp of J failed it once lam fell to about 1e-6
+        xs = np.linspace(-3.0, 3.0, 25)
+        for graph in gr.builtin_graphs():
+            rep = gr.graph_property_suite(graph, lams, xs)
+            assert rep.passed, rep.failures()[:3]
+
+    @pytest.mark.parametrize("lam", [1.0, 1e-6])
+    def test_yosida_in_graph_catches_a_wrong_resolvent(self, lam):
+        # a resolvent off by 1e-8*max(1, |x|), the default tolerance of a
+        # graph without closed forms: lam*graph(J) moves with J and pushes
+        # the error past it at every x but 0, where it sits on it as lam
+        # goes to 0
+        class Off(gr.Power):
+            def resolvent(self, lam, x):
+                x = np.asarray(x, dtype=float)
+                return super().resolvent(lam, x) + 1e-8 * np.maximum(1.0, np.abs(x))
+
+        rep = gr.graph_property_suite(Off(3.0), [lam], np.linspace(-3.0, 3.0, 25))
+        checks = [c for c in rep.checks if c.prop == "yosida_in_graph"]
+        assert len(checks) == 25
+        assert not any(c.passed for c in checks if c.x != 0.0)
 
     def test_rejects_bad_lambda_list(self):
         with pytest.raises(InvalidArgument):

@@ -6,11 +6,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from monoheat import fem, graphs as gr
-from monoheat.errors import LinearSolveFailure, NonConvergence, ValidationError
+from monoheat.errors import (
+    LinearSolveFailure,
+    NonConvergence,
+    SingularJacobian,
+    ValidationError,
+)
 from monoheat.stepper import (
     ProblemSpec,
     SolverConfig,
     _StepSolver,
+    _norm,
     lambda_continuation,
     smooth_initial,
     solve_transient,
@@ -546,6 +552,32 @@ class TestNewtonLinearSolve:
             u_cg, _, _ = solver.newton(spec.u0, b)
             u_direct = direct_newton(solver, cfg.tau * ops.stiffness, spec.u0.copy(), b)
             assert np.linalg.norm(u_cg - u_direct) <= advance_allowance(spec, ops, cfg, b)
+
+
+class TestNewtonFailures:
+    def test_backtracking_stall(self, monkeypatch):
+        # an ascent direction: no step length lowers the residual
+        cg = _StepSolver._jacobian_cg
+        monkeypatch.setattr(_StepSolver, "_jacobian_cg",
+                            lambda self, diag, rhs, rtol: -cg(self, diag, rhs, rtol))
+        with pytest.raises(NonConvergence, match="Newton backtracking stalled") as info:
+            solve_transient(affine_spec(), SolverConfig(tau=0.1, lambda_schedule=(0.0,)))
+        assert info.value.time_index == 1
+
+    def test_zero_gamma_slope_is_singular(self):
+        class ZeroSlope(gr.Linear):
+            # declares bi-Lipschitz constants but reports no slope
+            def derivative(self, x):
+                return np.zeros_like(np.asarray(x, dtype=float))
+
+        spec = dataclasses.replace(affine_spec(), gamma=ZeroSlope(1.5))
+        with pytest.raises(SingularJacobian, match="gamma derivative not positive"):
+            solve_transient(spec, SolverConfig(tau=0.1, lambda_schedule=(0.0,)))
+
+
+def test_norm_past_the_float_range_is_inf():
+    # |x| = 2e308 for four entries of 1e308: inf, with no overflow warning
+    assert _norm(np.full(4, 1e308)) == np.inf
 
 
 class TestNewtonDecay:
