@@ -28,7 +28,7 @@ import numpy as np
 from . import graphs as gr
 from .errors import ParseError, ValidationError
 from .fem import Mesh, build_mesh_1d, build_mesh_rect, check_gamma1
-from .stepper import ProblemSpec, SolverConfig, check_volume_graph
+from .stepper import ProblemSpec, SolverConfig, check_range, check_volume_graph
 
 COMMANDS = ("graph-check", "solve", "continuation", "convergence", "dependence")
 
@@ -147,14 +147,15 @@ def _bind(call: Call, params, **defaults) -> list:
 
 
 def _number(value, kind=float, listed=False):
-    """A config value as a finite ``kind`` (float or int), or a list of them
-    when ``listed``; anything else is a ``ValidationError``."""
+    """A config value as a ``kind`` (float or int) in the working range, or a
+    list of them when ``listed``; anything else is a ``ValidationError``."""
     if listed:
         if not isinstance(value, list):
             raise ValidationError(f"expected a list of numbers, got {value!r}")
         return [_number(v, kind) for v in value]
-    if not isinstance(value, float) or not math.isfinite(value):
+    if not isinstance(value, float):
         raise ValidationError(f"expected a finite number, got {value!r}")
+    check_range(value, repr(value))
     if kind is int:
         if not value.is_integer():
             raise ValidationError(f"expected an integer, got {value!r}")
@@ -163,7 +164,7 @@ def _number(value, kind=float, listed=False):
 
 
 def _numbers(value) -> list:
-    """A number or a list of numbers as a list of finite floats."""
+    """A number or a list of numbers as a list of floats in the working range."""
     return _number(value if isinstance(value, list) else [value], listed=True)
 
 
@@ -374,11 +375,11 @@ def _expr_field(expr_text: str, mesh: Mesh, time_dependent: bool):
     coords = (mesh.nodes,) if mesh.dim == 1 else (mesh.nodes[:, 0], mesh.nodes[:, 1])
 
     def values(*t) -> np.ndarray:
-        with np.errstate(all="ignore"):  # a non-finite value is rejected, not warned of
+        with np.errstate(all="ignore"):  # a value out of range is rejected, not warned of
             out = np.broadcast_to(np.asarray(fn(coords + t).value, dtype=float),
                                   (mesh.n_nodes,)).copy()
-        if t and not np.all(np.isfinite(out)):  # a non-finite u0 is left to ProblemSpec
-            raise ValidationError(f"{_quoted(expr_text.strip())} is not finite at t = {t[0]:g}")
+        if t:  # u0 is left to ProblemSpec
+            check_range(out, f"{_quoted(expr_text.strip())} at t = {t[0]:g}")
         return out
 
     return values if time_dependent else values()

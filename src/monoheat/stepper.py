@@ -83,25 +83,19 @@ FieldLike = Union[None, float, np.ndarray, Callable[[float], np.ndarray]]
 _ANDERSON_DEPTH = 5
 _ANDERSON_RCOND = 1e-12
 
-
-def _scale_exponent(x: np.ndarray) -> int:
-    """Exponent ``e`` with ``max|x|`` in ``[2^(e-1), 2^e)``, or 0 when ``x``
-    is zero or not finite.  ``x * 2^-e`` has entries of order one, so their
-    squares neither overflow nor underflow, and the scaling is exact."""
-    peak = float(np.max(np.abs(x), initial=0.0))
-    return math.frexp(peak)[1] if math.isfinite(peak) else 0
+#: the working range: every configured number, and every data value, has at
+#: most this magnitude, so the squares the norms and monitors take stay finite
+MAX_MAGNITUDE = 1e20
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of ``x``, finite whenever the norm itself is:
-    ``np.linalg.norm`` squares the entries, which overflows for a finite
-    ``x`` with entries past about 1e154 and would make every residual
-    test of the contract read inf."""
-    e = _scale_exponent(x)
-    try:
-        return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)
-    except OverflowError:
-        return math.inf
+def check_range(value, what: str, key: Optional[str] = None):
+    """``value``, a number or an array, when every entry lies in the working
+    range ``|x| <= MAX_MAGNITUDE``; otherwise (NaN included) a
+    ``ValidationError`` naming ``what``, with ``key``."""
+    if not np.all(np.abs(value) <= MAX_MAGNITUDE):
+        raise ValidationError(f"{what} is outside the working range |x| <= {MAX_MAGNITUDE:g}",
+                              key=key)
+    return value
 
 
 def _as_time_field(data: FieldLike, n_nodes: int, name: str) -> Callable[[float], np.ndarray]:
@@ -110,12 +104,12 @@ def _as_time_field(data: FieldLike, n_nodes: int, name: str) -> Callable[[float]
         zero = np.zeros(n_nodes)
         return lambda t: zero
     if np.isscalar(data):
-        const = np.full(n_nodes, float(data))
+        const = np.full(n_nodes, float(check_range(data, name, name)))
         return lambda t: const
     if isinstance(data, np.ndarray):
         if data.shape != (n_nodes,):
             raise ValidationError(f"{name} has shape {data.shape}, expected ({n_nodes},)")
-        arr = data.astype(float)
+        arr = check_range(data.astype(float), name, name)
         return lambda t: arr
     if callable(data):
         return data
@@ -132,7 +126,8 @@ def check_volume_graph(gamma: gr.ScalarGraph) -> None:
 
 @dataclass
 class ProblemSpec:
-    """Full problem data set for one transient run."""
+    """Full problem data set for one transient run, its numbers and nodal
+    data in the working range."""
 
     mesh: Mesh
     c0: float
@@ -144,6 +139,8 @@ class ProblemSpec:
     T: float
 
     def __post_init__(self):
+        check_range(self.c0, "c0", "c0")
+        check_range(self.T, "T", "T")
         if not self.c0 > 0.0:
             raise ValidationError("c0 must be positive", key="c0")
         if not self.T > 0.0:
@@ -156,10 +153,9 @@ class ProblemSpec:
             self.u0 = np.asarray(self.u0, dtype=float)
             if self.u0.shape != (n,):
                 raise ValidationError(f"u0 has shape {self.u0.shape}, expected ({n},)", key="u0")
+        check_range(self.u0, "u0", "u0")
         # an overflow here is bad data, reported below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(np.isfinite(self.gamma.value(self.u0))):
-                raise ValidationError("gamma(u0) is not finite everywhere", key="u0")
             try:
                 summable = np.all(np.isfinite(self.beta.potential(self.u0)))
             except QuadratureFailure:
@@ -181,7 +177,8 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step, regularization schedule and iteration controls."""
+    """Time step, regularization schedule and iteration controls, each in
+    the working range."""
 
     tau: float
     lambda_schedule: tuple = (0.0,)
@@ -197,8 +194,12 @@ class SolverConfig:
             if not ok:
                 raise ValidationError(message, key=key)
 
+        for key in ("tau", "epsilon", "picard_tol", "newton_tol", "max_iters",
+                    "smooth_u0_lambda"):
+            check_range(getattr(self, key), key, key)
         require(self.tau > 0.0, "tau must be positive", "tau")
         sched = tuple(float(l) for l in self.lambda_schedule)
+        check_range(sched, "lambda_schedule", "lambda_schedule")
         require(sched, "lambda schedule must be nonempty", "lambda_schedule")
         require(not any(l < 0.0 for l in sched), "lambda values must be nonnegative",
                 "lambda_schedule")
@@ -250,12 +251,8 @@ def smooth_initial(ops: AssembledOperators, u0: np.ndarray, lam: float) -> np.nd
     if not lam > 0.0:
         raise InvalidArgument("smoothing parameter must be positive")
     u0 = np.asarray(u0, dtype=float)
-    # a lam so large that lam*K overflows leaves M + lam*K singular, as a
-    # merely huge one does: a failed factorization, not a warning
-    with np.errstate(over="ignore"):
-        matrix = sp.diags(ops.mass) + lam * ops.stiffness
     try:
-        out = spd_factor(matrix).solve(ops.mass * u0)
+        out = spd_factor(sp.diags(ops.mass) + lam * ops.stiffness).solve(ops.mass * u0)
     except RuntimeError as exc:
         raise LinearSolveFailure(f"smoothing solve failed: {exc}") from exc
     if not np.all(np.isfinite(out)):
@@ -349,10 +346,7 @@ class _StepSolver:
         jac = spla.LinearOperator(
             (n, n), matvec=lambda p: self.tau * (self.stiffness @ p) + diag * p, dtype=float)
         precond = spla.LinearOperator((n, n), matvec=self._picard_solve, dtype=float)
-        # cg takes |rhs| itself: scaled, it cannot overflow
-        e = _scale_exponent(rhs)
-        x, info = spla.cg(jac, np.ldexp(rhs, -e), rtol=rtol, atol=0.0, M=precond)
-        x = np.ldexp(x, e)
+        x, info = spla.cg(jac, rhs, rtol=rtol, atol=0.0, M=precond)
         if info != 0 or not np.all(np.isfinite(x)):
             raise LinearSolveFailure(
                 f"Newton's conjugate gradient solve failed (info {info}, "
@@ -374,7 +368,7 @@ class _StepSolver:
         gives the next correction, so a sweep costs one residual and one
         solve with ``P``.  Returns ``(u, sweeps, |r(u)|)``.
         """
-        tol = self.config.picard_tol * (1.0 + _norm(b))
+        tol = self.config.picard_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
         step = f = -self._picard_solve(self.residual(u, b))
         depth = _ANDERSON_DEPTH
@@ -387,7 +381,7 @@ class _StepSolver:
             for it in range(1, self.config.max_iters + 1):
                 u += step
                 r = self.residual(u, b)
-                res = _norm(r)
+                res = np.linalg.norm(r)
                 history.append(res)
                 if not math.isfinite(res):
                     raise NonConvergence("fixed-point sweep diverged", history)
@@ -413,10 +407,10 @@ class _StepSolver:
         """Semismooth Newton with backtracking; the Jacobian is SPD.  Its
         linear solves are inexact, with Eisenstat-Walker forcing terms."""
         spec = self.spec
-        tol = self.config.newton_tol * (1.0 + _norm(b))
+        tol = self.config.newton_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
         r = self.residual(u, b)
-        res = _norm(r)
+        res = np.linalg.norm(r)
         history = self.last_residual_history = [res]
         if res <= tol:
             return u, 0, res
@@ -433,7 +427,7 @@ class _StepSolver:
                 u_try = u + step * delta
                 with np.errstate(over="ignore", invalid="ignore"):
                     r_try = self.residual(u_try, b)
-                    res_try = _norm(r_try)
+                    res_try = np.linalg.norm(r_try)
                 if math.isfinite(res_try) and res_try <= (1.0 - 1e-4 * step) * res:
                     break
                 step *= 0.5
@@ -457,13 +451,13 @@ class _StepSolver:
             return self.newton(u_prev, b) + (0.0,)
         u_p, it_p, _ = self.picard(u_prev, b)
         u_n, it_n, res_n = self.newton(u_prev, b)
-        gap = _norm(u_p - u_n)
+        gap = np.linalg.norm(u_p - u_n)
         # the mean-value Jacobian dominates c0*c_low*diag(mass), which bounds
         # how far two residual-accepted answers can sit apart
         sigma_floor = (self.spec.c0 * self.spec.gamma.constants().lipschitz_lower
                        * float(np.min(self.mass)))
         allowed = 10.0 * max(self.config.picard_tol, self.config.newton_tol) \
-            * (1.0 + _norm(b)) / min(sigma_floor, 1.0)
+            * (1.0 + np.linalg.norm(b)) / min(sigma_floor, 1.0)
         if gap > allowed:
             raise SolverDisagreement(
                 f"fixed-point and Newton answers differ by {gap:.3e} (allowed {allowed:.3e})")

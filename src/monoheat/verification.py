@@ -101,8 +101,6 @@ def _dual_sq(ops: AssembledOperators, f: np.ndarray) -> np.ndarray:
     return np.maximum(np.sum(f * ops.h1_factor.solve(f.T).T, axis=1), 0.0)
 
 
-# a functional that overflows reads inf or NaN and fails the bound checked on it
-@np.errstate(over="ignore", invalid="ignore")
 def energy_monitors(solution: SolutionState, spec: ProblemSpec,
                     ops: AssembledOperators) -> EstimateReport:
     """Evaluate every estimate functional at every time level.
@@ -171,8 +169,6 @@ class DataNorms:
     n_steps: int
 
 
-# a norm that overflows reads inf and puts the bound chain out of the float range
-@np.errstate(over="ignore", invalid="ignore")
 def data_norms(spec: ProblemSpec, ops: AssembledOperators,
                solution: SolutionState) -> DataNorms:
     """Norms of the problem data on the solve's own time grid."""

@@ -49,6 +49,26 @@ solver_kind = newton
 # quadrature
 README_PHYSICS = STEADY.replace("gamma = linear(2.0)", "gamma = saturating(1.0, 1.0)")
 
+#: the README example with numbers at the edge of the working range: the
+#: lines each case sets (``{}`` is the number) and how the run ends at +1e20
+#: and at -1e20, as the summary's bound lines or the error message
+RANGE_EDGE = {
+    "c0": ({"c0": "{}"}, ("pass", "c0 must be positive")),
+    "T_tau": ({"T": "{}", "tau": "{}"}, ("skip", "final time must be positive")),
+    "lambda": ({"lambda_schedule": "[{}]"}, ("pass", "lambda values must be nonnegative")),
+    "u0": ({"u0": "{}"}, ("pass", "pass")),
+    "h": ({"h": "{}"}, ("pass", "pass")),
+    "g": ({"g": "{}"}, ("skip", "skip")),
+    "power20": ({"beta": "power(20.0)", "u0": "10", "g": "{}"}, ("skip", "skip")),
+    "samples": ({}, ("check", "check")),
+}
+_EDGE_BOUNDS = {
+    "pass": ["bounds.evaluated = true", "bounds.all_pass = true"],
+    "skip": ["bounds.evaluated = false", "bounds.skip_reason = time step too large for the "
+             "discrete Gronwall chain; reduce tau"],
+    "check": ["all_pass = true"],
+}
+
 DEPENDENCE = """
 [problem]
 domain = interval(1.0, 8, gamma1=right)
@@ -655,23 +675,6 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert str(named) in err
 
-    @pytest.mark.parametrize("kind", ["newton", "picard"])
-    def test_residual_past_1e154_is_finite(self, tmp_path, kind):
-        # at tau = 1e160 the residual entries pass 1e154: their squares
-        # overflow, and an unscaled norm read inf, which accepted every
-        # Newton step unsolved and ended the sweep as diverged
-        text = re.sub(r"^T = .*$", "T = 1e161", _readme_example(), flags=re.M)
-        text = re.sub(r"^tau = .*$", "tau = 1e160", text, flags=re.M)
-        text = re.sub(r"^solver_kind = .*$", f"solver_kind = {kind}", text, flags=re.M)
-        assert "T = 1e161" in text and "tau = 1e160" in text
-        cfg, out = tmp_path / "huge.cfg", tmp_path / "huge"
-        cfg.write_text(text)
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        summary = dict(line.split(" = ", 1)
-                       for line in (out / "summary.txt").read_text().splitlines())
-        assert int(summary["max_iterations"]) > 0
-        assert 1e140 < float(summary["max_residual"]) < 1e155
-
     @pytest.mark.parametrize("argv", [["solve", "--bogus"], ["frobnicate"], []],
                              ids=["unknown_flag", "unknown_command", "no_command"])
     def test_bad_command_line_exit_three(self, capsys, argv):
@@ -704,35 +707,84 @@ class TestCli:
         assert capsys.readouterr().err == (
             "solver failure: Newton did not reach tolerance in 1 iterations\n")
 
-    @pytest.mark.parametrize("sample", ["1e50", "1e100"])
-    def test_overflowing_graph_check_fails_without_warning(self, tmp_path, capsys, sample):
-        # power(3) and physical overflow at these samples: their checks read
-        # inf or NaN and fail, with no floating-point warning, which the
-        # suite's filter would raise; at 1e100 physical's resolvent converges
-        cfg = tmp_path / "far.cfg"
-        cfg.write_text(f"[graph_check]\nsamples = [{sample}]\n")
-        out = tmp_path / "far"
-        assert main(["graph-check", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == ""
-        assert "all_pass = false" in (out / "summary.txt").read_text().splitlines()
+    @pytest.mark.parametrize("value", ["1e20", "-1e20", "1e21", "-1e21"])
+    @pytest.mark.parametrize("case", list(RANGE_EDGE))
+    def test_working_range_edge(self, tmp_path, capsys, case, value):
+        # at +-1e20 each run ends as it did before the range was checked,
+        # with no floating-point warning (pyproject.toml makes one an error);
+        # at +-1e21 the first number set is an error naming its line
+        edits, outcomes = RANGE_EDGE[case]
+        if case == "samples":
+            text, command = f"[graph_check]\nsamples = [{value}]\n", "graph-check"
+        else:
+            text, command = _readme_example(), "solve"
+            for key, template in edits.items():
+                text = re.sub(rf"^{key} = .*$", f"{key} = {template.format(value)}", text,
+                              flags=re.M)
+        line_no = next(i for i, line in enumerate(text.splitlines(), 1) if value in line)
+        cfg, out = tmp_path / "edge.cfg", tmp_path / "edge"
+        cfg.write_text(text)
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        if value.endswith("1e21"):
+            assert code == 3
+            assert err == f"error: line {line_no}: {float(value)!r} is outside the working " \
+                          "range |x| <= 1e+20\n"
+            return
+        outcome = outcomes[value.startswith("-")]
+        if outcome in _EDGE_BOUNDS:
+            assert code == 0 and err == ""
+            summary = (out / "summary.txt").read_text().splitlines()
+            assert [line for line in summary if line.startswith("bounds.")
+                    or line == "all_pass = true"] == _EDGE_BOUNDS[outcome]
+        else:
+            assert code == 3
+            assert err == f"error: line {line_no}: {outcome}\n"
+
+    @pytest.mark.parametrize("kind", ["newton", "picard"])
+    def test_residual_past_1e154_is_finite(self, tmp_path, capsys, kind):
+        # at tau = 1e160 the residual entries would pass 1e154, where their
+        # squares overflow; T and tau lie past the working range, so the run
+        # stops at the first of them with one error line, before any step
+        text = re.sub(r"^T = .*$", "T = 1e161", _readme_example(), flags=re.M)
+        text = re.sub(r"^tau = .*$", "tau = 1e160", text, flags=re.M)
+        text = re.sub(r"^solver_kind = .*$", f"solver_kind = {kind}", text, flags=re.M)
+        assert "T = 1e161" in text and "tau = 1e160" in text
+        line_no = text.splitlines().index("T = 1e161") + 1
+        cfg, out = tmp_path / "huge.cfg", tmp_path / "huge"
+        cfg.write_text(text)
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: line {line_no}: 1e+161 is outside the working range |x| <= 1e+20\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "continuation"])
     @pytest.mark.parametrize("c0", ["1e200", "1e300"])
     def test_huge_heat_capacity_skips_bounds_without_warning(self, tmp_path, capsys,
                                                              command, c0):
-        # v = c0*gamma(u) passes 1e200, so the monitors' v^2 overflows to inf
-        # and the bound chain leaves the float range: skipped, not warned of
+        # v = c0*gamma(u) would pass 1e200, where the monitors' v^2 overflows;
+        # c0 lies past the working range, so both commands stop at its line
+        # with one error line and no floating-point warning
         text = re.sub(r"^c0 = .*$", f"c0 = {c0}", _readme_example(), flags=re.M)
         assert f"\nc0 = {c0}\n" in text
+        line_no = text.splitlines().index(f"c0 = {c0}") + 1
         cfg, out = tmp_path / "huge.cfg", tmp_path / "huge"
         cfg.write_text(text)
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        summary = (out / "summary.txt").read_text().splitlines()
-        assert "bounds.evaluated = false" in summary
-        assert ("bounds.skip_reason = bound constants C1, C2, A1, A2, A3 fall outside the "
-                "float range; c0 or a declared graph constant is too small or too large"
-                in summary)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: line {line_no}: {float(c0)!r} is outside the working range |x| <= 1e+20\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sample", ["1e50", "1e100"])
+    def test_overflowing_graph_check_fails_without_warning(self, tmp_path, capsys, sample):
+        # power(3) and physical overflow their potentials at these samples,
+        # which lie past the working range: one error line naming the line,
+        # before any graph is evaluated
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(f"[graph_check]\nsamples = [{sample}]\n")
+        assert main(["graph-check", "--config", str(cfg), "--out", str(tmp_path / "far")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: line 2: {float(sample)!r} is outside the working range |x| <= 1e+20\n")
 
     def test_unknown_section(self, tmp_path, capsys):
         cfg = tmp_path / "bogus.cfg"
@@ -757,7 +809,8 @@ class TestCli:
         cfg = tmp_path / "log.cfg"
         cfg.write_text(STEADY.replace("g = constant(0.0)", 'g = expr("log(x)")'))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 3
-        assert capsys.readouterr().err == "error: line 7: 'log(x)' is not finite at t = 0.1\n"
+        assert capsys.readouterr().err == (
+            "error: line 7: 'log(x)' at t = 0.1 is outside the working range |x| <= 1e+20\n")
 
 
     def test_tiny_tau_exit_three(self, tmp_path, capsys):
@@ -926,7 +979,7 @@ class TestCli:
         ("solve", STEADY, "T = 0.5", "T = -0.5", 3,
          "error: line {line}: final time must be positive"),
         ("solve", STEADY, "u0 = constant(1.0)", 'u0 = expr("log(x)")', 3,
-         "error: line {line}: gamma(u0) is not finite everywhere"),
+         "error: line {line}: u0 is outside the working range |x| <= 1e+20\n"),
         ("solve", STEADY, "tau = 0.1", "tau = -0.01", 3,
          "error: line {line}: tau must be positive"),
         ("solve", STEADY, "lambda_schedule = [0.0]", "lambda_schedule = [0.0, 0.5]", 3,
@@ -944,13 +997,18 @@ class TestCli:
         ("solve", STEADY, "solver_kind = newton", "solver_kind = newtn", 3,
          "error: line {line}: solver_kind must be picard, newton or both"),
         # README physics: physical beta around saturating gamma, whose
-        # potential is a quadrature that overflows at u0 = 1e80
+        # potential is a quadrature that would overflow at u0 = 1e80, past
+        # the working range
         ("solve", README_PHYSICS, "u0 = constant(1.0)", "u0 = 1e80", 3,
-         "error: line {line}: boundary potential of u0 is not summable"),
+         "error: line {line}: 1e+80 is outside the working range |x| <= 1e+20\n"),
         ("solve", README_PHYSICS, "h = beta_of(1.0)", "h = beta_of(1e80)", 3,
-         "error: line {line}: expected a finite number, got inf"),
+         "error: line {line}: 1e+80 is outside the working range |x| <= 1e+20\n"),
         ("solve", STEADY, "u0 = constant(1.0)", "u0 = 1e80", 3,
-         "error: line {line}: boundary potential of u0 is not summable"),
+         "error: line {line}: 1e+80 is outside the working range |x| <= 1e+20\n"),
+        # in range, but beta's potential |u0|^21/21 overflows
+        ("solve", STEADY.replace("beta = physical(h=1.0, s=1.0)", "beta = power(20.0)"),
+         "u0 = constant(1.0)", "u0 = 1e20", 3,
+         "error: line {line}: boundary potential of u0 is not summable\n"),
         ("continuation", STEADY, "lambda_schedule = [0.0]", "lambda_schedule = [0.5]", 3,
          "error: line {line}: continuation needs at least two lambda values"),
         ("solve", STEADY, "[solver]", "[solver", 3,
@@ -1030,15 +1088,19 @@ class TestCli:
         # finite when the config is read, infinite from the first step on
         ("solve", _readme_example(), 'g = expr("sin(pi*x)*exp(-t)")',
          'g = expr("exp(100000*t)")', 3,
-         "error: line {line}: 'exp(100000*t)' is not finite at t = 0.01\n"),
+         "error: line {line}: 'exp(100000*t)' at t = 0.01 is outside the working range "
+         "|x| <= 1e+20\n"),
         ("continuation", _readme_example(), 'g = expr("sin(pi*x)*exp(-t)")',
          'g = expr("exp(100000*t)")', 3,
-         "error: line {line}: 'exp(100000*t)' is not finite at t = 0.01\n"),
-        # valid numbers for which M + lambda*K is singular in floating point
-        ("solve", _readme_example(), "epsilon = 0.0", "smooth_u0_lambda = 1e200", 1,
+         "error: line {line}: 'exp(100000*t)' at t = 0.01 is outside the working range "
+         "|x| <= 1e+20\n"),
+        # a number in the working range for which M + lambda*K is singular
+        # in floating point: its factorization fails; past the range, at
+        # 1e308, lambda*K would overflow
+        ("solve", _readme_example(), "epsilon = 0.0", "smooth_u0_lambda = 1e20", 1,
          "solver failure: smoothing solve failed: Factor is exactly singular\n"),
-        ("solve", _readme_example(), "epsilon = 0.0", "smooth_u0_lambda = 1e308", 1,
-         "solver failure: smoothing solve failed: Factor is exactly singular\n"),
+        ("solve", _readme_example(), "epsilon = 0.0", "smooth_u0_lambda = 1e308", 3,
+         "error: line {line}: 1e+308 is outside the working range |x| <= 1e+20\n"),
     ], ids=["space_levels", "time_levels", "zero_time_level", "repeated_time_levels",
             "negative_space_level", "negative_fine_time", "zero_fine_space",
             "negative_length", "unknown_gamma1", "gamma1_in_2d", "zero_c0",
@@ -1050,7 +1112,7 @@ class TestCli:
             "negative_lambda", "negative_epsilon",
             "zero_newton_tol", "zero_max_iters", "negative_smoothing",
             "misspelled_solver_kind", "overflowing_u0_quadrature", "overflowing_beta_of",
-            "overflowing_u0_closed_form", "one_level_continuation",
+            "overflowing_u0_closed_form", "unsummable_u0", "one_level_continuation",
             "unterminated_section", "empty_section", "missing_equals", "bad_key",
             "non_constructor_graph", "unknown_graph_kind", "bad_rect_boundary",
             "unknown_domain", "bad_data_field", "missing_problem_key", "missing_tau",

@@ -16,7 +16,6 @@ from monoheat.stepper import (
     ProblemSpec,
     SolverConfig,
     _StepSolver,
-    _norm,
     lambda_continuation,
     smooth_initial,
     solve_transient,
@@ -321,6 +320,24 @@ class TestTransient:
                                                   r"finite \(data g or h\)$"):
             solve_transient(spec, SolverConfig(tau=0.1, lambda_schedule=(0.0,)))
 
+    @pytest.mark.parametrize("make, key", [
+        (lambda: SolverConfig(tau=0.1, newton_tol=np.inf), "newton_tol"),
+        (lambda: SolverConfig(tau=0.1, lambda_schedule=(np.nan,)), "lambda_schedule"),
+        (lambda: SolverConfig(tau=0.1, lambda_schedule=(np.inf,)), "lambda_schedule"),
+        (lambda: SolverConfig(tau=0.1, epsilon=np.nan), "epsilon"),
+        (lambda: dataclasses.replace(affine_spec(), c0=np.inf), "c0"),
+        (lambda: dataclasses.replace(affine_spec(), u0=1e21), "u0"),
+        (lambda: dataclasses.replace(affine_spec(), g=np.full(9, -1e21)), "g"),
+    ], ids=["infinite_newton_tol", "nan_lambda", "infinite_lambda", "nan_epsilon",
+            "infinite_c0", "huge_u0", "huge_g"])
+    def test_library_number_outside_the_working_range(self, make, key):
+        # an infinite newton_tol accepted every step unsolved, a NaN or
+        # infinite lambda failed in the factorization, a NaN epsilon was
+        # taken, and an infinite c0 was blamed on g or h at the first step
+        with pytest.raises(ValidationError, match="outside the working range") as exc:
+            make()
+        assert exc.value.key == key
+
 
 class TestLambdaContinuation:
     def test_zero_lambda_multivalued_beta_rejected_before_marching(self, monkeypatch):
@@ -573,11 +590,6 @@ class TestNewtonFailures:
         spec = dataclasses.replace(affine_spec(), gamma=ZeroSlope(1.5))
         with pytest.raises(SingularJacobian, match="gamma derivative not positive"):
             solve_transient(spec, SolverConfig(tau=0.1, lambda_schedule=(0.0,)))
-
-
-def test_norm_past_the_float_range_is_inf():
-    # |x| = 2e308 for four entries of 1e308: inf, with no overflow warning
-    assert _norm(np.full(4, 1e308)) == np.inf
 
 
 class TestNewtonDecay:
