@@ -18,8 +18,8 @@ multi-valued alike: safeguarded Newton inside the bracket
 The module also provides convex potentials (``A = d(potential)``), the
 regularized boundary map the stepper uses (``regularized_value``: Yosida
 approximation or ``value``, optionally clamped at 1/eps) with its one
-slope, a centred difference at every lam (``regularized_derivative``),
-and a diagnostic suite that samples the standard regularization
+slope, a centred difference at every lam (``regularized_derivative``,
+the slope of the stepper's nested Newton route), and a diagnostic suite that samples the standard regularization
 identities.  No graph is inverted: the suite takes convex conjugates as
 a supremum over a grid.
 The graph classes are the problem's graphs only: the heat capacity c0
@@ -55,6 +55,12 @@ _SIMPSON_BLOCK = 1024
 
 def _asarray(x):
     return np.asarray(x, dtype=float)
+
+
+def resolvent_target(x):
+    """The residual ``_NEWTON_REL_RESIDUAL*max(1,|x|)`` at which the
+    inclusion ``x in y + lam*graph(y)`` counts as solved: a few ulps of x."""
+    return _NEWTON_REL_RESIDUAL * np.maximum(1.0, np.abs(x))
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,7 @@ def _resolvent_solve(graph, lam, x):
     if unbracketed:
         raise DomainError(f"resolvent of {graph.label} cannot be bracketed")
 
-    target = _NEWTON_REL_RESIDUAL * np.maximum(1.0, np.abs(x))
+    target = resolvent_target(x)
     out = np.empty_like(x)
     todo = np.arange(x.size)
     y = np.where(x < 0.0, lo, hi)
@@ -538,7 +544,7 @@ def yosida(graph: ScalarGraph, lam: float, x):
         raise InvalidArgument("yosida needs lam > 0")
     x = _asarray(x)
     j = graph.resolvent(lam, x)
-    target = _NEWTON_REL_RESIDUAL * np.maximum(1.0, np.abs(x))
+    target = resolvent_target(x)
     with np.errstate(over="ignore"):
         # inf from a steep graph fails the test; an inf quotient clips back
         lo, hi = graph.section_bounds(j)

@@ -14,6 +14,10 @@ exactly at the nodes after every accepted step.
 ``beta_reg`` and its slope are evaluated on the active boundary nodes
 (Gamma1) only, the support of ``Mb``, and scattered into the nodal vector;
 the stored boundary selection ``xi`` holds the Gamma1 columns only.
+Where ``beta_reg`` is the Yosida approximation of a single-valued
+``beta``, Newton is lifted: the resolvent point y ~ J_lam(u) on Gamma1 is
+an unknown of its own, so a Newton iteration evaluates ``beta`` and
+``beta'`` at y and solves no resolvent (``_StepSolver.newton``).
 
 Two per-step solvers are provided: fixed-point sweeps on the correction
 ``f(U) = -P^{-1} r(U)``, where ``r`` is the step residual and ``P`` the SPD
@@ -290,6 +294,11 @@ class _StepSolver:
         # P u - r(u) = b - M c0 (gamma(u) - split_slope u)
         #              - tau Mb (beta_reg(u) - slope_beta u)
         self._picard_diag = self._jacobian_diagonal(self.split_slope, slope_beta)
+        # Newton's route (see ``newton``): lifted where beta_reg is the Yosida
+        # approximation of a single-valued beta, nested otherwise
+        self.lifted = self.lam > 0.0 and self.eps == 0.0 and spec.beta.single_valued
+        # the lifted unknown y ~ J_lam(u) on Gamma1, carried from step to step
+        self._y = None
 
     @cached_property
     def _picard_solve(self):
@@ -316,19 +325,37 @@ class _StepSolver:
                                   "(data g or h)")
         return b
 
-    def boundary_term(self, u: np.ndarray) -> np.ndarray:
-        """``tau*Mb*beta_reg(u)`` as a nodal vector, zero off Gamma1."""
-        out = np.zeros_like(u)
-        out[self.g1] = self.tau_bmass_g1 * self.beta_reg(u[self.g1])
-        return out
-
     def residual(self, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The step residual, its boundary term ``tau*Mb*beta_reg(u)``."""
+        return self._residual_with(u, self.beta_reg(u[self.g1]), b)
+
+    def _residual_with(self, u, beta_g1, b):
+        """The step residual with the boundary values ``beta_g1`` on Gamma1."""
         spec = self.spec
+        boundary = np.zeros_like(u)
+        boundary[self.g1] = self.tau_bmass_g1 * beta_g1
         r = (self.mass * (spec.c0 * spec.gamma.value(u))
              + self.tau * (self.stiffness @ u)
-             + self.boundary_term(u)
+             + boundary
              - b)
         return r + self.tau_lam_mass * u
+
+    def _lifted_residuals(self, u, y, b):
+        """``(R_u, R_y, merit)`` of the lifted step system at ``(u, y)``:
+        ``R_u`` is the step residual with ``beta(y)`` on Gamma1,
+        ``R_y = y + lam*beta(y) - u`` there, and the merit is
+        ``|R_u| + |tau*Mb*R_y|/lam``: the boundary term is 1/lam-Lipschitz in
+        u, so the weight puts ``R_y`` in the units of the step residual.  Each
+        ``R_y`` entry counts only past the resolvent's own target, so a y
+        as accurate as the resolvent makes it adds nothing: at a small lam
+        the weight would lift one ulp of u past the contract."""
+        beta_y = self.spec.beta.value(y)
+        u_g1 = u[self.g1]
+        r_y = y + self.lam * beta_y - u_g1
+        excess = np.maximum(np.abs(r_y) - gr.resolvent_target(u_g1), 0.0)
+        r_u = self._residual_with(u, beta_y, b)
+        return r_u, r_y, (np.linalg.norm(r_u)
+                          + np.linalg.norm(self.tau_bmass_g1 * excess) / self.lam)
 
     def _jacobian_diagonal(self, gamma_deriv, beta_deriv_g1):
         """Diagonal ``d`` of the SPD Jacobian ``diag(d) + tau*K``;
@@ -405,8 +432,45 @@ class _StepSolver:
 
     def newton(self, u_init: np.ndarray, b: np.ndarray):
         """Semismooth Newton with backtracking; the Jacobian is SPD.  Its
-        linear solves are inexact, with Eisenstat-Walker forcing terms."""
-        spec = self.spec
+        linear solves are inexact, with Eisenstat-Walker forcing terms.
+        Returns ``(u, iterations, |r(u)|)``.
+
+        Where ``beta_reg`` is the Yosida approximation of a single-valued
+        ``beta`` (``lam > 0``, ``eps = 0``) the iteration is lifted
+        (``_newton_lifted``) and solves no resolvent per iteration; every
+        other case iterates on ``r(u)`` itself, with the centred-difference
+        slope of ``beta_reg`` (``_newton_nested``).
+        """
+        if self.lifted:
+            return self._newton_lifted(u_init, b)
+        return self._newton_nested(u_init, b)
+
+    def _gamma_slope(self, u):
+        gamma_d = self.spec.gamma.derivative(u)
+        if not np.all(np.isfinite(gamma_d)) or np.any(gamma_d <= 0.0):
+            raise SingularJacobian(
+                "gamma derivative not positive; graph mis-declared as bi-Lipschitz")
+        return gamma_d
+
+    @staticmethod
+    def _backtrack(u, delta, merit, trial, history):
+        """Armijo backtracking from ``u`` along ``delta``: the first of the
+        steps 1, 1/2, ... (40 of them) at which the last entry of
+        ``trial(u + step*delta)``, its merit, passes ``_armijo``.  Returns
+        ``(u_try, trial(u_try))``."""
+        step = 1.0
+        for _ in range(40):
+            u_try = u + step * delta
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = trial(u_try)
+            if _armijo(out[-1], merit, step):
+                return u_try, out
+            step *= 0.5
+        raise NonConvergence("Newton backtracking stalled", history)
+
+    def _newton_nested(self, u_init, b):
+        """Newton on the step residual ``r(u)``: each residual solves the
+        resolvent on Gamma1, and each slope two more."""
         tol = self.config.newton_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
         r = self.residual(u, b)
@@ -415,29 +479,84 @@ class _StepSolver:
         if res <= tol:
             return u, 0, res
         eta = 0.1
+
+        def trial(u_try):
+            r_try = self.residual(u_try, b)
+            return r_try, np.linalg.norm(r_try)
+
         for it in range(1, self.config.max_iters + 1):
-            gamma_d = spec.gamma.derivative(u)
-            if not np.all(np.isfinite(gamma_d)) or np.any(gamma_d <= 0.0):
-                raise SingularJacobian(
-                    "gamma derivative not positive; graph mis-declared as bi-Lipschitz")
-            diag = self._jacobian_diagonal(gamma_d, self.beta_reg_deriv(u[self.g1]))
+            diag = self._jacobian_diagonal(self._gamma_slope(u),
+                                           self.beta_reg_deriv(u[self.g1]))
             delta = self._jacobian_cg(diag, -r, eta)
-            step = 1.0
-            for _ in range(40):
-                u_try = u + step * delta
-                with np.errstate(over="ignore", invalid="ignore"):
-                    r_try = self.residual(u_try, b)
-                    res_try = np.linalg.norm(r_try)
-                if math.isfinite(res_try) and res_try <= (1.0 - 1e-4 * step) * res:
-                    break
-                step *= 0.5
-            else:
-                raise NonConvergence("Newton backtracking stalled", history)
+            u, (r, res_try) = self._backtrack(u, delta, res, trial, history)
             eta = min(0.1, max(0.9 * (res_try / res) ** 2, 1e-10))
-            u, r, res = u_try, r_try, res_try
+            res = res_try
             history.append(res)
             if res <= tol:
                 return u, it, res
+        raise NonConvergence(
+            f"Newton did not reach tolerance in {self.config.max_iters} iterations",
+            history)
+
+    def _newton_lifted(self, u_init, b):
+        """Newton in (u, y) on the lifted system of ``_lifted_residuals``,
+        with y ~ J_lam(u) on Gamma1.
+
+        Eliminating ``dy = q*(du - R_y)``, ``q = 1/(1 + lam*beta'(y))``,
+        leaves the nested route's SPD Jacobian with the boundary slope
+        ``s = beta'(y)*q = 1/(lam + 1/beta'(y))`` and the right-hand side
+        ``-R_u + tau*Mb*s*R_y``, so an iteration solves no resolvent.  The
+        whole step is taken when it lowers the merit; otherwise, since far
+        from the root of a steep ``beta`` the linear ``dy`` overshoots, the
+        iteration backtracks along ``du`` with y the resolvent of each
+        trial.  A step is accepted only when ``r(u)``, with the true Yosida
+        value, meets ``newton_tol*(1 + |b|)``.  y starts at
+        ``J_lam(u_init)`` on the first call and carries over to the next
+        step.
+        """
+        beta, lam, g1 = self.spec.beta, self.lam, self.g1
+        tol = self.config.newton_tol * (1.0 + np.linalg.norm(b))
+        u = u_init.copy()
+        if self._y is None:
+            self._y = gr.resolvent(beta, lam, u[g1])
+        y = self._y
+        r_u, r_y, merit = self._lifted_residuals(u, y, b)
+        history = self.last_residual_history = [merit]
+        eta = 0.1
+
+        def resolved(u_try):
+            y_try = gr.resolvent(beta, lam, u_try[g1])
+            return (y_try,) + self._lifted_residuals(u_try, y_try, b)
+
+        for it in range(self.config.max_iters + 1):
+            if merit <= tol:
+                res = np.linalg.norm(self.residual(u, b))
+                if res <= tol:
+                    self._y = y
+                    return u, it, res
+                # y is further from J_lam(u) than the contract allows
+                y, r_u, r_y, merit = resolved(u)
+            if it == self.config.max_iters:
+                break
+            # beta' is 0 where beta is flat (power(3) at 0), which gives the
+            # slope 0, and inf where it is vertical (power(0.5) at 0), which
+            # gives the slope 1/lam and q = 0
+            beta_d = beta.derivative(y)
+            q = 1.0 / (1.0 + lam * beta_d)
+            with np.errstate(divide="ignore"):
+                slope = 1.0 / (lam + 1.0 / beta_d)
+            rhs = -r_u
+            rhs[g1] += self.tau_bmass_g1 * slope * r_y
+            du = self._jacobian_cg(self._jacobian_diagonal(self._gamma_slope(u), slope),
+                                   rhs, eta)
+            u_try, y_try = u + du, y + q * (du[g1] - r_y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = (y_try,) + self._lifted_residuals(u_try, y_try, b)
+            if not _armijo(out[-1], merit, 1.0):
+                u_try, out = self._backtrack(u, du, merit, resolved, history)
+            eta = min(0.1, max(0.9 * (out[-1] / merit) ** 2, 1e-10))
+            u, (y, r_u, r_y, merit) = u_try, out
+            history.append(merit)
         raise NonConvergence(
             f"Newton did not reach tolerance in {self.config.max_iters} iterations",
             history)
@@ -462,6 +581,11 @@ class _StepSolver:
             raise SolverDisagreement(
                 f"fixed-point and Newton answers differ by {gap:.3e} (allowed {allowed:.3e})")
         return u_n, max(it_p, it_n), res_n, gap
+
+
+def _armijo(merit_try: float, merit: float, step: float) -> bool:
+    """Sufficient decrease of a Newton trial of length ``step``."""
+    return math.isfinite(merit_try) and merit_try <= (1.0 - 1e-4 * step) * merit
 
 
 def _check_limit_problem(spec: ProblemSpec, lam: float) -> None:

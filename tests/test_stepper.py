@@ -243,14 +243,32 @@ class TestSingleStep:
 class TestActiveBoundaryOnly:
     @pytest.mark.parametrize("kind", ["picard", "newton", "both"])
     def test_boundary_graph_evaluated_on_gamma1_only(self, rng, monkeypatch, kind):
-        shapes = []
-        for name in ("regularized_value", "regularized_derivative"):
-            def spy(graph, lam, eps, r, real=getattr(gr, name), name=name):
-                shapes.append((name, np.shape(r)))
-                return real(graph, lam, eps, r)
-            monkeypatch.setattr(gr, name, spy)
-        for spec in (random_problem(rng, n_elems=8, T=0.2),
-                     random_problem_2d(rng, n=4, T=0.2)):
+        # every boundary evaluation the stepper makes is on the Gamma1 nodes:
+        # the regularized map and its slope, the resolvent, and beta's own
+        # value and slope at y on the lifted Newton route; what those make
+        # inside (the resolvent's shrinking iterates) is not the stepper's
+        shapes, depth = [], [0]
+
+        def spy(name, real):
+            def call(*args):
+                if depth[0] == 0:
+                    shapes.append((name, np.shape(args[-1])))
+                depth[0] += 1
+                try:
+                    return real(*args)
+                finally:
+                    depth[0] -= 1
+            return call
+
+        for name in ("regularized_value", "regularized_derivative", "resolvent"):
+            monkeypatch.setattr(gr, name, spy(name, getattr(gr, name)))
+        specs = [random_problem(rng, n_elems=8, T=0.2), random_problem_2d(rng, n=4, T=0.2)]
+        # a multi-valued beta keeps the nested route and its centred difference
+        nested = dataclasses.replace(specs[1], beta=gr.CompositeSum([gr.Linear(1.0),
+                                                                     gr.Sign()]))
+        for spec in specs + [nested]:
+            for name in ("value", "derivative"):
+                monkeypatch.setattr(spec.beta, name, spy(name, getattr(spec.beta, name)))
             shapes.clear()
             cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), solver_kind=kind,
                                picard_tol=1e-12, newton_tol=1e-12, max_iters=500)
@@ -261,8 +279,15 @@ class TestActiveBoundaryOnly:
             # selection over the whole history, (levels, Gamma1 nodes)
             assert all(shape[-1] == n_g1 for _, shape in shapes), shapes
             assert [s for _, s in shapes if len(s) != 1] == [(state.n_steps + 1, n_g1)]
-            if spec.mesh.dim == 2 and kind != "picard":
-                assert any(name == "regularized_derivative" for name, _ in shapes)
+            names = {name for name, _ in shapes}
+            if kind == "picard":
+                assert names == {"regularized_value"}
+            elif spec is nested:
+                assert "regularized_derivative" in names
+                assert not names & {"value", "derivative"}
+            else:
+                assert {"value", "derivative", "resolvent"} <= names
+                assert "regularized_derivative" not in names
 
 
 class TestTransient:
@@ -611,3 +636,172 @@ class TestNewtonDecay:
         orders = [np.log(hist[k] / hist[k - 1]) / np.log(hist[k - 1] / hist[k - 2])
                   for k in range(2, len(hist))]
         assert all(o > 1.5 for o in orders[-3:]), orders
+
+
+def count_resolvents(monkeypatch):
+    """Record the points of every ``ScalarGraph.resolvent`` call from now on."""
+    calls = []
+    real = gr.ScalarGraph.resolvent
+
+    def counted(graph, lam, x):
+        calls.append(np.size(x))
+        return real(graph, lam, x)
+
+    monkeypatch.setattr(gr.ScalarGraph, "resolvent", counted)
+    return calls
+
+
+class TestLiftedNewton:
+    def test_one_resolvent_per_step(self, rng, monkeypatch):
+        # the radiative law around a saturating gamma in 2-D: the lifted march
+        # solves the resolvent once to start y, once per step to check the
+        # contract on r(u), and once for the stored xi over the history
+        spec = random_problem_2d(rng, n=6, T=0.25)
+        ops = fem.assemble(spec.mesh)
+        cfg = SolverConfig(tau=0.05, lambda_schedule=(0.0625,))
+        assert _StepSolver(spec, ops, cfg, 0.0625, 0.0).lifted
+        calls = count_resolvents(monkeypatch)
+        state = solve_transient(spec, cfg, ops=ops)
+        assert np.all(state.iterations >= 1)
+        assert len(calls) <= state.n_steps + 2, (len(calls), state.iterations)
+        for res, b in full_residuals(spec, ops, cfg.tau, 0.0625, state):
+            assert np.linalg.norm(res) <= cfg.newton_tol * (1 + np.linalg.norm(b))
+
+        # the clamp keeps the nested route: one resolvent per residual, two
+        # per centred-difference slope (one per iteration), one for xi
+        clamped = dataclasses.replace(cfg, epsilon=0.7)
+        assert not _StepSolver(spec, ops, clamped, 0.0625, 0.7).lifted
+        residuals = []
+        real_residual = _StepSolver.residual
+
+        def residual(solver, u, b):
+            residuals.append(1)
+            return real_residual(solver, u, b)
+
+        monkeypatch.setattr(_StepSolver, "residual", residual)
+        calls.clear()
+        state = solve_transient(spec, clamped, ops=ops)
+        assert len(calls) == len(residuals) + 2 * int(state.iterations.sum()) + 1
+        assert len(residuals) >= state.n_steps + int(state.iterations.sum())
+
+    @pytest.mark.parametrize("p", [0.5, 3.0])
+    def test_vertical_and_flat_beta_at_zero(self, p):
+        # every Gamma1 node starts at 0, where power(0.5) has an infinite
+        # slope and power(3) a zero one: the lifted slopes there are 1/lam
+        # and 0, not NaN, and the march meets the contract without a
+        # floating-point warning
+        mesh = fem.build_mesh_1d(1.0, 8, "both")
+        spec = ProblemSpec(mesh=mesh, c0=1.0, gamma=gr.SaturatingBiLipschitz(1.0, 0.5),
+                           beta=gr.Power(p), g=1.0, h=0.0, u0=0.0, T=0.2)
+        ops = fem.assemble(mesh)
+        cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,))
+        solver = _StepSolver(spec, ops, cfg, 0.125, 0.0)
+        assert solver.lifted
+        state = solve_transient(spec, cfg, ops=ops)
+        assert np.all(state.u[1:, mesh.gamma1_nodes] > 0.0)
+        for res, b in full_residuals(spec, ops, cfg.tau, 0.125, state):
+            assert np.linalg.norm(res) <= cfg.newton_tol * (1 + np.linalg.norm(b))
+
+    def test_resolvent_accuracy_adds_nothing_to_the_merit(self, rng):
+        # y one ulp off J_lam(u) meets the resolvent's own test; at lam = 1e-8
+        # the weight tau*Mb/lam would lift that ulp far past the contract
+        spec = random_problem_2d(rng, n=6, T=0.1)
+        ops = fem.assemble(spec.mesh)
+        lam = 1e-8
+        cfg = SolverConfig(tau=0.05, lambda_schedule=(lam,))
+        solver = _StepSolver(spec, ops, cfg, lam, 0.0)
+        b = solver.rhs(spec.v_of(spec.u0), cfg.tau)
+        u_g1 = spec.u0[solver.g1] + 1.0
+        u = spec.u0.copy()
+        u[solver.g1] = u_g1
+        y = np.nextafter(gr.resolvent(spec.beta, lam, u_g1), np.inf)
+        r_u, r_y, merit = solver._lifted_residuals(u, y, b)
+        assert np.any(r_y != 0.0)
+        assert np.all(np.abs(r_y) <= gr.resolvent_target(u_g1))
+        assert np.linalg.norm(solver.tau_bmass_g1 * r_y) / lam \
+            > cfg.newton_tol * (1 + np.linalg.norm(b))
+        assert merit == np.linalg.norm(r_u)
+
+    def test_merit_never_accepts_what_the_residual_rejects(self, rng, monkeypatch):
+        # a merit that reads 0 at the start claims a solved step: the check
+        # on r(u) refuses it, y restarts at J_lam(u), and Newton goes on
+        spec = random_problem_2d(rng, n=4, T=0.1)
+        ops = fem.assemble(spec.mesh)
+        cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,))
+        solver = _StepSolver(spec, ops, cfg, 0.125, 0.0)
+        b = solver.rhs(spec.v_of(spec.u0), cfg.tau)
+        real = _StepSolver._lifted_residuals
+        lies = [True]
+
+        def lying(self, u, y, b):
+            r_u, r_y, merit = real(self, u, y, b)
+            if lies:
+                lies.pop()
+                merit = 0.0
+            return r_u, r_y, merit
+
+        monkeypatch.setattr(_StepSolver, "_lifted_residuals", lying)
+        calls = count_resolvents(monkeypatch)
+        u, its, res = solver.newton(spec.u0, b)
+        assert its >= 1 and lies == []
+        # y's start, the refused check, the restart and the accepted check
+        assert len(calls) == 4
+        assert res <= cfg.newton_tol * (1 + np.linalg.norm(b))
+        assert np.linalg.norm(solver.residual(u, b)) == res
+
+
+def enthalpy_defects(spec, ops, state):
+    """Per step k, the enthalpy balance defect
+    ``sum m (v_k - v_{k-1}) - tau (sum m g_k + sum_Gamma1 mb (h_k - xi_k)
+    - lam sum m u_k)``, which is the sum of the step residual's entries
+    because K annihilates constants, with its bound: ``sqrt(n)`` times the
+    residual contract, plus the rounding of the sums.
+
+    Each sum of the defect has n terms, and each residual entry at most
+    ``w = (entries of a stiffness row) + 6`` operations, so the computed
+    defect and the computed residual sum differ by at most
+    ``gamma_(n+w) * S`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, eq. 3.4), with S the sum of the magnitudes of every
+    term, ``tau*|K||u_k|`` included."""
+    n, tau, lam = ops.n_nodes, state.tau, state.lam
+    m, g1 = ops.mass, spec.mesh.gamma1_nodes
+    mb = ops.boundary_mass[g1]
+    w = int(np.diff(ops.stiffness.tocsr().indptr).max()) + 6
+    unit = np.finfo(float).eps / 2
+    gamma_nw = (n + w) * unit / (1 - (n + w) * unit)
+    abs_k = abs(ops.stiffness)
+    for k in range(1, state.n_steps + 1):
+        t = state.times[k]
+        g, h = spec.g_at(t), spec.h_at(t)
+        u, v, v_prev, xi = state.u[k], state.v[k], state.v[k - 1], state.xi[k]
+        defect = (m @ (v - v_prev)
+                  - tau * (m @ g + mb @ (h[g1] - xi) - lam * (m @ u)))
+        b = m * v_prev + tau * m * g + tau * ops.boundary_mass * h
+        magnitudes = (m @ (np.abs(v) + np.abs(v_prev) + tau * np.abs(g) + tau * lam * np.abs(u))
+                      + tau * (mb @ (np.abs(h[g1]) + np.abs(xi)))
+                      + tau * np.sum(abs_k @ np.abs(u)))
+        yield defect, np.sqrt(n), 1.0 + np.linalg.norm(b), gamma_nw * magnitudes
+
+
+class TestEnthalpyBalance:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("route", ["lifted", "clamped", "multivalued"])
+    def test_defect_within_the_residual_contract(self, rng, dim, route):
+        # the lifted route, and the nested one for the clamp and for a beta
+        # with a jump; storing xi one step late breaks the balance by
+        # tau*Mb*(xi_k - xi_{k-1}), far past this bound
+        for _ in range(3):
+            spec = (random_problem(rng, n_elems=12, T=0.2) if dim == 1
+                    else random_problem_2d(rng, n=6, T=0.2))
+            if route == "multivalued":
+                spec = dataclasses.replace(
+                    spec, beta=gr.CompositeSum([gr.Linear(1.0), gr.Sign()]))
+            ops = fem.assemble(spec.mesh)
+            eps = 0.7 if route == "clamped" else 0.0
+            cfg = SolverConfig(tau=0.05, lambda_schedule=(0.0625,), epsilon=eps)
+            assert _StepSolver(spec, ops, cfg, 0.0625, eps).lifted == (route == "lifted")
+            state = solve_transient(spec, cfg, ops=ops)
+            assert np.any(state.xi != 0.0)
+            for defect, sqrt_n, scale, rounding in enthalpy_defects(spec, ops, state):
+                assert abs(defect) <= sqrt_n * cfg.newton_tol * scale + rounding, \
+                    (defect, sqrt_n * cfg.newton_tol * scale, rounding)
