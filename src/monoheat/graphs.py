@@ -19,9 +19,11 @@ The module also provides convex potentials (``A = d(potential)``), the
 regularized boundary map the stepper uses (``regularized_value``: Yosida
 approximation or ``value``, optionally clamped at 1/eps) with its one
 slope, a centred difference at every lam (``regularized_derivative``,
-the slope of the stepper's nested Newton route), and a diagnostic suite that samples the standard regularization
-identities.  No graph is inverted: the suite takes convex conjugates as
-a supremum over a grid.
+the stepper's Newton slope at lam = 0; for lam > 0 Newton reads
+``section_bounds`` and ``derivative`` at its own resolvent point), and a
+diagnostic suite that samples the standard regularization identities.
+No graph is inverted: the suite takes convex conjugates as a supremum
+over a grid.
 The graph classes are the problem's graphs only: the heat capacity c0
 enters as a number where c0*gamma is used, never as a graph of its own.
 
@@ -109,7 +111,9 @@ class ScalarGraph:
         raise NotImplementedError
 
     def derivative(self, x):
-        """Pointwise a.e. derivative (used by Newton steppers)."""
+        """Pointwise a.e. derivative, +inf where the graph is vertical
+        (``sign`` at 0): Newton's lifted step reads that as ``q = 0``, a y
+        held on the vertical segment."""
         raise NotImplementedError
 
     # -- integral quantities -------------------------------------------------
@@ -212,7 +216,7 @@ def _resolvent_solve(graph, lam, x):
     a zero step from a bracket end, so that point bisects too.  A point
     stops once ``f <= t`` and ``f_hi >= -t`` for
     ``t = _NEWTON_REL_RESIDUAL*max(1,|x|)``, or once its bracket is
-    narrower than ``_BISECT_REL_WIDTH*max(1,|lo|,|hi|)``, relative to the
+    narrower than ``_BISECT_REL_WIDTH*max(|lo|,|hi|)``, relative to the
     root rather than to x; never on the step length, which is tiny far
     from the root where the slope is infinite (``power(p)`` with p < 1 at
     0).  A NaN ``f`` or ``f_hi`` orders nothing and raises
@@ -269,9 +273,9 @@ def _resolvent_solve(graph, lam, x):
 
 def _bracket_closed(lo, hi):
     """Brackets narrower than ``_BISECT_REL_WIDTH`` relative to the larger
-    endpoint magnitude (at least 1)."""
-    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    return hi - lo <= _BISECT_REL_WIDTH * scale
+    endpoint magnitude, with no floor: near 0 an absolute width would leave
+    J good only to 1e-13, which ``lam*graph(J)`` magnifies at a large lam."""
+    return hi - lo <= _BISECT_REL_WIDTH * np.maximum(np.abs(lo), np.abs(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +579,17 @@ def regularized_value(graph: ScalarGraph, lam: float, eps: float, r):
 
 def regularized_derivative(graph: ScalarGraph, lam: float, eps: float, r):
     """Generalized slope of ``regularized_value``: nonnegative, and at most
-    its Lipschitz bound 1/lam when lam > 0.
+    its Lipschitz bound 1/lam when lam > 0.  The stepper's Newton takes it
+    at lam = 0, where y is u.
 
     The regularized map is only piecewise smooth (resolvent dead zones,
     clamp thresholds, kinks of the graph itself); a branch derivative picks
     the wrong branch whenever the iterate sits within rounding of a kink,
-    which stalls Newton.  A short centered difference of the map itself
-    selects a valid element of the generalized Jacobian on either side of
-    (or astride) every kink, at every lam >= 0.
+    which stalls Newton: at lam = 0, ``power(3)`` clamped at 1/eps = 2 has
+    the slope 0 or 3r^2 = 4.76 at r = 2^(1/3) as one ulp of r decides.  A
+    short centered difference of the map itself selects a valid element of
+    the generalized Jacobian on either side of (or astride) every kink, at
+    every lam >= 0 (2.38 there).
     """
     r = _asarray(r)
     delta = 1e-6 * np.maximum(1.0, np.abs(r))

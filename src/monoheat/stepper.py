@@ -14,10 +14,10 @@ exactly at the nodes after every accepted step.
 ``beta_reg`` and its slope are evaluated on the active boundary nodes
 (Gamma1) only, the support of ``Mb``, and scattered into the nodal vector;
 the stored boundary selection ``xi`` holds the Gamma1 columns only.
-Where ``beta_reg`` is the Yosida approximation of a single-valued
-``beta``, Newton is lifted: the resolvent point y ~ J_lam(u) on Gamma1 is
-an unknown of its own, so a Newton iteration evaluates ``beta`` and
-``beta'`` at y and solves no resolvent (``_StepSolver.newton``).
+Newton is lifted: for ``lam > 0`` the resolvent point y ~ J_lam(u) on
+Gamma1 is an unknown of its own, so a Newton iteration evaluates
+``beta``'s section and slope at y and solves no resolvent, for every
+``beta`` and every clamp; at ``lam = 0`` y is u (``_StepSolver.newton``).
 
 Two per-step solvers are provided: fixed-point sweeps on the correction
 ``f(U) = -P^{-1} r(U)``, where ``r`` is the step residual and ``P`` the SPD
@@ -294,10 +294,7 @@ class _StepSolver:
         # P u - r(u) = b - M c0 (gamma(u) - split_slope u)
         #              - tau Mb (beta_reg(u) - slope_beta u)
         self._picard_diag = self._jacobian_diagonal(self.split_slope, slope_beta)
-        # Newton's route (see ``newton``): lifted where beta_reg is the Yosida
-        # approximation of a single-valued beta, nested otherwise
-        self.lifted = self.lam > 0.0 and self.eps == 0.0 and spec.beta.single_valued
-        # the lifted unknown y ~ J_lam(u) on Gamma1, carried from step to step
+        # Newton's lifted unknown y ~ J_lam(u) on Gamma1, carried from step to step
         self._y = None
 
     @cached_property
@@ -311,9 +308,6 @@ class _StepSolver:
 
     def beta_reg(self, u: np.ndarray) -> np.ndarray:
         return gr.regularized_value(self.spec.beta, self.lam, self.eps, u)
-
-    def beta_reg_deriv(self, u: np.ndarray) -> np.ndarray:
-        return gr.regularized_derivative(self.spec.beta, self.lam, self.eps, u)
 
     def rhs(self, v_prev: np.ndarray, t_next: float) -> np.ndarray:
         b = (self.mass * v_prev
@@ -341,21 +335,54 @@ class _StepSolver:
         return r + self.tau_lam_mass * u
 
     def _lifted_residuals(self, u, y, b):
-        """``(R_u, R_y, merit)`` of the lifted step system at ``(u, y)``:
-        ``R_u`` is the step residual with ``beta(y)`` on Gamma1,
-        ``R_y = y + lam*beta(y) - u`` there, and the merit is
+        """``(w, R_u, R_y, merit)`` of the lifted step system at ``(u, y)``.
+
+        For ``lam > 0``, ``w = clip((u - y)/lam, lo(y), hi(y))`` is the
+        element of ``beta(y)`` nearest the Yosida quotient, ``beta(y)`` itself
+        where ``beta`` is single valued, then clamped at 1/eps;
+        ``R_y = y + lam*w - u`` (before the clamp) and ``R_u`` is the step
+        residual with ``w`` on Gamma1.  The merit is
         ``|R_u| + |tau*Mb*R_y|/lam``: the boundary term is 1/lam-Lipschitz in
         u, so the weight puts ``R_y`` in the units of the step residual.  Each
         ``R_y`` entry counts only past the resolvent's own target, so a y
         as accurate as the resolvent makes it adds nothing: at a small lam
-        the weight would lift one ulp of u past the contract."""
-        beta_y = self.spec.beta.value(y)
+        the weight would lift one ulp of u past the contract.
+
+        At ``lam = 0`` y is u: ``R_u = r(u)``, ``R_y = 0`` and the merit is
+        ``|r(u)|``; ``w`` is not needed, and is None."""
+        if self.lam == 0.0:
+            r_u = self.residual(u, b)
+            return None, r_u, 0.0, np.linalg.norm(r_u)
         u_g1 = u[self.g1]
-        r_y = y + self.lam * beta_y - u_g1
+        lo, hi = self.spec.beta.section_bounds(y)
+        w = np.clip((u_g1 - y) / self.lam, lo, hi)
+        r_y = y + self.lam * w - u_g1
+        if self.eps > 0.0:
+            w = np.clip(w, -1.0 / self.eps, 1.0 / self.eps)
         excess = np.maximum(np.abs(r_y) - gr.resolvent_target(u_g1), 0.0)
-        r_u = self._residual_with(u, beta_y, b)
-        return r_u, r_y, (np.linalg.norm(r_u)
-                          + np.linalg.norm(self.tau_bmass_g1 * excess) / self.lam)
+        r_u = self._residual_with(u, w, b)
+        return w, r_u, r_y, (np.linalg.norm(r_u)
+                             + np.linalg.norm(self.tau_bmass_g1 * excess) / self.lam)
+
+    def _lifted_slopes(self, y, w):
+        """``(q, s)`` at the lifted iterate: ``dy = q*(du - R_y)`` and the
+        boundary slope ``s = dw/du``.  For ``lam > 0``, with
+        ``d = beta'(y)``, ``q = 1/(1 + lam*d)`` and ``s = 1/(lam + 1/d)``:
+        a flat ``beta`` (``power(3)`` at 0) gives ``s = 0``, a vertical one
+        (``power(0.5)`` at 0, or ``sign``'s jump, where d is inf) ``q = 0``
+        and ``s = 1/lam``, the dead zone's slope; only the division by 0 is
+        silenced.  The clamp makes s 0 where ``|w| >= 1/eps``.  At
+        ``lam = 0`` (y is u) ``q = 1`` and s is ``regularized_derivative``'s
+        centred difference."""
+        beta, lam = self.spec.beta, self.lam
+        if lam == 0.0:
+            return 1.0, gr.regularized_derivative(beta, 0.0, self.eps, y)
+        beta_d = beta.derivative(y)
+        with np.errstate(divide="ignore"):
+            slope = 1.0 / (lam + 1.0 / beta_d)
+        if self.eps > 0.0:
+            slope = np.where(np.abs(w) >= 1.0 / self.eps, 0.0, slope)
+        return 1.0 / (1.0 + lam * beta_d), slope
 
     def _jacobian_diagonal(self, gamma_deriv, beta_deriv_g1):
         """Diagonal ``d`` of the SPD Jacobian ``diag(d) + tau*K``;
@@ -431,19 +458,69 @@ class _StepSolver:
             "iterations", history)
 
     def newton(self, u_init: np.ndarray, b: np.ndarray):
-        """Semismooth Newton with backtracking; the Jacobian is SPD.  Its
-        linear solves are inexact, with Eisenstat-Walker forcing terms.
-        Returns ``(u, iterations, |r(u)|)``.
+        """Semismooth Newton in (u, y) on the lifted system of
+        ``_lifted_residuals``, with y ~ J_lam(u) on Gamma1 (y is u at
+        ``lam = 0``).  Returns ``(u, iterations, |r(u)|)``.
 
-        Where ``beta_reg`` is the Yosida approximation of a single-valued
-        ``beta`` (``lam > 0``, ``eps = 0``) the iteration is lifted
-        (``_newton_lifted``) and solves no resolvent per iteration; every
-        other case iterates on ``r(u)`` itself, with the centred-difference
-        slope of ``beta_reg`` (``_newton_nested``).
+        Eliminating ``dy = q*(du - R_y)`` leaves the SPD Jacobian
+        ``diag(c0*M*gamma'(u) + tau*Mb*s + tau*lam*M) + tau*K`` with the
+        boundary slope ``s`` of ``_lifted_slopes`` and the right-hand side
+        ``-R_u + tau*Mb*s*R_y``, solved inexactly by ``_jacobian_cg`` with
+        Eisenstat-Walker forcing terms, so an iteration solves no resolvent.
+        The whole step is taken when it lowers the merit; otherwise, since
+        far from the root of a steep ``beta`` the linear ``dy`` overshoots
+        (and at a jump it cannot move y off it), the iteration backtracks
+        along ``du`` with y the resolvent of each trial.  A step is accepted
+        only when ``r(u)``, with the true regularized value, meets
+        ``newton_tol*(1 + |b|)``; at ``lam = 0`` the merit is ``|r(u)|``
+        itself.  y starts at ``J_lam(u_init)`` on the first call and carries
+        over to the next step.
         """
-        if self.lifted:
-            return self._newton_lifted(u_init, b)
-        return self._newton_nested(u_init, b)
+        lam, g1 = self.lam, self.g1
+        tol = self.config.newton_tol * (1.0 + np.linalg.norm(b))
+        u = u_init.copy()
+
+        def y_of(u_try):
+            return gr.resolvent(self.spec.beta, lam, u_try[g1]) if lam > 0.0 else u_try[g1]
+
+        def resolved(u_try):
+            y_try = y_of(u_try)
+            return (y_try,) + self._lifted_residuals(u_try, y_try, b)
+
+        if lam == 0.0 or self._y is None:
+            self._y = y_of(u)
+        y = self._y
+        w, r_u, r_y, merit = self._lifted_residuals(u, y, b)
+        history = self.last_residual_history = [merit]
+        eta = 0.1
+        for it in range(self.config.max_iters + 1):
+            if merit <= tol:
+                res = merit if lam == 0.0 else np.linalg.norm(self.residual(u, b))
+                if res <= tol:
+                    self._y = y
+                    return u, it, res
+                # y is further from J_lam(u) than the contract allows
+                y, w, r_u, r_y, merit = resolved(u)
+            if it == self.config.max_iters:
+                break
+            q, slope = self._lifted_slopes(y, w)
+            rhs = -r_u
+            rhs[g1] += self.tau_bmass_g1 * slope * r_y
+            du = self._jacobian_cg(self._jacobian_diagonal(self._gamma_slope(u), slope),
+                                   rhs, eta)
+            u_try, y_try = u + du, y + q * (du[g1] - r_y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = (y_try,) + self._lifted_residuals(u_try, y_try, b)
+            if not _armijo(out[-1], merit, 1.0):
+                # at lam = 0 the resolved full step is the one just refused
+                u_try, out = self._backtrack(u, du, merit, resolved, history,
+                                             1.0 if lam > 0.0 else 0.5)
+            eta = min(0.1, max(0.9 * (out[-1] / merit) ** 2, 1e-10))
+            u, (y, w, r_u, r_y, merit) = u_try, out
+            history.append(merit)
+        raise NonConvergence(
+            f"Newton did not reach tolerance in {self.config.max_iters} iterations",
+            history)
 
     def _gamma_slope(self, u):
         gamma_d = self.spec.gamma.derivative(u)
@@ -453,12 +530,11 @@ class _StepSolver:
         return gamma_d
 
     @staticmethod
-    def _backtrack(u, delta, merit, trial, history):
+    def _backtrack(u, delta, merit, trial, history, step):
         """Armijo backtracking from ``u`` along ``delta``: the first of the
-        steps 1, 1/2, ... (40 of them) at which the last entry of
-        ``trial(u + step*delta)``, its merit, passes ``_armijo``.  Returns
+        steps ``step``, ``step/2``, ... (40 of them) at which the last entry
+        of ``trial(u + step*delta)``, its merit, passes ``_armijo``.  Returns
         ``(u_try, trial(u_try))``."""
-        step = 1.0
         for _ in range(40):
             u_try = u + step * delta
             with np.errstate(over="ignore", invalid="ignore"):
@@ -467,99 +543,6 @@ class _StepSolver:
                 return u_try, out
             step *= 0.5
         raise NonConvergence("Newton backtracking stalled", history)
-
-    def _newton_nested(self, u_init, b):
-        """Newton on the step residual ``r(u)``: each residual solves the
-        resolvent on Gamma1, and each slope two more."""
-        tol = self.config.newton_tol * (1.0 + np.linalg.norm(b))
-        u = u_init.copy()
-        r = self.residual(u, b)
-        res = np.linalg.norm(r)
-        history = self.last_residual_history = [res]
-        if res <= tol:
-            return u, 0, res
-        eta = 0.1
-
-        def trial(u_try):
-            r_try = self.residual(u_try, b)
-            return r_try, np.linalg.norm(r_try)
-
-        for it in range(1, self.config.max_iters + 1):
-            diag = self._jacobian_diagonal(self._gamma_slope(u),
-                                           self.beta_reg_deriv(u[self.g1]))
-            delta = self._jacobian_cg(diag, -r, eta)
-            u, (r, res_try) = self._backtrack(u, delta, res, trial, history)
-            eta = min(0.1, max(0.9 * (res_try / res) ** 2, 1e-10))
-            res = res_try
-            history.append(res)
-            if res <= tol:
-                return u, it, res
-        raise NonConvergence(
-            f"Newton did not reach tolerance in {self.config.max_iters} iterations",
-            history)
-
-    def _newton_lifted(self, u_init, b):
-        """Newton in (u, y) on the lifted system of ``_lifted_residuals``,
-        with y ~ J_lam(u) on Gamma1.
-
-        Eliminating ``dy = q*(du - R_y)``, ``q = 1/(1 + lam*beta'(y))``,
-        leaves the nested route's SPD Jacobian with the boundary slope
-        ``s = beta'(y)*q = 1/(lam + 1/beta'(y))`` and the right-hand side
-        ``-R_u + tau*Mb*s*R_y``, so an iteration solves no resolvent.  The
-        whole step is taken when it lowers the merit; otherwise, since far
-        from the root of a steep ``beta`` the linear ``dy`` overshoots, the
-        iteration backtracks along ``du`` with y the resolvent of each
-        trial.  A step is accepted only when ``r(u)``, with the true Yosida
-        value, meets ``newton_tol*(1 + |b|)``.  y starts at
-        ``J_lam(u_init)`` on the first call and carries over to the next
-        step.
-        """
-        beta, lam, g1 = self.spec.beta, self.lam, self.g1
-        tol = self.config.newton_tol * (1.0 + np.linalg.norm(b))
-        u = u_init.copy()
-        if self._y is None:
-            self._y = gr.resolvent(beta, lam, u[g1])
-        y = self._y
-        r_u, r_y, merit = self._lifted_residuals(u, y, b)
-        history = self.last_residual_history = [merit]
-        eta = 0.1
-
-        def resolved(u_try):
-            y_try = gr.resolvent(beta, lam, u_try[g1])
-            return (y_try,) + self._lifted_residuals(u_try, y_try, b)
-
-        for it in range(self.config.max_iters + 1):
-            if merit <= tol:
-                res = np.linalg.norm(self.residual(u, b))
-                if res <= tol:
-                    self._y = y
-                    return u, it, res
-                # y is further from J_lam(u) than the contract allows
-                y, r_u, r_y, merit = resolved(u)
-            if it == self.config.max_iters:
-                break
-            # beta' is 0 where beta is flat (power(3) at 0), which gives the
-            # slope 0, and inf where it is vertical (power(0.5) at 0), which
-            # gives the slope 1/lam and q = 0
-            beta_d = beta.derivative(y)
-            q = 1.0 / (1.0 + lam * beta_d)
-            with np.errstate(divide="ignore"):
-                slope = 1.0 / (lam + 1.0 / beta_d)
-            rhs = -r_u
-            rhs[g1] += self.tau_bmass_g1 * slope * r_y
-            du = self._jacobian_cg(self._jacobian_diagonal(self._gamma_slope(u), slope),
-                                   rhs, eta)
-            u_try, y_try = u + du, y + q * (du[g1] - r_y)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = (y_try,) + self._lifted_residuals(u_try, y_try, b)
-            if not _armijo(out[-1], merit, 1.0):
-                u_try, out = self._backtrack(u, du, merit, resolved, history)
-            eta = min(0.1, max(0.9 * (out[-1] / merit) ** 2, 1e-10))
-            u, (y, r_u, r_y, merit) = u_try, out
-            history.append(merit)
-        raise NonConvergence(
-            f"Newton did not reach tolerance in {self.config.max_iters} iterations",
-            history)
 
     def advance(self, u_prev: np.ndarray, v_prev: np.ndarray, t_next: float):
         b = self.rhs(v_prev, t_next)

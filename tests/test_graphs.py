@@ -105,6 +105,14 @@ class TestSafeguardedNewtonResolvent:
             y = gr.resolvent(gr.Power(9.0), 1.0, x)
             assert y + y**9 == pytest.approx(x, rel=1e-14)
 
+    def test_tiny_root_closes_its_bracket_relative_to_itself(self):
+        # the root 1e-5/(1 + 2e10) sits near 0: a bracket closed at the
+        # absolute width 1e-13 returned 7.45e-14, which lam*graph(J)
+        # magnifies a millionfold
+        for x in (1e-5, -1e-5):
+            y = gr.resolvent(gr.Linear(2.0), 1e10, x)
+            assert y == pytest.approx(x / (1.0 + 2e10), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("graph,lam,x", [
         (gr.Linear(2.0), 1.0, [1.7e308, -1.7e308]),
     ], ids=["linear-float-limit"])
@@ -417,6 +425,15 @@ class TestPropertySuite:
         # yosida_in_graph tests x - J in lam*graph(J) in x's units: divided
         # by lam, an ulp of J failed it once lam fell to about 1e-6
         xs = np.linspace(-3.0, 3.0, 25)
+        for graph in gr.builtin_graphs():
+            rep = gr.graph_property_suite(graph, lams, xs)
+            assert rep.passed, rep.failures()[:3]
+
+    @pytest.mark.parametrize("lams", [[1e19, 1e10, 1.0], [1e15]])
+    def test_all_builtins_pass_at_large_lambda(self, lams):
+        # at a large lam the resolvent's root near 0 must be good relative
+        # to itself: yosida_in_graph multiplies its error by lam
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 25), [-1e-5, 1e-5]])
         for graph in gr.builtin_graphs():
             rep = gr.graph_property_suite(graph, lams, xs)
             assert rep.passed, rep.failures()[:3]

@@ -61,9 +61,10 @@ def advance_allowance(spec, ops, cfg, b):
         * (1.0 + np.linalg.norm(b)) / min(sigma_floor, 1.0)
 
 
-def full_residuals(spec, ops, tau, lam, state):
-    """Step residuals rebuilt on every node, the Yosida term included:
-    ``(residual, rhs)`` for each accepted level."""
+def full_residuals(spec, ops, tau, lam, state, eps=0.0):
+    """Step residuals rebuilt on every node, the Yosida term (clamped at
+    1/eps for ``eps > 0``) included: ``(residual, rhs)`` for each accepted
+    level."""
     for k in range(1, state.n_steps + 1):
         t = state.times[k]
         u = state.u[k]
@@ -73,7 +74,7 @@ def full_residuals(spec, ops, tau, lam, state):
         res = (ops.mass * spec.c0 * np.asarray(spec.gamma.value(u))
                + tau * (ops.stiffness @ u)
                + tau * lam * ops.mass * u
-               + tau * ops.boundary_mass * np.asarray(gr.yosida(spec.beta, lam, u))
+               + tau * ops.boundary_mass * gr.regularized_value(spec.beta, lam, eps, u)
                - b)
         yield res, b
 
@@ -245,8 +246,8 @@ class TestActiveBoundaryOnly:
     def test_boundary_graph_evaluated_on_gamma1_only(self, rng, monkeypatch, kind):
         # every boundary evaluation the stepper makes is on the Gamma1 nodes:
         # the regularized map and its slope, the resolvent, and beta's own
-        # value and slope at y on the lifted Newton route; what those make
-        # inside (the resolvent's shrinking iterates) is not the stepper's
+        # section and slope at y on the lifted Newton iteration; what those
+        # make inside (the resolvent's shrinking iterates) is not the stepper's
         shapes, depth = [], [0]
 
         def spy(name, real):
@@ -263,14 +264,16 @@ class TestActiveBoundaryOnly:
         for name in ("regularized_value", "regularized_derivative", "resolvent"):
             monkeypatch.setattr(gr, name, spy(name, getattr(gr, name)))
         specs = [random_problem(rng, n_elems=8, T=0.2), random_problem_2d(rng, n=4, T=0.2)]
-        # a multi-valued beta keeps the nested route and its centred difference
-        nested = dataclasses.replace(specs[1], beta=gr.CompositeSum([gr.Linear(1.0),
-                                                                     gr.Sign()]))
-        for spec in specs + [nested]:
-            for name in ("value", "derivative"):
+        # a beta with a jump, and lam = 0, where Newton's slope is the
+        # centred difference of the regularized map
+        jump = dataclasses.replace(specs[1], beta=gr.CompositeSum([gr.Linear(1.0),
+                                                                   gr.Sign()]))
+        for spec, lam in [(specs[0], 0.125), (specs[1], 0.125), (jump, 0.125),
+                          (specs[1], 0.0)]:
+            for name in ("section_bounds", "derivative"):
                 monkeypatch.setattr(spec.beta, name, spy(name, getattr(spec.beta, name)))
             shapes.clear()
-            cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), solver_kind=kind,
+            cfg = SolverConfig(tau=0.05, lambda_schedule=(lam,), solver_kind=kind,
                                picard_tol=1e-12, newton_tol=1e-12, max_iters=500)
             state = solve_transient(spec, cfg)
             n_g1 = len(spec.mesh.gamma1_nodes)
@@ -282,11 +285,10 @@ class TestActiveBoundaryOnly:
             names = {name for name, _ in shapes}
             if kind == "picard":
                 assert names == {"regularized_value"}
-            elif spec is nested:
-                assert "regularized_derivative" in names
-                assert not names & {"value", "derivative"}
+            elif lam == 0.0:
+                assert names == {"regularized_value", "regularized_derivative"}
             else:
-                assert {"value", "derivative", "resolvent"} <= names
+                assert {"section_bounds", "derivative", "resolvent"} <= names
                 assert "regularized_derivative" not in names
 
 
@@ -512,8 +514,9 @@ def direct_newton(solver, k_tau, u, b):
     for _ in range(solver.config.max_iters):
         if res <= tol:
             return u
-        diag = solver._jacobian_diagonal(np.asarray(solver.spec.gamma.derivative(u)),
-                                         solver.beta_reg_deriv(u[solver.g1]))
+        slope = gr.regularized_derivative(solver.spec.beta, solver.lam, solver.eps,
+                                          u[solver.g1])
+        diag = solver._jacobian_diagonal(np.asarray(solver.spec.gamma.derivative(u)), slope)
         delta = spla.spsolve((sp.diags(diag) + k_tau).tocsc(), -r)
         step = 1.0
         while True:
@@ -655,34 +658,72 @@ class TestLiftedNewton:
     def test_one_resolvent_per_step(self, rng, monkeypatch):
         # the radiative law around a saturating gamma in 2-D: the lifted march
         # solves the resolvent once to start y, once per step to check the
-        # contract on r(u), and once for the stored xi over the history
+        # contract on r(u), and once for the stored xi over the history; so
+        # does the clamp
         spec = random_problem_2d(rng, n=6, T=0.25)
         ops = fem.assemble(spec.mesh)
+        calls = count_resolvents(monkeypatch)
+        # 1/eps = 0.125 binds (|xi| reaches 0.34 unclamped), and its zero
+        # slope keeps Newton's rate: the unclamped slope there takes 9
+        # iterations on the first step
+        for eps in (0.0, 0.7, 8.0):
+            cfg = SolverConfig(tau=0.05, lambda_schedule=(0.0625,), epsilon=eps)
+            calls.clear()
+            state = solve_transient(spec, cfg, ops=ops)
+            assert np.all((1 <= state.iterations) & (state.iterations <= 4))
+            assert len(calls) <= state.n_steps + 2, (eps, len(calls), state.iterations)
+            assert np.any(np.abs(state.xi) == 0.125) == (eps == 8.0)
+            for res, b in full_residuals(spec, ops, cfg.tau, 0.0625, state, eps):
+                assert np.linalg.norm(res) <= cfg.newton_tol * (1 + np.linalg.norm(b))
+
+    def test_jump_takes_fewer_resolvents_than_iterations(self, rng, monkeypatch):
+        # composite(linear(1), sign) in 2-D: y leaves the jump only through
+        # the resolved backtrack, and the march still solves fewer
+        # resolvents than it takes Newton iterations
+        spec = dataclasses.replace(random_problem_2d(rng, n=6, T=0.25), h=0.3,
+                                   beta=gr.CompositeSum([gr.Linear(1.0), gr.Sign()]))
+        ops = fem.assemble(spec.mesh)
         cfg = SolverConfig(tau=0.05, lambda_schedule=(0.0625,))
-        assert _StepSolver(spec, ops, cfg, 0.0625, 0.0).lifted
         calls = count_resolvents(monkeypatch)
         state = solve_transient(spec, cfg, ops=ops)
-        assert np.all(state.iterations >= 1)
-        assert len(calls) <= state.n_steps + 2, (len(calls), state.iterations)
+        assert len(calls) < int(state.iterations.sum()), (len(calls), state.iterations)
         for res, b in full_residuals(spec, ops, cfg.tau, 0.0625, state):
             assert np.linalg.norm(res) <= cfg.newton_tol * (1 + np.linalg.norm(b))
 
-        # the clamp keeps the nested route: one resolvent per residual, two
-        # per centred-difference slope (one per iteration), one for xi
-        clamped = dataclasses.replace(cfg, epsilon=0.7)
-        assert not _StepSolver(spec, ops, clamped, 0.0625, 0.7).lifted
-        residuals = []
-        real_residual = _StepSolver.residual
+    def test_lam_zero_costs_one_residual_per_trial(self, monkeypatch):
+        # at lam = 0 y is u and the merit is |r(u)| itself: a step evaluates
+        # one residual per trial and two regularized values per centred
+        # slope, and accepts on the merit with no second residual; the
+        # counts and iterations are those of the Newton iteration on r(u)
+        # that the lifted one replaced (its first step backtracks)
+        spec = ProblemSpec(mesh=fem.build_mesh_1d(1.0, 8, "right"), c0=1.0,
+                           gamma=gr.Linear(1.0),
+                           beta=gr.CompositeSum([gr.Linear(1.0), gr.Power(8.0)]),
+                           g=0.0, h=500.0, u0=0.0, T=0.4)
+        calls = {"residual": 0, "regularized_value": 0}
+        real_residual, real_value = _StepSolver.residual, gr.regularized_value
 
         def residual(solver, u, b):
-            residuals.append(1)
+            calls["residual"] += 1
             return real_residual(solver, u, b)
 
+        def regularized_value(*args):
+            calls["regularized_value"] += 1
+            return real_value(*args)
+
         monkeypatch.setattr(_StepSolver, "residual", residual)
-        calls.clear()
-        state = solve_transient(spec, clamped, ops=ops)
-        assert len(calls) == len(residuals) + 2 * int(state.iterations.sum()) + 1
-        assert len(residuals) >= state.n_steps + int(state.iterations.sum())
+        monkeypatch.setattr(gr, "regularized_value", regularized_value)
+        per_step, real_newton = [], _StepSolver.newton
+
+        def newton(solver, u, b):
+            calls.update(residual=0, regularized_value=0)
+            out = real_newton(solver, u, b)
+            per_step.append((out[1], calls["residual"], calls["regularized_value"]))
+            return out
+
+        monkeypatch.setattr(_StepSolver, "newton", newton)
+        solve_transient(spec, SolverConfig(tau=0.2, lambda_schedule=(0.0,)))
+        assert per_step == [(6, 18, 30), (3, 4, 10)]
 
     @pytest.mark.parametrize("p", [0.5, 3.0])
     def test_vertical_and_flat_beta_at_zero(self, p):
@@ -695,8 +736,6 @@ class TestLiftedNewton:
                            beta=gr.Power(p), g=1.0, h=0.0, u0=0.0, T=0.2)
         ops = fem.assemble(mesh)
         cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,))
-        solver = _StepSolver(spec, ops, cfg, 0.125, 0.0)
-        assert solver.lifted
         state = solve_transient(spec, cfg, ops=ops)
         assert np.all(state.u[1:, mesh.gamma1_nodes] > 0.0)
         for res, b in full_residuals(spec, ops, cfg.tau, 0.125, state):
@@ -715,7 +754,7 @@ class TestLiftedNewton:
         u = spec.u0.copy()
         u[solver.g1] = u_g1
         y = np.nextafter(gr.resolvent(spec.beta, lam, u_g1), np.inf)
-        r_u, r_y, merit = solver._lifted_residuals(u, y, b)
+        _, r_u, r_y, merit = solver._lifted_residuals(u, y, b)
         assert np.any(r_y != 0.0)
         assert np.all(np.abs(r_y) <= gr.resolvent_target(u_g1))
         assert np.linalg.norm(solver.tau_bmass_g1 * r_y) / lam \
@@ -734,11 +773,11 @@ class TestLiftedNewton:
         lies = [True]
 
         def lying(self, u, y, b):
-            r_u, r_y, merit = real(self, u, y, b)
+            w, r_u, r_y, merit = real(self, u, y, b)
             if lies:
                 lies.pop()
                 merit = 0.0
-            return r_u, r_y, merit
+            return w, r_u, r_y, merit
 
         monkeypatch.setattr(_StepSolver, "_lifted_residuals", lying)
         calls = count_resolvents(monkeypatch)
@@ -787,8 +826,8 @@ class TestEnthalpyBalance:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("route", ["lifted", "clamped", "multivalued"])
     def test_defect_within_the_residual_contract(self, rng, dim, route):
-        # the lifted route, and the nested one for the clamp and for a beta
-        # with a jump; storing xi one step late breaks the balance by
+        # a single-valued beta, the clamp and a beta with a jump, all on the
+        # lifted Newton iteration; storing xi one step late breaks the balance by
         # tau*Mb*(xi_k - xi_{k-1}), far past this bound
         for _ in range(3):
             spec = (random_problem(rng, n_elems=12, T=0.2) if dim == 1
@@ -799,7 +838,6 @@ class TestEnthalpyBalance:
             ops = fem.assemble(spec.mesh)
             eps = 0.7 if route == "clamped" else 0.0
             cfg = SolverConfig(tau=0.05, lambda_schedule=(0.0625,), epsilon=eps)
-            assert _StepSolver(spec, ops, cfg, 0.0625, eps).lifted == (route == "lifted")
             state = solve_transient(spec, cfg, ops=ops)
             assert np.any(state.xi != 0.0)
             for defect, sqrt_n, scale, rounding in enthalpy_defects(spec, ops, state):
