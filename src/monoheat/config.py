@@ -577,7 +577,7 @@ def parse_config(text: str, command: str, strict: bool = True) -> RunConfig:
     if command == "graph-check":
         entries = sections.get("graph_check", {})
         rc.graph_check = {"lambdas": [1.0, 0.5, 0.25, 0.125],
-                          "samples": np.linspace(-3.0, 3.0, 25), "tolerance": None}
+                          "samples": np.linspace(-3.0, 3.0, 25), "tolerance": 1e-10}
         rc.graph_check.update({key: _entry(entries, key, build)
                                for key, build in _GRAPH_CHECK.items() if key in entries})
 

@@ -69,23 +69,31 @@ def resolvent_target(x):
 class GraphConstants:
     """Structural constants declared at construction and audited by sampling.
 
-    ``lipschitz_lower``/``lipschitz_upper`` bracket difference quotients,
-    ``linear_bound_c1``/``c2`` give ``|xi| <= c1*|x| + c2`` for xi in
-    graph(x), and ``potential_bound_d1``/``d2`` give
+    ``lipschitz_lower``/``lipschitz_upper`` bracket difference quotients
+    and ``potential_bound_d1``/``d2`` give
     ``|A0(r)| <= d1*potential(r) + d2``.  Fields are ``None`` when the
-    graph does not satisfy (or does not declare) the property.
+    graph does not satisfy (or does not declare) the property.  A graph
+    is read through these constants, never through its class: one whose
+    two Lipschitz constants agree is linear (``linear_slope``).
     """
 
     lipschitz_lower: Optional[float] = None
     lipschitz_upper: Optional[float] = None
-    linear_bound_c1: Optional[float] = None
-    linear_bound_c2: Optional[float] = None
     potential_bound_d1: Optional[float] = None
     potential_bound_d2: Optional[float] = None
 
     @property
     def bi_lipschitz(self) -> bool:
         return self.lipschitz_lower is not None and self.lipschitz_upper is not None
+
+    @property
+    def linear_slope(self) -> Optional[float]:
+        """c when both Lipschitz constants are c, else None: a monotone
+        graph with 0 in graph(0) and every difference quotient equal to c
+        is x -> c*x."""
+        if self.lipschitz_lower is not None and self.lipschitz_lower == self.lipschitz_upper:
+            return self.lipschitz_lower
+        return None
 
 
 class ScalarGraph:
@@ -94,9 +102,6 @@ class ScalarGraph:
     label = "graph"
     #: graph(x) is one number at every x, so ``value`` is the whole graph
     single_valued = True
-    #: value, derivative and potential have closed forms (the property
-    #: suite's default tolerance is then tighter)
-    closed_form = False
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -286,8 +291,6 @@ def _bracket_closed(lo, hi):
 class Linear(ScalarGraph):
     """The graph x -> alpha*x with alpha > 0."""
 
-    closed_form = True
-
     def __init__(self, alpha: float):
         if not alpha > 0.0:
             raise InvalidArgument("linear graph needs a positive slope")
@@ -307,8 +310,6 @@ class Linear(ScalarGraph):
         return GraphConstants(
             lipschitz_lower=self.alpha,
             lipschitz_upper=self.alpha,
-            linear_bound_c1=self.alpha,
-            linear_bound_c2=0.0,
             potential_bound_d1=2.0,
             potential_bound_d2=self.alpha / 4.0,
         )
@@ -345,8 +346,6 @@ class SaturatingBiLipschitz(ScalarGraph):
         return GraphConstants(
             lipschitz_lower=self.alpha,
             lipschitz_upper=self.alpha + self.b,
-            linear_bound_c1=self.alpha + self.b,
-            linear_bound_c2=0.0,
             potential_bound_d1=2.0 * (self.alpha + self.b) / self.alpha,
             potential_bound_d2=(self.alpha + self.b) / 4.0,
         )
@@ -375,29 +374,17 @@ class Power(ScalarGraph):
         return np.abs(_asarray(r)) ** (self.p + 1.0) / (self.p + 1.0)
 
     def constants(self):
-        lip = GraphConstants(
-            potential_bound_d1=self.p + 1.0,
-            potential_bound_d2=1.0,
-        )
         if self.p == 1.0:
             return GraphConstants(
                 lipschitz_lower=1.0, lipschitz_upper=1.0,
-                linear_bound_c1=1.0, linear_bound_c2=0.0,
                 potential_bound_d1=2.0, potential_bound_d2=0.25)
-        if self.p < 1.0:
-            # sublinear: |x|^p <= |x| + 1
-            return GraphConstants(
-                linear_bound_c1=1.0, linear_bound_c2=1.0,
-                potential_bound_d1=lip.potential_bound_d1,
-                potential_bound_d2=lip.potential_bound_d2)
-        return lip
+        return GraphConstants(potential_bound_d1=self.p + 1.0, potential_bound_d2=1.0)
 
 
 class Sign(ScalarGraph):
     """Subdifferential of |x|: the sign graph, set-valued at the origin."""
 
     single_valued = False
-    closed_form = True
 
     def __init__(self):
         self.label = "sign"
@@ -420,9 +407,7 @@ class Sign(ScalarGraph):
         return np.abs(_asarray(r))
 
     def constants(self):
-        return GraphConstants(
-            linear_bound_c1=1.0, linear_bound_c2=1.0,
-            potential_bound_d1=1.0, potential_bound_d2=1.0)
+        return GraphConstants(potential_bound_d1=1.0, potential_bound_d2=1.0)
 
 
 class PhysicalBeta(ScalarGraph):
@@ -460,8 +445,8 @@ class PhysicalBeta(ScalarGraph):
         return slope * self.inner.derivative(x)
 
     def potential(self, r):
-        if isinstance(self.inner, Linear):
-            cd = self.inner.alpha
+        cd = self.inner.constants().linear_slope
+        if cd is not None:
             r = _asarray(r)
             val = 0.5 * self.h_coef * cd * r**2
             if self.s_coef > 0.0:
@@ -523,8 +508,6 @@ class CompositeSum(ScalarGraph):
         return GraphConstants(
             lipschitz_lower=total("lipschitz_lower"),
             lipschitz_upper=total("lipschitz_upper"),
-            linear_bound_c1=total("linear_bound_c1"),
-            linear_bound_c2=total("linear_bound_c2"),
         )
 
 
@@ -637,9 +620,6 @@ def audit_constants(graph: ScalarGraph) -> None:
             raise GraphAuditError(f"{graph.label}: declared lower Lipschitz bound too large")
         if c.lipschitz_upper is not None and np.any(dv > c.lipschitz_upper * dx * (1 + rel_slack) + rel_slack):
             raise GraphAuditError(f"{graph.label}: declared upper Lipschitz bound too small")
-    if c.linear_bound_c1 is not None:
-        if np.any(np.abs(sec) > c.linear_bound_c1 * np.abs(x) + c.linear_bound_c2 + slack):
-            raise GraphAuditError(f"{graph.label}: linear growth bound violated")
     if c.potential_bound_d1 is not None:
         if np.any(np.abs(sec) > c.potential_bound_d1 * pot + c.potential_bound_d2 + slack):
             raise GraphAuditError(f"{graph.label}: potential growth bound violated")
@@ -679,13 +659,12 @@ def _grid_conjugate(graph, xi, anchor):
 
 def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
                          sample_points: Sequence[float],
-                         tol: Optional[float] = None) -> PropertyReport:
+                         tol: float = 1e-10) -> PropertyReport:
     """Sample the standard regularization identities on a grid.
 
     ``lam_list`` must be positive and strictly decreasing.  Each identity produces one
     check per (lam, x) pair (pair-based identities report the worst
-    partner), tagged pass/fail against ``tol``; the default tolerance is
-    1e-10 when the graph advertises closed forms and 1e-8 otherwise.
+    partner), tagged pass/fail against ``tol``, 1e-10 by default.
     Purely diagnostic: nothing is mutated and nothing raises on failure.
     """
     lams = [float(l) for l in lam_list]
@@ -696,8 +675,6 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
     xs = np.sort(_asarray(sample_points))
     if xs.size == 0:
         raise InvalidArgument("sample_points must be nonempty")
-    if tol is None:
-        tol = 1e-10 if graph.closed_form else 1e-8
     rep = PropertyReport()
     name = graph.label
 
@@ -716,6 +693,9 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
     dxs = np.abs(xs[:, None] - xs[None, :])
     # a pair rounds in the units of its larger partner, not of x
     pair_scale = np.maximum(scale[:, None], scale[None, :])
+    # a jump at 0 puts a kink in every envelope at each end of its dead
+    # zone lam*graph(0)
+    zero_lo, zero_hi = graph.section_bounds(np.zeros(1))
 
     def worst_partner(excess, allowed):
         """Per x: whether every partner's excess is within ``allowed``, and
@@ -756,6 +736,12 @@ def graph_property_suite(graph: ScalarGraph, lam_list: Sequence[float],
             return np.abs((env_p - env_m) / (2.0 * h) - a)
 
         h1 = 1e-3 * scale
+        if zero_hi[0] > zero_lo[0]:
+            # astride both kinks the difference measures the zone, not the
+            # gradient: h stays below half the distance to the farther kink,
+            # and astride one kink the error still shrinks linearly
+            far = np.maximum(np.abs(xs - l * zero_lo), np.abs(xs - l * zero_hi))
+            h1 = np.minimum(h1, 0.5 * far)
         err1 = _fd_error(h1)
         err2 = _fd_error(h1 / 8.0)
         gtol = tol * np.maximum(1.0, np.abs(a))

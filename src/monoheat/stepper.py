@@ -27,10 +27,10 @@ each sweep costs one residual and one triangular solve and needs no
 derivative of either graph; and a semismooth Newton iteration.  They
 satisfy the same residual contract and are cross-checked in the tests.
 ``P`` takes a constant slope in place of ``gamma'`` and, on Gamma1, the
-slope of ``beta_reg`` where that slope is constant (linear ``beta`` and
-``eps = 0``; no boundary term otherwise), so with linear ``gamma`` and
-``beta`` and ``eps = 0`` it is the step Jacobian itself, and the first
-sweep solves the step.
+slope of ``beta_reg`` where that slope is constant (``eps = 0`` and a
+``beta`` whose constants declare it linear, ``linear_slope``; no boundary
+term otherwise), so with linear ``gamma`` and ``beta`` and ``eps = 0`` it
+is the step Jacobian itself, and the first sweep solves the step.
 
 Each solver factorizes exactly one matrix, ``P``.  Newton factorizes
 nothing per iteration: its SPD Jacobian differs from ``P`` only by a
@@ -286,11 +286,11 @@ class _StepSolver:
         # SPD proxy slope for the volume nonlinearity; equals the exact slope
         # for a linear gamma
         self.split_slope = 0.5 * (consts.lipschitz_lower + consts.lipschitz_upper)
-        # the slope of beta_reg where it is constant (linear beta, no clamp),
-        # else 0; with a linear gamma too, P is then the Jacobian itself
-        slope_beta = 0.0
-        if isinstance(spec.beta, gr.Linear) and self.eps == 0.0:
-            slope_beta = spec.beta.alpha / (1.0 + self.lam * spec.beta.alpha)
+        # the slope of beta_reg where it is constant (a beta linear by its
+        # constants, no clamp), else 0; with a linear gamma too, P is then
+        # the Jacobian itself
+        a = spec.beta.constants().linear_slope
+        slope_beta = a / (1.0 + self.lam * a) if a is not None and self.eps == 0.0 else 0.0
         # P u - r(u) = b - M c0 (gamma(u) - split_slope u)
         #              - tau Mb (beta_reg(u) - slope_beta u)
         self._picard_diag = self._jacobian_diagonal(self.split_slope, slope_beta)

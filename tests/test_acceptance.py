@@ -33,8 +33,7 @@ def test_criterion_1_graph_calculus_suite():
     t0 = time.perf_counter()
     failures = []
     for graph in gr.builtin_graphs():
-        tol = 1e-10 if graph.closed_form else 1e-8
-        rep = gr.graph_property_suite(graph, lams, xs, tol=tol)
+        rep = gr.graph_property_suite(graph, lams, xs)
         failures.extend(rep.failures())
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 5.0

@@ -612,6 +612,19 @@ class TestCli:
         summary = (out / "summary.txt").read_text()
         assert "margin_nonnegative = true" in summary
 
+    @pytest.mark.parametrize("gamma", ["saturating(2.0, 0.0)",
+                                       "composite(linear(1.0), linear(1.0))"])
+    def test_dependence_gamma_linear_by_its_constants(self, tmp_path, gamma):
+        summaries = []
+        for name, text in (("linear", DEPENDENCE),
+                           ("other", DEPENDENCE.replace("gamma = linear(2.0)", f"gamma = {gamma}"))):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / name
+            assert main(["dependence", "--config", str(cfg), "--out", str(out)]) == 0
+            summaries.append((out / "summary.txt").read_bytes())
+        assert summaries[0] == summaries[1]
+
     def test_dependence_nonlinear_gamma_exit_three(self, tmp_path):
         cfg = tmp_path / "dep.cfg"
         cfg.write_text(DEPENDENCE.replace("gamma = linear(2.0)",

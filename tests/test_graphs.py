@@ -285,6 +285,19 @@ class TestPotential:
         assert expected == pytest.approx(0.7, abs=1e-10)
         assert beta.potential(1.0) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("inner", [
+        gr.Power(1.0),
+        gr.CompositeSum([gr.Linear(0.5), gr.Linear(0.5)]),
+    ], ids=lambda g: g.label)
+    def test_closed_form_for_an_inner_graph_linear_by_its_constants(self, monkeypatch, inner):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran around a linear inner graph")
+        monkeypatch.setattr(gr, "_adaptive_simpson", no_quadrature)
+        r = np.linspace(-3.0, 3.0, 13)
+        got = gr.PhysicalBeta(1.0, 1.0, inner=inner).potential(r)
+        expected = gr.PhysicalBeta(1.0, 1.0, inner=gr.Linear(1.0)).potential(r)
+        assert np.array_equal(got, expected)
+
     def test_generic_quadrature_path(self):
         # nonlinear inner graph has no closed-form potential
         beta = gr.PhysicalBeta(1.0, 1.0, inner=gr.SaturatingBiLipschitz(1.0, 1.0))
@@ -423,8 +436,10 @@ class TestPropertySuite:
     @pytest.mark.parametrize("lams", [[1e-3, 1e-6, 1e-9], [1e-12]])
     def test_all_builtins_pass_at_small_lambda(self, lams):
         # yosida_in_graph tests x - J in lam*graph(J) in x's units: divided
-        # by lam, an ulp of J failed it once lam fell to about 1e-6
-        xs = np.linspace(-3.0, 3.0, 25)
+        # by lam, an ulp of J failed it once lam fell to about 1e-6; sign's
+        # envelope has kinks at +-lam, and a difference step of 1e-3 at
+        # x = +-1e-5 straddled both and missed the Yosida value by 0.92
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 25), [-1e-5, 1e-5]])
         for graph in gr.builtin_graphs():
             rep = gr.graph_property_suite(graph, lams, xs)
             assert rep.passed, rep.failures()[:3]
@@ -467,10 +482,9 @@ class TestPropertySuite:
 
     @pytest.mark.parametrize("lam", [1.0, 1e-6])
     def test_yosida_in_graph_catches_a_wrong_resolvent(self, lam):
-        # a resolvent off by 1e-8*max(1, |x|), the default tolerance of a
-        # graph without closed forms: lam*graph(J) moves with J and pushes
-        # the error past it at every x but 0, where it sits on it as lam
-        # goes to 0
+        # a resolvent off by 1e-8*max(1, |x|): lam*graph(J) moves with J
+        # and pushes the error past the tolerance at every x (x = 0, where
+        # the error is the offset alone, is left out)
         class Off(gr.Power):
             def resolvent(self, lam, x):
                 x = np.asarray(x, dtype=float)

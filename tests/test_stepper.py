@@ -561,10 +561,17 @@ class TestNewtonLinearSolve:
         assert len(runs) == 3
         assert calls == {"splu": 3, "spsolve": 0}
 
+    @pytest.mark.parametrize("beta", [
+        gr.Linear(0.7),
+        gr.CompositeSum([gr.Linear(0.35), gr.Linear(0.35)]),
+        gr.Power(1.0),
+    ], ids=lambda g: g.label)
     @pytest.mark.parametrize("lam", [0.0, 0.125])
-    def test_linear_problem_takes_one_cg_iteration(self, monkeypatch, lam):
+    def test_linear_problem_takes_one_cg_iteration(self, monkeypatch, lam, beta):
         # P is the Jacobian, so CG preconditioned with P stops after one
-        # iteration, and that one solve lands each step on its solution
+        # iteration, and that one solve lands each step on its solution;
+        # P reads beta's slope from its constants, so a beta that is linear
+        # by them but not of the Linear class takes the same one iteration
         cg, counts = spla.cg, []
 
         def counted_cg(*args, **kwargs):
@@ -574,7 +581,7 @@ class TestNewtonLinearSolve:
                 counts[-1] += 1
             return cg(*args, callback=callback, **kwargs)
         monkeypatch.setattr(spla, "cg", counted_cg)
-        state = solve_transient(affine_spec(),
+        state = solve_transient(dataclasses.replace(affine_spec(), beta=beta),
                                 SolverConfig(tau=0.1, lambda_schedule=(lam,)))
         assert counts == [1, 1, 1]
         assert np.all(state.iterations == 1)
