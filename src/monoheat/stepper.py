@@ -14,18 +14,22 @@ exactly at the nodes after every accepted step.
 ``beta_reg`` and its slope are evaluated on the active boundary nodes
 (Gamma1) only, the support of ``Mb``, and scattered into the nodal vector;
 the stored boundary selection ``xi`` holds the Gamma1 columns only.
-Newton is lifted: for ``lam > 0`` the resolvent point y ~ J_lam(u) on
-Gamma1 is an unknown of its own, so a Newton iteration evaluates
+Both solvers are lifted: for ``lam > 0`` the resolvent point
+y ~ J_lam(u) on Gamma1 is an unknown of its own, so an iteration evaluates
 ``beta``'s section and slope at y and solves no resolvent, for every
-``beta`` and every clamp; at ``lam = 0`` y is u (``_StepSolver.newton``).
+``beta`` and every clamp; at ``lam = 0`` y is u (``_lifted_residuals``).
 
 Two per-step solvers are provided: fixed-point sweeps on the correction
-``f(U) = -P^{-1} r(U)``, where ``r`` is the step residual and ``P`` the SPD
-Picard matrix, factorized once, accelerated by Anderson mixing over the
-last few sweeps (the first sweep, with no history, is ``U + f(U)``), so
-each sweep costs one residual and one triangular solve and needs no
-derivative of either graph; and a semismooth Newton iteration.  They
-satisfy the same residual contract and are cross-checked in the tests.
+``f = -P^{-1} R_u``, where ``R_u`` is the step residual with the lifted
+boundary value and ``P`` the SPD Picard matrix, factorized once,
+accelerated by Anderson mixing over the last few sweeps (the first sweep,
+with no history, is ``U + f``), so each sweep costs one lifted residual,
+``beta``'s slope at y for y's linear update and one triangular solve, and
+reads no derivative of ``gamma``; and a semismooth Newton iteration.
+Each carries its own y and accepts a step only on the true residual
+``r(u)``: one resolvent per accepted step, and the sweep solves one more
+only when its merit stalls or that check fails.  The two are
+cross-checked in the tests.
 ``P`` takes a constant slope in place of ``gamma'`` and, on Gamma1, the
 slope of ``beta_reg`` where that slope is constant (``eps = 0`` and a
 ``beta`` whose constants declare it linear, ``linear_slope``; no boundary
@@ -294,8 +298,10 @@ class _StepSolver:
         # P u - r(u) = b - M c0 (gamma(u) - split_slope u)
         #              - tau Mb (beta_reg(u) - slope_beta u)
         self._picard_diag = self._jacobian_diagonal(self.split_slope, slope_beta)
-        # Newton's lifted unknown y ~ J_lam(u) on Gamma1, carried from step to step
+        # the lifted unknowns y ~ J_lam(u) on Gamma1 of Newton and of the
+        # sweep, each carried from step to step by its own solver
         self._y = None
+        self._picard_y = None
 
     @cached_property
     def _picard_solve(self):
@@ -411,20 +417,32 @@ class _StepSolver:
 
     def picard(self, u_init: np.ndarray, b: np.ndarray):
         """Anderson-accelerated fixed-point sweeps on the correction
-        ``f(u) = -P^{-1} r(u)``.
+        ``f = -P^{-1} R_u`` of the lifted system of ``_lifted_residuals``.
 
         Every sweep is the Anderson step
         ``u_{k+1} = u_k + f_k - (dU + dF) gamma`` with
         ``gamma = argmin |f_k - dF gamma|`` over the last ``_ANDERSON_DEPTH``
         differences of iterates ``dU`` and corrections ``dF`` (Walker & Ni,
         SIAM J. Numer. Anal. 49, 2011); the first, with no history, is
-        ``u_1 = u_0 + f_0``.  The residual of the convergence test
-        gives the next correction, so a sweep costs one residual and one
-        solve with ``P``.  Returns ``(u, sweeps, |r(u)|)``.
+        ``u_1 = u_0 + f_0``.  y ~ J_lam(u) on Gamma1 follows by Newton's
+        linear update ``y += q*(du - R_y)`` (``_lifted_slopes``), so a sweep
+        costs one lifted residual, ``beta``'s section and slope at y and one
+        solve with ``P``, and no resolvent.  y restarts at ``J_lam(u)`` where
+        the merit does not fall below the last sweep's (at a jump q = 0
+        holds y still), and where ``r(u)``, checked once the merit meets
+        ``picard_tol*(1 + |b|)``, does not meet it: only ``r(u)``, with the
+        true regularized value, accepts a step.  At ``lam = 0`` y is u and
+        the merit is ``|r(u)|``.  y carries over from step to step, as
+        Newton's does.  Returns ``(u, sweeps, |r(u)|)``.
         """
+        lam, g1 = self.lam, self.g1
         tol = self.config.picard_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
-        step = f = -self._picard_solve(self.residual(u, b))
+        if lam == 0.0 or self._picard_y is None:
+            self._picard_y = self._y_of(u)
+        y = self._picard_y
+        w, r_u, r_y, merit = self._lifted_residuals(u, y, b)
+        step = f = -self._picard_solve(r_u)
         depth = _ANDERSON_DEPTH
         d_u = np.empty((depth, u.shape[0]))
         d_f = np.empty_like(d_u)
@@ -434,14 +452,25 @@ class _StepSolver:
         with np.errstate(over="ignore", invalid="ignore"):
             for it in range(1, self.config.max_iters + 1):
                 u += step
-                r = self.residual(u, b)
-                res = np.linalg.norm(r)
-                history.append(res)
-                if not math.isfinite(res):
+                last = merit
+                if lam > 0.0:
+                    y = y + self._lifted_slopes(y, w)[0] * (step[g1] - r_y)
+                w, r_u, r_y, merit = self._lifted_residuals(u, y, b)
+                if lam > 0.0 and not merit < last:
+                    y = self._y_of(u)
+                    w, r_u, r_y, merit = self._lifted_residuals(u, y, b)
+                history.append(merit)
+                if not math.isfinite(merit):
                     raise NonConvergence("fixed-point sweep diverged", history)
-                if res <= tol:
-                    return u, it, res
-                f_new = -self._picard_solve(r)
+                if merit <= tol:
+                    res = merit if lam == 0.0 else np.linalg.norm(self.residual(u, b))
+                    if res <= tol:
+                        self._picard_y = y
+                        return u, it, res
+                    # y is further from J_lam(u) than the contract allows
+                    y = self._y_of(u)
+                    w, r_u, r_y, merit = self._lifted_residuals(u, y, b)
+                f_new = -self._picard_solve(r_u)
                 slot = (it - 1) % depth
                 d_u[slot] = step
                 np.subtract(f_new, f, out=d_f[slot])
@@ -456,6 +485,12 @@ class _StepSolver:
         raise NonConvergence(
             f"fixed-point sweeps did not reach tolerance in {self.config.max_iters} "
             "iterations", history)
+
+    def _y_of(self, u):
+        """The lifted unknown resolved at ``u``: ``J_lam(u)`` on Gamma1, or
+        u itself at ``lam = 0``."""
+        u_g1 = u[self.g1]
+        return gr.resolvent(self.spec.beta, self.lam, u_g1) if self.lam > 0.0 else u_g1
 
     def newton(self, u_init: np.ndarray, b: np.ndarray):
         """Semismooth Newton in (u, y) on the lifted system of
@@ -480,15 +515,12 @@ class _StepSolver:
         tol = self.config.newton_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
 
-        def y_of(u_try):
-            return gr.resolvent(self.spec.beta, lam, u_try[g1]) if lam > 0.0 else u_try[g1]
-
         def resolved(u_try):
-            y_try = y_of(u_try)
+            y_try = self._y_of(u_try)
             return (y_try,) + self._lifted_residuals(u_try, y_try, b)
 
         if lam == 0.0 or self._y is None:
-            self._y = y_of(u)
+            self._y = self._y_of(u)
         y = self._y
         w, r_u, r_y, merit = self._lifted_residuals(u, y, b)
         history = self.last_residual_history = [merit]

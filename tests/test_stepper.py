@@ -246,8 +246,9 @@ class TestActiveBoundaryOnly:
     def test_boundary_graph_evaluated_on_gamma1_only(self, rng, monkeypatch, kind):
         # every boundary evaluation the stepper makes is on the Gamma1 nodes:
         # the regularized map and its slope, the resolvent, and beta's own
-        # section and slope at y on the lifted Newton iteration; what those
-        # make inside (the resolvent's shrinking iterates) is not the stepper's
+        # section and slope at y on the lifted Newton iteration and the
+        # lifted sweep; what those make inside (the resolvent's shrinking
+        # iterates) is not the stepper's
         shapes, depth = [], [0]
 
         def spy(name, real):
@@ -283,10 +284,11 @@ class TestActiveBoundaryOnly:
             assert all(shape[-1] == n_g1 for _, shape in shapes), shapes
             assert [s for _, s in shapes if len(s) != 1] == [(state.n_steps + 1, n_g1)]
             names = {name for name, _ in shapes}
-            if kind == "picard":
-                assert names == {"regularized_value"}
-            elif lam == 0.0:
-                assert names == {"regularized_value", "regularized_derivative"}
+            if lam == 0.0:
+                # y is u: the sweep reads the regularized map alone, Newton
+                # its centred slope too
+                assert names == ({"regularized_value"} if kind == "picard"
+                                 else {"regularized_value", "regularized_derivative"})
             else:
                 assert {"section_bounds", "derivative", "resolvent"} <= names
                 assert "regularized_derivative" not in names
@@ -796,6 +798,65 @@ class TestLiftedNewton:
         assert np.linalg.norm(solver.residual(u, b)) == res
 
 
+class TestLiftedPicard:
+    def test_fewer_resolvents_than_sweeps(self, monkeypatch):
+        # at lam > 0 the sweep carries y ~ J_lam(u) and solves a resolvent
+        # only to start y, to check each accepted step on r(u), and on a
+        # stall; one per residual would be more than one per sweep
+        spec = continuation_spec_8x8()
+        ops = fem.assemble(spec.mesh)
+        calls = count_resolvents(monkeypatch)
+        for lam in CONTINUATION_SCHEDULE:
+            cfg = SolverConfig(tau=0.025, lambda_schedule=(lam,), solver_kind="picard")
+            calls.clear()
+            state = solve_transient(spec, cfg, ops=ops)
+            assert len(calls) < int(state.iterations.sum()), (lam, len(calls), state.iterations)
+            for res, b in full_residuals(spec, ops, cfg.tau, lam, state):
+                assert np.linalg.norm(res) <= cfg.picard_tol * (1 + np.linalg.norm(b))
+
+    def test_lam_zero_costs_one_residual_per_sweep(self, monkeypatch):
+        # at lam = 0 y is u and the merit is |r(u)|: a step evaluates the
+        # residual once to start and once per sweep, and no resolvent
+        spec = continuation_spec_8x8()
+        calls = [0]
+        real_residual, real_picard = _StepSolver.residual, _StepSolver.picard
+
+        def residual(solver, u, b):
+            calls[0] += 1
+            return real_residual(solver, u, b)
+
+        per_step = []
+
+        def picard(solver, u, b):
+            calls[0] = 0
+            out = real_picard(solver, u, b)
+            per_step.append((out[1], calls[0]))
+            return out
+
+        monkeypatch.setattr(_StepSolver, "residual", residual)
+        monkeypatch.setattr(_StepSolver, "picard", picard)
+        resolvents = count_resolvents(monkeypatch)
+        solve_transient(spec, SolverConfig(tau=0.025, lambda_schedule=(0.0,),
+                                           solver_kind="picard"))
+        assert len(per_step) == 2 and resolvents == []
+        assert all(n_res == sweeps + 1 for sweeps, n_res in per_step), per_step
+
+    @pytest.mark.parametrize("jump", [False, True])
+    def test_both_leaves_newton_alone(self, jump):
+        # the sweep keeps its own y: Newton's accepted iterates under
+        # solver_kind = both are those of a Newton-only march, bit for bit
+        spec = continuation_spec_8x8()
+        if jump:
+            spec = dataclasses.replace(spec, h=0.3,
+                                       beta=gr.CompositeSum([gr.Linear(1.0), gr.Sign()]))
+        ops = fem.assemble(spec.mesh)
+        cfg = SolverConfig(tau=0.025, lambda_schedule=(0.0625,), solver_kind="both")
+        both = solve_transient(spec, cfg, ops=ops)
+        alone = solve_transient(spec, dataclasses.replace(cfg, solver_kind="newton"), ops=ops)
+        assert both.disagreement > 0.0
+        assert np.array_equal(both.u, alone.u)
+
+
 def enthalpy_defects(spec, ops, state):
     """Per step k, the enthalpy balance defect
     ``sum m (v_k - v_{k-1}) - tau (sum m g_k + sum_Gamma1 mb (h_k - xi_k)
@@ -830,12 +891,24 @@ def enthalpy_defects(spec, ops, state):
 
 
 class TestEnthalpyBalance:
+    # a single-valued beta, the clamp and a beta with a jump, on the lifted
+    # Newton iteration and on the lifted sweep, each bounded by its own
+    # tolerance; the stored xi is the true beta_reg(u), not the lifted
+    # iterate's boundary value, and storing xi one step late breaks the
+    # balance by tau*Mb*(xi_k - xi_{k-1}), far past this bound
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("route", ["lifted", "clamped", "multivalued"])
     def test_defect_within_the_residual_contract(self, rng, dim, route):
-        # a single-valued beta, the clamp and a beta with a jump, all on the
-        # lifted Newton iteration; storing xi one step late breaks the balance by
-        # tau*Mb*(xi_k - xi_{k-1}), far past this bound
+        self.check(rng, dim, route, "newton")
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("route", ["lifted", "clamped", "multivalued"])
+    def test_sweep_defect_within_the_residual_contract(self, rng, dim, route):
+        self.check(rng, dim, route, "picard")
+
+    @staticmethod
+    def check(rng, dim, route, kind):
         for _ in range(3):
             spec = (random_problem(rng, n_elems=12, T=0.2) if dim == 1
                     else random_problem_2d(rng, n=6, T=0.2))
@@ -844,9 +917,11 @@ class TestEnthalpyBalance:
                     spec, beta=gr.CompositeSum([gr.Linear(1.0), gr.Sign()]))
             ops = fem.assemble(spec.mesh)
             eps = 0.7 if route == "clamped" else 0.0
-            cfg = SolverConfig(tau=0.05, lambda_schedule=(0.0625,), epsilon=eps)
+            cfg = SolverConfig(tau=0.05, lambda_schedule=(0.0625,), epsilon=eps,
+                               solver_kind=kind)
+            tol = cfg.newton_tol if kind == "newton" else cfg.picard_tol
             state = solve_transient(spec, cfg, ops=ops)
             assert np.any(state.xi != 0.0)
             for defect, sqrt_n, scale, rounding in enthalpy_defects(spec, ops, state):
-                assert abs(defect) <= sqrt_n * cfg.newton_tol * scale + rounding, \
-                    (defect, sqrt_n * cfg.newton_tol * scale, rounding)
+                assert abs(defect) <= sqrt_n * tol * scale + rounding, \
+                    (defect, sqrt_n * tol * scale, rounding)
