@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import itertools
 import sys
 from pathlib import Path
 
@@ -88,10 +89,12 @@ _LABEL_NAMES = np.array(["interior", "gamma0", "gamma1"])  # indexed by fem labe
 
 def _write_rows(fh, row: str, columns) -> None:
     """Write ``row % (columns[0][i], columns[1][i], ...)`` for every ``i``,
-    formatting ``_BLOCK_ROWS`` rows per ``write``."""
+    formatting ``_BLOCK_ROWS`` rows per ``write``.  A block is one ``%`` of
+    ``row`` repeated once per row over the block's values in row order, the
+    same text as one ``%`` per row, without a string per row to join."""
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
-        fh.write("".join(map(row.__mod__, zip(*block))))
+        fh.write((row * len(block[0])) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def _write_state_files(out: Path, state, mesh, with_mesh: bool):

@@ -8,7 +8,8 @@ diagonalizes all nodewise nonlinear terms, which is what makes the
 resolvent-based per-step solves well posed.
 
 One array code path serves intervals and triangles alike: barycentric
-gradients come from the inverse of each simplex's edge matrix, and a facet
+gradients come from the closed-form inverse of each simplex's edge
+matrix (the adjugate over the determinant), and a facet
 with vertices p_0..p_k has measure sqrt(det(E E^T)) for its edge matrix E.
 A point facet (an interval endpoint) has an empty E and thus measure 1, so
 the 1-D boundary mass is the counting measure of the active endpoints.
@@ -67,6 +68,9 @@ _SUPERLU_PANEL = 1
 # elements per block in ``assemble``: the element matrices of one block at a
 # time are alive, never those of the whole mesh
 _ASSEMBLY_BLOCK = 1024
+# signs that turn a 2x2 matrix reversed in both axes, [[d, c], [b, a]], into
+# the transposed adjugate [[d, -c], [-b, a]] of [[a, b], [c, d]]
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -208,12 +212,24 @@ def build_mesh_rect(lx: float, ly: float, nx: int, ny: int,
 
 def _element_stiffness(corners: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> None:
     """P1 element stiffness matrices of simplices with vertices ``corners``
-    (elements, vertices, dim) into ``out`` (elements, vertices, vertices)."""
+    (elements, vertices, dim) into ``out`` (elements, vertices, vertices).
+
+    The barycentric gradients are the rows of ``inv(E)^T`` for the edge
+    matrix ``E``, taken in closed form as the transposed adjugate over the
+    determinant for the meshes' dimensions 1 and 2: ``1/e`` for an interval,
+    the same bits as a LAPACK inverse, and ``[[d, -c], [-b, a]]/(ad - bc)``
+    for ``E = [[a, b], [c, d]]``, which moves a triangle's entries in their
+    last bits.  A zero determinant is a ``DegenerateElement``."""
     edges = corners[:, 1:] - corners[:, :1]
-    if np.any(np.abs(np.linalg.det(edges)) < 1e-300):
+    if edges.shape[1] == 1:
+        det, adjugate_t = edges[:, 0, 0], np.ones_like(edges)
+    else:
+        det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
+        adjugate_t = edges[:, ::-1, ::-1] * _ADJUGATE_SIGNS
+    if np.any(np.abs(det) < 1e-300):
         raise DegenerateElement("element with zero measure")
-    # row i of inv(E)^T is the gradient of barycentric coordinate i+1
-    grads = np.linalg.inv(edges).transpose(0, 2, 1)
+    # row i is the gradient of barycentric coordinate i+1
+    grads = adjugate_t / det[:, None, None]
     grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
     np.matmul(sizes[:, None, None] * grads, grads.transpose(0, 2, 1), out=out)
 

@@ -28,7 +28,8 @@ with no history, is ``U + f``), so each sweep costs one lifted residual,
 reads no derivative of ``gamma``; and a semismooth Newton iteration.
 Each carries its own y and accepts a step only on the true residual
 ``r(u)``: one resolvent per accepted step, and the sweep solves one more
-only when its merit stalls or that check fails.  The two are
+only when its merit stalls or that check fails.  That check's
+``beta_reg(u)`` on Gamma1 is the step's stored ``xi``.  The two are
 cross-checked in the tests.
 ``P`` takes a constant slope in place of ``gamma'`` and, on Gamma1, the
 slope of ``beta_reg`` where that slope is constant (``eps = 0`` and a
@@ -40,9 +41,11 @@ Each solver factorizes exactly one matrix, ``P``.  Newton factorizes
 nothing per iteration: its SPD Jacobian differs from ``P`` only by a
 bounded volume slope and a Gamma1 term, so it is solved by conjugate
 gradients preconditioned with the one factor of ``P``, to the
-Eisenstat-Walker relative tolerance (choice 2).  ``P``'s diagonal is the
-Jacobian's formula at the constant slopes, so where ``P`` is the Jacobian
-CG stops after one iteration.
+Eisenstat-Walker relative tolerance (choice 2), or half the acceptance
+contract over the merit where that is larger (``_forcing_term``), so CG
+asks no more than the step's acceptance needs.  ``P``'s diagonal is the Jacobian's
+formula at the constant slopes, so where ``P`` is the Jacobian CG stops
+after one iteration.
 
 Both matrices factorized here (``P`` and the smoothing matrix
 ``M + lam*K``) are SPD, so both go through ``fem.spd_factor``: minimum
@@ -302,6 +305,7 @@ class _StepSolver:
         # sweep, each carried from step to step by its own solver
         self._y = None
         self._picard_y = None
+        self.last_boundary_value = None
 
     @cached_property
     def _picard_solve(self):
@@ -326,8 +330,12 @@ class _StepSolver:
         return b
 
     def residual(self, u: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The step residual, its boundary term ``tau*Mb*beta_reg(u)``."""
-        return self._residual_with(u, self.beta_reg(u[self.g1]), b)
+        """The step residual, its boundary term ``tau*Mb*beta_reg(u)``.
+        ``beta_reg(u)`` on Gamma1 stays as ``last_boundary_value``: both
+        solvers accept a step on this residual at its u, so after a step it
+        is the step's boundary selection."""
+        self.last_boundary_value = self.beta_reg(u[self.g1])
+        return self._residual_with(u, self.last_boundary_value, b)
 
     def _residual_with(self, u, beta_g1, b):
         """The step residual with the boundary values ``beta_g1`` on Gamma1."""
@@ -500,8 +508,11 @@ class _StepSolver:
         Eliminating ``dy = q*(du - R_y)`` leaves the SPD Jacobian
         ``diag(c0*M*gamma'(u) + tau*Mb*s + tau*lam*M) + tau*K`` with the
         boundary slope ``s`` of ``_lifted_slopes`` and the right-hand side
-        ``-R_u + tau*Mb*s*R_y``, solved inexactly by ``_jacobian_cg`` with
-        Eisenstat-Walker forcing terms, so an iteration solves no resolvent.
+        ``-R_u + tau*Mb*s*R_y``, solved inexactly by ``_jacobian_cg`` to
+        the forcing term of ``_forcing_term``: Eisenstat-Walker's, or
+        ``0.5*tol/merit`` where that is larger, so the linear residual need
+        not fall below half the contract ``tol``; an iteration solves no
+        resolvent.
         The whole step is taken when it lowers the merit; otherwise, since
         far from the root of a steep ``beta`` the linear ``dy`` overshoots
         (and at a jump it cannot move y off it), the iteration backtracks
@@ -547,7 +558,7 @@ class _StepSolver:
                 # at lam = 0 the resolved full step is the one just refused
                 u_try, out = self._backtrack(u, du, merit, resolved, history,
                                              1.0 if lam > 0.0 else 0.5)
-            eta = min(0.1, max(0.9 * (out[-1] / merit) ** 2, 1e-10))
+            eta = _forcing_term(out[-1], merit, tol)
             u, (y, w, r_u, r_y, merit) = u_try, out
             history.append(merit)
         raise NonConvergence(
@@ -598,6 +609,18 @@ class _StepSolver:
         return u_n, max(it_p, it_n), res_n, gap
 
 
+def _forcing_term(merit: float, merit_last: float, tol: float) -> float:
+    """CG's relative tolerance at a Newton iterate of merit ``merit``: the
+    Eisenstat-Walker choice 2 term ``0.9*(merit/merit_last)**2`` with the
+    floor 1e-10, or ``0.5*tol/merit`` where that is larger, capped at 0.1.
+    A linear residual of ``0.5*tol`` is half the acceptance contract ``tol``
+    (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), so CG
+    stops where the step's acceptance needs no more; at ``merit = 0``,
+    which meets the contract, that term is left out."""
+    contract = 0.5 * tol / merit if merit > 0.0 else 0.0
+    return min(0.1, max(0.9 * (merit / merit_last) ** 2, 1e-10, contract))
+
+
 def _armijo(merit_try: float, merit: float, step: float) -> bool:
     """Sufficient decrease of a Newton trial of length ``step``."""
     return math.isfinite(merit_try) and merit_try <= (1.0 - 1e-4 * step) * merit
@@ -618,10 +641,12 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
     """March the full time interval at one regularization parameter.
 
     ``lam`` defaults to the smallest entry of the schedule.  The state
-    stores u, v = c0*gamma(u) and the boundary selection at every level;
-    the selection is evaluated once after the march and stored on the
-    active boundary nodes only, one column per ``mesh.gamma1_nodes``
-    entry.  ``lam = 0`` needs a single-valued ``beta``.
+    stores u, v = c0*gamma(u) and the boundary selection ``beta_reg(u)`` at
+    every level, on the active boundary nodes only, one column per
+    ``mesh.gamma1_nodes`` entry: level 0's is evaluated at u0, and each
+    step's is the one its acceptance check evaluated on the accepted u
+    (``_StepSolver.residual``), so no level solves a resolvent for it
+    again.  ``lam = 0`` needs a single-valued ``beta``.
     """
     lam = config.lambda_schedule[-1] if lam is None else float(lam)
     _check_limit_problem(spec, lam)
@@ -648,6 +673,8 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
 
     u_hist[0] = u0
     v_hist[0] = spec.v_of(u0)
+    xi = np.empty((n_steps + 1, solver.g1.size))
+    xi[0] = solver.beta_reg(u0[solver.g1])
 
     for k in range(n_steps):
         try:
@@ -657,11 +684,11 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
             raise
         u_hist[k + 1] = u_next
         v_hist[k + 1] = spec.v_of(u_next)
+        xi[k + 1] = solver.last_boundary_value
         iters[k] = it_k
         resids[k] = res_k
         disagreement = max(disagreement, gap)
 
-    xi = solver.beta_reg(u_hist[:, solver.g1])
     return SolutionState(times=times, u=u_hist, v=v_hist, xi=xi,
                          lam=lam, tau=config.tau, iterations=iters,
                          residuals=resids, disagreement=disagreement)

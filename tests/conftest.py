@@ -71,6 +71,42 @@ def _random_data(rng, mesh, gamma, beta, T, amp):
                        beta=beta, g=g_fn, h=h_fn, u0=u0, T=T)
 
 
+def cross_validation_steps():
+    """Acceptance criterion 7's 50 random first steps, ``(solver, b)`` each:
+    1-D meshes, a random volume graph, every kind of boundary graph (a jump
+    included), lam in {0.5, 0.25, 0.125}, the clamp on or off, and both
+    tolerances 1e-12.  Every call draws the same cases."""
+    rng = np.random.default_rng(707)
+    for _ in range(50):
+        n = int(rng.integers(4, 13))
+        mesh = fem.build_mesh_1d(1.0, n, str(rng.choice(["right", "both"])))
+        gamma = random_gamma(rng)
+        pick = int(rng.integers(0, 6))
+        if pick == 0:
+            beta = gr.Linear(float(rng.uniform(0.5, 2.0)))
+        elif pick == 1:
+            beta = gr.SaturatingBiLipschitz(1.0, float(rng.uniform(0.2, 1.0)))
+        elif pick == 2:
+            beta = gr.PhysicalBeta(1.0, float(rng.uniform(0.2, 1.0)), inner=gamma)
+        elif pick == 3:
+            beta = gr.Power(3.0)
+        elif pick == 4:
+            beta = gr.Sign()
+        else:
+            beta = gr.CompositeSum([gr.Linear(1.0), gr.Sign()])
+        spec = ProblemSpec(mesh=mesh, c0=float(rng.uniform(0.8, 1.5)), gamma=gamma,
+                           beta=beta, g=smooth_nodal(mesh, rng),
+                           h=smooth_nodal(mesh, rng), u0=smooth_nodal(mesh, rng),
+                           T=1.0)
+        lam = float(rng.choice([0.5, 0.25, 0.125]))
+        eps = float(rng.choice([0.0, 0.7]))
+        tau = float(rng.uniform(0.01, 0.04))
+        cfg = stepper.SolverConfig(tau=tau, lambda_schedule=(lam,), epsilon=eps,
+                                   picard_tol=1e-12, newton_tol=1e-12, max_iters=800)
+        solver = stepper._StepSolver(spec, fem.assemble(mesh), cfg, lam, cfg.epsilon)
+        yield solver, solver.rhs(spec.v_of(spec.u0), tau)
+
+
 def factored_matrices(monkeypatch):
     """Record every matrix handed to ``fem.spd_factor`` from now on: the
     matrices it serves are formed only inside the call that factorizes

@@ -11,12 +11,11 @@ from monoheat import verification as ver
 from monoheat.stepper import (
     ProblemSpec,
     SolverConfig,
-    _StepSolver,
     lambda_continuation,
     solve_transient,
     space_time_l2,
 )
-from conftest import (random_beta, random_gamma, random_problem, random_problem_2d,
+from conftest import (cross_validation_steps, random_beta, random_problem, random_problem_2d,
                       smooth_nodal)
 
 
@@ -223,42 +222,12 @@ def test_criterion_6_conservation_and_dissipation():
 # -- 7. solver cross-validation ----------------------------------------------
 
 def test_criterion_7_solver_cross_validation():
-    rng = np.random.default_rng(707)
     worst_gap = 0.0
     beta_kinds = set()
-    for case in range(50):
-        n = int(rng.integers(4, 13))
-        mesh = fem.build_mesh_1d(1.0, n, str(rng.choice(["right", "both"])))
-        gamma = random_gamma(rng)
-        pick = int(rng.integers(0, 6))
-        if pick == 0:
-            beta = gr.Linear(float(rng.uniform(0.5, 2.0)))
-        elif pick == 1:
-            beta = gr.SaturatingBiLipschitz(1.0, float(rng.uniform(0.2, 1.0)))
-        elif pick == 2:
-            beta = gr.PhysicalBeta(1.0, float(rng.uniform(0.2, 1.0)), inner=gamma)
-        elif pick == 3:
-            beta = gr.Power(3.0)
-        elif pick == 4:
-            beta = gr.Sign()
-        else:
-            beta = gr.CompositeSum([gr.Linear(1.0), gr.Sign()])
-        beta_kinds.add(type(beta).__name__)
-        spec = ProblemSpec(mesh=mesh, c0=float(rng.uniform(0.8, 1.5)), gamma=gamma,
-                           beta=beta, g=smooth_nodal(mesh, rng),
-                           h=smooth_nodal(mesh, rng), u0=smooth_nodal(mesh, rng),
-                           T=1.0)
-        lam = float(rng.choice([0.5, 0.25, 0.125]))
-        eps = float(rng.choice([0.0, 0.7]))
-        tau = float(rng.uniform(0.01, 0.04))
-        cfg = SolverConfig(tau=tau, lambda_schedule=(lam,), epsilon=eps,
-                           picard_tol=1e-12, newton_tol=1e-12, max_iters=800)
-        ops = fem.assemble(mesh)
-        v0 = spec.v_of(spec.u0)
-        solver = _StepSolver(spec, ops, cfg, lam, cfg.epsilon)
-        b = solver.rhs(v0, tau)
-        u_p, _, _ = solver.picard(spec.u0, b)
-        u_n, _, _ = solver.newton(spec.u0, b)
+    for solver, b in cross_validation_steps():
+        beta_kinds.add(type(solver.spec.beta).__name__)
+        u_p, _, _ = solver.picard(solver.spec.u0, b)
+        u_n, _, _ = solver.newton(solver.spec.u0, b)
         worst_gap = max(worst_gap, float(np.abs(u_p - u_n).max()))
 
     rng2 = np.random.default_rng(708)

@@ -360,10 +360,8 @@ def _one_shot_stiffness(mesh):
     """The stiffness matrix from one batch of all element matrices, with
     int64 indices: the reference for the blockwise assembly."""
     n, d = mesh.n_nodes, mesh.dim
-    corners = mesh.nodes.reshape(n, d)[mesh.elements]
-    grads = np.linalg.inv(corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1)
-    grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
-    local = mesh.element_sizes[:, None, None] * grads @ grads.transpose(0, 2, 1)
+    local = np.empty((mesh.elements.shape[0], d + 1, d + 1))
+    fem._element_stiffness(mesh.nodes.reshape(n, d)[mesh.elements], mesh.element_sizes, local)
     rows = np.repeat(mesh.elements, d + 1, axis=1)
     cols = np.tile(mesh.elements, d + 1)
     k = sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
@@ -381,6 +379,38 @@ def _jittered(mesh, count, rng):
     sizes = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1])) / math.factorial(mesh.dim)
     return fem.Mesh(mesh.dim, nodes, elements, mesh.boundary_labels,
                     mesh.boundary_facets, sizes)
+
+
+def _lapack_stiffness(corners, sizes):
+    """Element matrices from LAPACK's inverse of each edge matrix."""
+    grads = np.linalg.inv(corners[:, 1:] - corners[:, :1]).transpose(0, 2, 1)
+    grads = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
+    return sizes[:, None, None] * grads @ grads.transpose(0, 2, 1)
+
+
+class TestElementStiffness:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_lapack_inverse(self, dim, rng):
+        # the closed-form inverse equals LAPACK's bit for bit on intervals
+        # and within a few ulps of each element's largest entry on triangles
+        base = (fem.build_mesh_1d(1.0, 2000, "both") if dim == 1
+                else fem.build_mesh_rect(1.0, 1.0, 32, 32, True))
+        mesh = _jittered(base, base.elements.shape[0], rng)
+        corners = mesh.nodes.reshape(mesh.n_nodes, dim)[mesh.elements]
+        out = np.empty((corners.shape[0], dim + 1, dim + 1))
+        fem._element_stiffness(corners, mesh.element_sizes, out)
+        ref = _lapack_stiffness(corners, mesh.element_sizes)
+        if dim == 1:
+            assert out.tobytes() == ref.tobytes()
+        scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(out - ref) <= 8 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_measure_element_raises(self, dim):
+        corners = (np.array([[[0.5], [0.5]]]) if dim == 1
+                   else np.array([[[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]]]))
+        with pytest.raises(DegenerateElement, match="zero measure"):
+            fem._element_stiffness(corners, np.ones(1), np.empty((1, dim + 1, dim + 1)))
 
 
 class TestBlockwiseAssembly:

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from monoheat import fem, graphs as gr
+from monoheat import fem, graphs as gr, stepper
 from monoheat.errors import (
     LinearSolveFailure,
     NonConvergence,
@@ -20,7 +20,8 @@ from monoheat.stepper import (
     smooth_initial,
     solve_transient,
 )
-from conftest import factored_matrices, random_problem, random_problem_2d, smooth_nodal
+from conftest import (cross_validation_steps, factored_matrices, random_problem,
+                      random_problem_2d, smooth_nodal)
 
 
 def steady_spec(n=8, c=1.3, gamma=None, beta=None):
@@ -40,9 +41,15 @@ def affine_spec():
 
 
 def continuation_spec_8x8():
-    """The continuation benchmark's data on rect(1, 1, 8, 8, lateral): a
-    saturating volume graph and the linear-plus-fourth-power boundary law."""
-    mesh = fem.build_mesh_rect(1.0, 1.0, 8, 8, True)
+    """The continuation benchmark's data on rect(1, 1, 8, 8, lateral)."""
+    return benchmark_spec(8)
+
+
+def benchmark_spec(n):
+    """The data of the continuation and newton-large benchmarks on
+    rect(1, 1, n, n, lateral): a saturating volume graph and the
+    linear-plus-fourth-power boundary law."""
+    mesh = fem.build_mesh_rect(1.0, 1.0, n, n, True)
     beta = gr.CompositeSum([gr.Linear(1.0), gr.Power(4.0)])
     x = mesh.nodes[:, 0]
     return ProblemSpec(mesh=mesh, c0=1.0, gamma=gr.SaturatingBiLipschitz(1.0, 1.0),
@@ -279,10 +286,10 @@ class TestActiveBoundaryOnly:
             state = solve_transient(spec, cfg)
             n_g1 = len(spec.mesh.gamma1_nodes)
             assert shapes
-            # every call works on the Gamma1 nodes; the one 2-D call is the
-            # selection over the whole history, (levels, Gamma1 nodes)
-            assert all(shape[-1] == n_g1 for _, shape in shapes), shapes
-            assert [s for _, s in shapes if len(s) != 1] == [(state.n_steps + 1, n_g1)]
+            # every call works on the Gamma1 nodes of one level: the stored
+            # selection is each accepted step's own, never one over the history
+            assert all(shape == (n_g1,) for _, shape in shapes), shapes
+            assert state.xi.shape == (state.n_steps + 1, n_g1)
             names = {name for name, _ in shapes}
             if lam == 0.0:
                 # y is u: the sweep reads the regularized map alone, Newton
@@ -608,6 +615,49 @@ class TestNewtonLinearSolve:
             assert np.linalg.norm(u_cg - u_direct) <= advance_allowance(spec, ops, cfg, b)
 
 
+class TestForcingTerm:
+    def test_cg_stops_at_the_contract(self, monkeypatch):
+        # the newton-large physics on 16x16: no CG solve is asked for more
+        # than the contract needs, min(0.1, 0.5*tol/merit) at the iterate's
+        # merit, where the Eisenstat-Walker floor alone asks 1e-10 on the
+        # last iteration of a step, and every step still meets the contract
+        cg, rtols = spla.cg, []
+
+        def spy(*args, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "cg", spy)
+        spec = dataclasses.replace(benchmark_spec(16), T=0.125)
+        ops = fem.assemble(spec.mesh)
+        cfg = SolverConfig(tau=0.025, lambda_schedule=(0.0625,))
+        solver = _StepSolver(spec, ops, cfg, 0.0625, 0.0)
+        u = spec.u0
+        for k in range(1, cfg.n_steps(spec.T) + 1):
+            b = solver.rhs(spec.v_of(u), k * cfg.tau)
+            tol = cfg.newton_tol * (1.0 + np.linalg.norm(b))
+            rtols.clear()
+            u, its, res = solver.newton(u, b)
+            merits = solver.last_residual_history
+            assert its >= 2 and len(rtols) == its
+            for rtol, merit in zip(rtols, merits):
+                assert rtol >= min(0.1, 0.5 * tol / merit), (k, rtols, merits)
+            assert res <= tol
+            assert np.linalg.norm(solver.residual(u, b)) == res
+
+    def test_no_more_newton_iterations(self, monkeypatch):
+        # over acceptance criterion 7's 50 random steps, Newton takes no more
+        # iterations in all than with the Eisenstat-Walker term alone
+        def newton_iterations():
+            return [solver.newton(solver.spec.u0, b)[1]
+                    for solver, b in cross_validation_steps()]
+
+        with_contract = newton_iterations()
+        monkeypatch.setattr(stepper, "_forcing_term", lambda merit, merit_last, tol:
+                            min(0.1, max(0.9 * (merit / merit_last) ** 2, 1e-10)))
+        assert sum(with_contract) <= sum(newton_iterations())
+
+
 class TestNewtonFailures:
     def test_backtracking_stall(self, monkeypatch):
         # an ascent direction: no step length lowers the residual
@@ -796,6 +846,26 @@ class TestLiftedNewton:
         assert len(calls) == 4
         assert res <= cfg.newton_tol * (1 + np.linalg.norm(b))
         assert np.linalg.norm(solver.residual(u, b)) == res
+
+
+class TestStoredSelection:
+    @pytest.mark.parametrize("lam", [0.0, 0.0625])
+    @pytest.mark.parametrize("kind", ["picard", "newton", "both"])
+    def test_selection_is_beta_reg_of_u(self, kind, lam, monkeypatch):
+        # each level's xi is beta_reg of its stored u, bit for bit, as one
+        # evaluation over the whole history gives it; at lam > 0 the march
+        # solves no resolvent for it beyond level 0's: y's start, one check
+        # per accepted step (and per solver under both) and level 0
+        spec = continuation_spec_8x8()
+        ops = fem.assemble(spec.mesh)
+        cfg = SolverConfig(tau=0.025, lambda_schedule=(lam,), solver_kind=kind)
+        calls = count_resolvents(monkeypatch)
+        state = solve_transient(spec, cfg, ops=ops)
+        g1 = spec.mesh.gamma1_nodes
+        solvers = 2 if kind == "both" else 1
+        assert calls == ([g1.size] * (solvers * (1 + state.n_steps) + 1) if lam > 0.0 else [])
+        whole = gr.regularized_value(spec.beta, lam, cfg.epsilon, state.u[:, g1])
+        assert state.xi.tobytes() == whole.tobytes()
 
 
 class TestLiftedPicard:
