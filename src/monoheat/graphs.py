@@ -391,8 +391,8 @@ class Sign(ScalarGraph):
 
     def section_bounds(self, x):
         x = _asarray(x)
-        lo = np.where(x > 0.0, 1.0, np.where(x < 0.0, -1.0, -1.0))
-        hi = np.where(x > 0.0, 1.0, np.where(x < 0.0, -1.0, 1.0))
+        lo = np.where(x > 0.0, 1.0, -1.0)
+        hi = np.where(x < 0.0, -1.0, 1.0)
         return lo, hi
 
     def value(self, x):

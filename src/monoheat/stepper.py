@@ -378,6 +378,17 @@ class _StepSolver:
         return w, r_u, r_y, (np.linalg.norm(r_u)
                              + np.linalg.norm(self.tau_bmass_g1 * excess) / self.lam)
 
+    def _resolved(self, u, b, y=None):
+        """The lifted state ``(y, w, R_u, R_y, merit)`` at ``u``, with the
+        carried ``y`` when one is given and ``y = J_lam(u)`` on Gamma1 when
+        none is; at ``lam = 0`` y is u.  Every resolvent either solver
+        solves for y is solved here."""
+        if self.lam == 0.0:
+            y = u[self.g1]
+        elif y is None:
+            y = gr.resolvent(self.spec.beta, self.lam, u[self.g1])
+        return (y,) + self._lifted_residuals(u, y, b)
+
     def _lifted_slopes(self, y, w):
         """``(q, s)`` at the lifted iterate: ``dy = q*(du - R_y)`` and the
         boundary slope ``s = dw/du``.  For ``lam > 0``, with
@@ -446,10 +457,7 @@ class _StepSolver:
         lam, g1 = self.lam, self.g1
         tol = self.config.picard_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
-        if lam == 0.0 or self._picard_y is None:
-            self._picard_y = self._y_of(u)
-        y = self._picard_y
-        w, r_u, r_y, merit = self._lifted_residuals(u, y, b)
+        y, w, r_u, r_y, merit = self._resolved(u, b, self._picard_y)
         step = f = -self._picard_solve(r_u)
         depth = _ANDERSON_DEPTH
         d_u = np.empty((depth, u.shape[0]))
@@ -463,10 +471,9 @@ class _StepSolver:
                 last = merit
                 if lam > 0.0:
                     y = y + self._lifted_slopes(y, w)[0] * (step[g1] - r_y)
-                w, r_u, r_y, merit = self._lifted_residuals(u, y, b)
+                y, w, r_u, r_y, merit = self._resolved(u, b, y)
                 if lam > 0.0 and not merit < last:
-                    y = self._y_of(u)
-                    w, r_u, r_y, merit = self._lifted_residuals(u, y, b)
+                    y, w, r_u, r_y, merit = self._resolved(u, b)
                 history.append(merit)
                 if not math.isfinite(merit):
                     raise NonConvergence("fixed-point sweep diverged", history)
@@ -476,8 +483,7 @@ class _StepSolver:
                         self._picard_y = y
                         return u, it, res
                     # y is further from J_lam(u) than the contract allows
-                    y = self._y_of(u)
-                    w, r_u, r_y, merit = self._lifted_residuals(u, y, b)
+                    y, w, r_u, r_y, merit = self._resolved(u, b)
                 f_new = -self._picard_solve(r_u)
                 slot = (it - 1) % depth
                 d_u[slot] = step
@@ -493,12 +499,6 @@ class _StepSolver:
         raise NonConvergence(
             f"fixed-point sweeps did not reach tolerance in {self.config.max_iters} "
             "iterations", history)
-
-    def _y_of(self, u):
-        """The lifted unknown resolved at ``u``: ``J_lam(u)`` on Gamma1, or
-        u itself at ``lam = 0``."""
-        u_g1 = u[self.g1]
-        return gr.resolvent(self.spec.beta, self.lam, u_g1) if self.lam > 0.0 else u_g1
 
     def newton(self, u_init: np.ndarray, b: np.ndarray):
         """Semismooth Newton in (u, y) on the lifted system of
@@ -525,15 +525,7 @@ class _StepSolver:
         lam, g1 = self.lam, self.g1
         tol = self.config.newton_tol * (1.0 + np.linalg.norm(b))
         u = u_init.copy()
-
-        def resolved(u_try):
-            y_try = self._y_of(u_try)
-            return (y_try,) + self._lifted_residuals(u_try, y_try, b)
-
-        if lam == 0.0 or self._y is None:
-            self._y = self._y_of(u)
-        y = self._y
-        w, r_u, r_y, merit = self._lifted_residuals(u, y, b)
+        y, w, r_u, r_y, merit = self._resolved(u, b, self._y)
         history = self.last_residual_history = [merit]
         eta = 0.1
         for it in range(self.config.max_iters + 1):
@@ -543,7 +535,7 @@ class _StepSolver:
                     self._y = y
                     return u, it, res
                 # y is further from J_lam(u) than the contract allows
-                y, w, r_u, r_y, merit = resolved(u)
+                y, w, r_u, r_y, merit = self._resolved(u, b)
             if it == self.config.max_iters:
                 break
             q, slope = self._lifted_slopes(y, w)
@@ -553,10 +545,10 @@ class _StepSolver:
                                    rhs, eta)
             u_try, y_try = u + du, y + q * (du[g1] - r_y)
             with np.errstate(over="ignore", invalid="ignore"):
-                out = (y_try,) + self._lifted_residuals(u_try, y_try, b)
+                out = self._resolved(u_try, b, y_try)
             if not _armijo(out[-1], merit, 1.0):
                 # at lam = 0 the resolved full step is the one just refused
-                u_try, out = self._backtrack(u, du, merit, resolved, history,
+                u_try, out = self._backtrack(u, du, merit, b, history,
                                              1.0 if lam > 0.0 else 0.5)
             eta = _forcing_term(out[-1], merit, tol)
             u, (y, w, r_u, r_y, merit) = u_try, out
@@ -572,16 +564,15 @@ class _StepSolver:
                 "gamma derivative not positive; graph mis-declared as bi-Lipschitz")
         return gamma_d
 
-    @staticmethod
-    def _backtrack(u, delta, merit, trial, history, step):
+    def _backtrack(self, u, delta, merit, b, history, step):
         """Armijo backtracking from ``u`` along ``delta``: the first of the
-        steps ``step``, ``step/2``, ... (40 of them) at which the last entry
-        of ``trial(u + step*delta)``, its merit, passes ``_armijo``.  Returns
-        ``(u_try, trial(u_try))``."""
+        steps ``step``, ``step/2``, ... (40 of them) at which the merit of
+        the lifted state resolved at ``u + step*delta`` passes ``_armijo``.
+        Returns ``(u_try, self._resolved(u_try, b))``."""
         for _ in range(40):
             u_try = u + step * delta
             with np.errstate(over="ignore", invalid="ignore"):
-                out = trial(u_try)
+                out = self._resolved(u_try, b)
             if _armijo(out[-1], merit, step):
                 return u_try, out
             step *= 0.5

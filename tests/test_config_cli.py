@@ -154,6 +154,23 @@ lambda_schedule = [0.0]
 """
 
 
+@pytest.mark.parametrize("text, command, message", [
+    # no lambda_schedule entry to name: the error has no line
+    (STEADY.replace("lambda_schedule = [0.0]\n", ""), "continuation",
+     "continuation needs at least two lambda values"),
+    (STEADY, "frobnicate", "unknown command 'frobnicate'"),
+], ids=["continuation_default_schedule", "unknown_command"])
+def test_parse_guards(text, command, message):
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text, command)
+    assert exc.type is ValidationError and str(exc.value) == message
+
+
+def test_graph_check_lambdas_are_read():
+    rc = parse_config("[graph_check]\nlambdas = [0.5, 0.25]\n", "graph-check")
+    assert rc.graph_check["lambdas"] == [0.5, 0.25]
+
+
 class TestGrammar:
     def test_graph_constructors(self):
         rc = parse_config(STEADY, command="solve")

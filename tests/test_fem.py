@@ -56,6 +56,16 @@ class TestMeshRect:
         assert len(boundary) == 12
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fem.build_mesh_1d(0.0, 4, "right"), "interval length must be positive"),
+    (lambda: fem.build_mesh_rect(1.0, -1.0, 2, 2), "rectangle sides must be positive"),
+], ids=["interval_length", "rectangle_side"])
+def test_mesh_guards(call, message):
+    with pytest.raises(InvalidArgument) as exc:
+        call()
+    assert exc.type is InvalidArgument and str(exc.value) == message
+
+
 class TestAssemble:
     def test_hand_assembled_mass_1d(self):
         ops = fem.assemble(fem.build_mesh_1d(1.0, 2, "right"))

@@ -13,7 +13,9 @@ from monoheat.errors import (
     InvalidArgument,
     NonConvergence,
     QuadratureFailure,
+    ValidationError,
 )
+from monoheat.stepper import check_volume_graph
 
 
 def oracle_resolvent(beta_fn, lam, x, lo, hi, iters=200):
@@ -567,3 +569,52 @@ class TestCustomGraphExtension:
         assert j == pytest.approx(oracle, abs=1e-10)
         rep = gr.graph_property_suite(graph, [1.0, 0.5], np.linspace(-2, 2, 9))
         assert rep.passed, rep.failures()[:3]
+
+
+class _Declared(gr.Linear):
+    """x -> alpha*x declaring the given constants."""
+
+    def __init__(self, alpha, **constants):
+        super().__init__(alpha)
+        self._constants = gr.GraphConstants(**constants)
+
+    def constants(self):
+        return self._constants
+
+
+_QUADRATURE_BETA = gr.PhysicalBeta(1.0, 1.0, inner=gr.SaturatingBiLipschitz(1.0, 1.0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda mp: (mp.setattr(gr, "_SIMPSON_MAX_DEPTH", 0), _QUADRATURE_BETA.potential(1.0)),
+     QuadratureFailure, "adaptive Simpson refinement stalled"),
+    (lambda mp: (mp.setattr(gr, "_BISECT_CAP", 1), gr.resolvent(gr.Power(3.0), 1.0, 5.0)),
+     NonConvergence, "resolvent iteration for power(3) exceeded 1 iterations"),
+    (lambda mp: gr.SaturatingBiLipschitz(0.0, 1.0),
+     InvalidArgument, "saturating graph needs alpha > 0 and b >= 0"),
+    (lambda mp: gr.Power(0.0), InvalidArgument, "power graph needs p > 0"),
+    (lambda mp: gr.PhysicalBeta(1.0, 1.0, inner=gr.Sign()),
+     InvalidArgument, "physical graph needs a single-valued inner graph"),
+    # the radiative law declares no constants around an inner graph that
+    # is not bi-Lipschitz, so it is no volume graph
+    (lambda mp: check_volume_graph(gr.PhysicalBeta(1.0, 1.0, inner=gr.Power(3.0))),
+     ValidationError, "gamma must declare bi-Lipschitz constants, got "
+                      "physical(h=1,s=1;power(3))"),
+    (lambda mp: gr.CompositeSum([]), InvalidArgument, "composite graph needs at least one part"),
+    (lambda mp: gr.yosida(gr.Linear(1.0), 0.0, 1.0), InvalidArgument, "yosida needs lam > 0"),
+    (lambda mp: gr.audit_constants(_Declared(2.0, lipschitz_upper=1.0)),
+     GraphAuditError, "linear(2): declared upper Lipschitz bound too small"),
+    (lambda mp: gr.audit_constants(_Declared(2.0, potential_bound_d1=1.0,
+                                             potential_bound_d2=0.0)),
+     GraphAuditError, "linear(2): potential growth bound violated"),
+    (lambda mp: gr.graph_property_suite(gr.Linear(1.0), [1.0, -1.0], [0.0]),
+     InvalidArgument, "lam_list entries must be positive"),
+    (lambda mp: gr.graph_property_suite(gr.Linear(1.0), [1.0], []),
+     InvalidArgument, "sample_points must be nonempty"),
+], ids=["simpson_depth", "resolvent_cap", "saturating_alpha", "power_p", "physical_inner",
+        "physical_inner_constants", "composite_empty", "yosida_lam", "audit_upper",
+        "audit_potential", "suite_lambda", "suite_samples"])
+def test_guards(monkeypatch, call, error, message):
+    with pytest.raises(error) as exc:
+        call(monkeypatch)
+    assert exc.type is error and str(exc.value) == message

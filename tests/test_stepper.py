@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from monoheat import fem, graphs as gr, stepper
 from monoheat.errors import (
+    InvalidArgument,
     LinearSolveFailure,
     NonConvergence,
     SingularJacobian,
@@ -373,6 +374,30 @@ class TestTransient:
         with pytest.raises(ValidationError, match="outside the working range") as exc:
             make()
         assert exc.value.key == key
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: dataclasses.replace(affine_spec(), g=np.zeros(3)),
+         ValidationError, "g has shape (3,), expected (9,)"),
+        (lambda: dataclasses.replace(affine_spec(), h=[0.0, 1.0]),
+         ValidationError, "h must be a scalar, nodal array or callable of time"),
+        (lambda: dataclasses.replace(affine_spec(), u0=np.zeros(3)),
+         ValidationError, "u0 has shape (3,), expected (9,)"),
+        # the radiative law around a slope-1e60 graph: at u0 = 1e20 the
+        # quadrature of its potential meets an overflowing integrand
+        (lambda: dataclasses.replace(
+            affine_spec(), u0=1e20,
+            beta=gr.PhysicalBeta(1.0, 1.0, inner=gr.SaturatingBiLipschitz(1e60, 1e50))),
+         ValidationError, "boundary potential of u0 is not summable"),
+        (lambda: smooth_initial(fem.assemble(affine_spec().mesh), np.zeros(9), 0.0),
+         InvalidArgument, "smoothing parameter must be positive"),
+        (lambda: smooth_initial(fem.assemble(affine_spec().mesh), np.full(9, np.nan), 0.1),
+         LinearSolveFailure, "smoothing solve produced non-finite values"),
+    ], ids=["g_shape", "h_kind", "u0_shape", "u0_potential_quadrature", "smoothing_lambda",
+            "smoothing_nan"])
+    def test_library_input_guards(self, make, error, message):
+        with pytest.raises(error) as exc:
+            make()
+        assert exc.type is error and str(exc.value) == message
 
 
 class TestLambdaContinuation:
@@ -910,6 +935,76 @@ class TestLiftedPicard:
                                            solver_kind="picard"))
         assert len(per_step) == 2 and resolvents == []
         assert all(n_res == sweeps + 1 for sweeps, n_res in per_step), per_step
+
+    @staticmethod
+    def lie_inside_the_sweep(monkeypatch, resolved_state=None):
+        """Make the first sweep's lifted merit read 0, and, with
+        ``resolved_state``, replace the state that ``_resolved`` evaluates
+        next by ``resolved_state(w, r_u, r_y, merit)``.  Returns the list
+        of ``_lifted_residuals`` calls made so far."""
+        real = _StepSolver._lifted_residuals
+        calls = []
+
+        def lying(self, u, y, b):
+            out = real(self, u, y, b)
+            calls.append(out[-1])
+            if len(calls) == 2:
+                return out[:-1] + (0.0,)
+            if len(calls) == 3 and resolved_state is not None:
+                return resolved_state(*out)
+            return out
+
+        monkeypatch.setattr(_StepSolver, "_lifted_residuals", lying)
+        return calls
+
+    def test_merit_never_accepts_what_the_residual_rejects(self, rng, monkeypatch):
+        # a merit that reads 0 on the first sweep claims a solved step: the
+        # check on r(u) refuses it, y is resolved at J_lam(u) through
+        # _resolved, and the sweep goes on to a step that r(u) accepts
+        spec = random_problem_2d(rng, n=4, T=0.05)
+        ops = fem.assemble(spec.mesh)
+        cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), solver_kind="picard")
+        events = []
+        real_resolved, real_residual = _StepSolver._resolved, _StepSolver.residual
+
+        def resolved(solver, u, b, y=None):
+            events.append(("resolved", y is None))
+            return real_resolved(solver, u, b, y)
+
+        def residual(solver, u, b):
+            r = real_residual(solver, u, b)
+            events.append(("residual", np.linalg.norm(r)
+                           <= cfg.picard_tol * (1 + np.linalg.norm(b))))
+            return r
+
+        monkeypatch.setattr(_StepSolver, "_resolved", resolved)
+        monkeypatch.setattr(_StepSolver, "residual", residual)
+        merits = self.lie_inside_the_sweep(monkeypatch)
+        resolvents = count_resolvents(monkeypatch)
+        state = solve_transient(spec, cfg, ops=ops)
+        # y's start, the first sweep, the refused check and its resolve
+        assert events[:4] == [("resolved", True), ("resolved", False),
+                              ("residual", False), ("resolved", True)]
+        assert events[-1] == ("residual", True)
+        assert state.iterations[0] > 1 and len(merits) > 3
+        # level 0's xi, then every resolvent comes from _resolved or the check
+        assert len(resolvents) == 1 + events.count(("resolved", True)) \
+            + sum(kind == "residual" for kind, _ in events)
+        for res, b in full_residuals(spec, ops, cfg.tau, 0.125, state):
+            assert np.linalg.norm(res) <= cfg.picard_tol * (1 + np.linalg.norm(b))
+
+    def test_resolved_state_that_overflows_is_nonconvergence(self, rng, monkeypatch):
+        # the merit of the state resolved after a refused check is not
+        # tested for finiteness: a residual that overflows there stops the
+        # sweep through its Anderson differences, with every merit of the
+        # history finite, and never reaches the least squares
+        spec = random_problem_2d(rng, n=4, T=0.05)
+        cfg = SolverConfig(tau=0.05, lambda_schedule=(0.125,), solver_kind="picard")
+        self.lie_inside_the_sweep(
+            monkeypatch, lambda w, r_u, r_y, merit: (w, np.full_like(r_u, np.inf), r_y, np.inf))
+        with pytest.raises(NonConvergence, match="^fixed-point sweep diverged$") as info:
+            solve_transient(spec, cfg)
+        assert info.value.residual_history == [0.0]
 
     @pytest.mark.parametrize("jump", [False, True])
     def test_both_leaves_newton_alone(self, jump):

@@ -16,6 +16,7 @@ from monoheat.errors import (
     ConfigError,
     HypothesisViolation,
     InsufficientLevels,
+    InvalidArgument,
     ValidationError,
 )
 from monoheat.stepper import ProblemSpec, SolverConfig, solve_transient
@@ -456,6 +457,51 @@ class TestDependence:
         cfg = SolverConfig(tau=0.1, lambda_schedule=(0.5,))
         with pytest.raises(HypothesisViolation):
             ver.dependence_check(spec1, spec2, cfg)
+
+
+def _interior_gamma1_template():
+    """rect(1, 1, 2, 2, lateral) with its centre node, off both lateral
+    sides, labelled active."""
+    mesh = fem.build_mesh_rect(1.0, 1.0, 2, 2, True)
+    labels = mesh.boundary_labels.copy()
+    labels[4] = fem.GAMMA1
+    return ver.ProblemTemplate(mesh=replace(mesh, boundary_labels=labels), c0=1.0,
+                               gamma=gr.Linear(1.0), beta=gr.Linear(1.0), T=0.5)
+
+
+_LAM0 = SolverConfig(tau=0.1, lambda_schedule=(0.0,))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ver.apriori_bounds(None, 1.0, gr.GraphConstants(), gr.GraphConstants(),
+                                None, 1.0),
+     ValidationError, "volume graph must declare bi-Lipschitz constants"),
+    (lambda: ver.ManufacturedSolution("x", 3), ValidationError, "dimension must be 1 or 2"),
+    (lambda: ver.manufactured_source(ver.ManufacturedSolution("x*y", 2),
+                                     _interior_gamma1_template()),
+     ValidationError, "active boundary node off the lateral sides; cannot orient the normal"),
+    (lambda: ver.convergence_order(TestConvergenceOrder.make_template,
+                                   ver.ManufacturedSolution("x", 1), "diagonal",
+                                   [2, 4, 8], 8, _LAM0),
+     InvalidArgument, "axis must be space or time"),
+    (lambda: ver.dependence_check(linear_pair(alpha=2.0)[0], linear_pair(alpha=3.0)[1], _LAM0),
+     HypothesisViolation, "both problems must share the volume graph"),
+    (lambda: ver.dependence_check(linear_pair(T=0.5)[0], linear_pair(T=1.0)[1], _LAM0),
+     HypothesisViolation, "both problems must share the time horizon"),
+    (lambda: ver.dependence_check(*linear_pair(), replace(_LAM0, epsilon=0.5)),
+     HypothesisViolation, "dependence check runs without truncation"),
+    (lambda: ver.dependence_check(*linear_pair(), replace(_LAM0, smooth_u0_lambda=0.1)),
+     HypothesisViolation, "dependence check compares raw initial data"),
+    # exp(709.7) is a float and twice it is not: no OverflowError is raised
+    (lambda: ver.dependence_check(*linear_pair(alpha=1.0, T=709.7), _LAM0),
+     HypothesisViolation, "dependence constant overflows a float at T/alpha = 709.7"),
+], ids=["apriori_gamma", "manufactured_dim", "manufactured_normal", "convergence_axis",
+        "dependence_graph", "dependence_horizon", "dependence_epsilon", "dependence_smoothing",
+        "dependence_constant_inf"])
+def test_guards(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.type is error and str(exc.value) == message
 
 
 class TestDualRate:
