@@ -10,7 +10,8 @@ solver goes through the resolvent
 
 which is single valued and nonexpansive, and the Yosida approximation
 ``A_lam = (I - J_lam)/lam``, a monotone ``1/lam``-Lipschitz function,
-formed by ``yosida`` alone (Moreau envelopes build on it).
+formed by ``yosida_from_resolvent`` alone (``yosida`` and the Moreau
+envelopes build on it).
 Every graph takes one vectorized resolvent route, single- and
 multi-valued alike: safeguarded Newton inside the bracket
 [min(0,x), max(0,x)], which the section bounds shrink
@@ -50,9 +51,25 @@ from .errors import (
 _BISECT_CAP = 200
 _BISECT_REL_WIDTH = 1e-13
 _NEWTON_REL_RESIDUAL = 1e-15
-_SIMPSON_TOL = 1e-11
-_SIMPSON_MAX_DEPTH = 48
-_SIMPSON_BLOCK = 1024
+_QUADRATURE_TOL = 1e-11
+_QUADRATURE_MAX_DEPTH = 48
+_QUADRATURE_BLOCK = 1024
+# QUADPACK's qk15 rule (Piessens et al., QUADPACK, Springer 1983): each
+# nonnegative node of the 15-point Kronrod rule on [-1, 1], its Kronrod
+# weight and the weight of the embedded 7-point Gauss rule (0 at a node
+# that only the Kronrod rule has); the negative nodes mirror them
+_QK15_HALF = np.array([
+    (0.99145537112081263920, 0.02293532201052922496, 0.0),
+    (0.94910791234275852452, 0.06309209262997855329, 0.12948496616886969327),
+    (0.86486442335976907278, 0.10479001032225018383, 0.0),
+    (0.74153118559939443986, 0.14065325971552591874, 0.27970539148927666790),
+    (0.58608723546769113029, 0.16900472663926790282, 0.0),
+    (0.40584515137739716690, 0.19035057806478540991, 0.38183005050511894495),
+    (0.20778495500789846760, 0.20443294007529889241, 0.0),
+    (0.0, 0.20948214108472782801, 0.41795918367346938775),
+])
+_QK15_NODES, _QK15_KRONROD, _QK15_GAUSS = np.concatenate(
+    [_QK15_HALF, _QK15_HALF[-2::-1] * (-1.0, 1.0, 1.0)]).T
 
 
 def _asarray(x):
@@ -124,8 +141,10 @@ class ScalarGraph:
     # -- integral quantities -------------------------------------------------
 
     def potential(self, r):
-        """Convex potential ``int_0^r A0(s) ds``, normalized to 0 at 0."""
-        return _adaptive_simpson(self.value, _asarray(r))
+        """Convex potential ``int_0^r A0(s) ds``, normalized to 0 at 0: by
+        the adaptive G7-K15 rule (``_adaptive_kronrod``) unless the graph
+        has a closed form."""
+        return _adaptive_kronrod(self.value, _asarray(r))
 
     # -- resolvent machinery ---------------------------------------------------
 
@@ -143,60 +162,54 @@ class ScalarGraph:
         return f"<{type(self).__name__} {self.label}>"
 
 
-def _simpson(x0, x2, f0, f1, f2):
-    return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
+def _adaptive_kronrod(f, r):
+    """Adaptive Gauss-Kronrod (G7-K15) quadrature of f over [0, r] for
+    every entry of r.
 
-
-def _adaptive_simpson(f, r, tol=_SIMPSON_TOL):
-    """Adaptive Simpson quadrature of f over [0, r] for every entry of r.
-
-    ``f`` maps arrays to arrays.  The refinement is breadth first: each
-    pass advances every open panel of every point one level, and a panel
-    is accepted when ``|L + R - W| <= 15*eps`` for its halves L, R and
-    whole W, contributing ``L + R + (L + R - W)/15``.  Each point starts
-    from ``eps = tol*max(1, |W0|)`` with W0 its whole-interval estimate,
-    and eps halves at every split.  Points are integrated in blocks of
-    ``_SIMPSON_BLOCK`` to bound the memory of the open panels.  A panel
-    with a non-finite estimate can never pass the test, so it raises
-    QuadratureFailure at once, as does reaching ``_SIMPSON_MAX_DEPTH``.
+    ``f`` maps 1-D arrays to arrays.  The refinement is breadth first: each
+    pass evaluates f at the 15 Kronrod nodes of every open panel of every
+    point, and a panel is accepted when ``|K15 - G7| <= eps`` for its
+    Kronrod and embedded Gauss estimates, contributing K15; the others
+    split in half.  Each point starts from
+    ``eps = _QUADRATURE_TOL*max(1, |K0|)`` with K0 its whole-interval
+    estimate, and eps halves at every split.  Points
+    are integrated in blocks of ``_QUADRATURE_BLOCK`` to bound the memory
+    of the open panels.  A non-finite integrand value raises
+    QuadratureFailure at once, tested before the weighted sums (the Gauss
+    weights hold zeros, and inf*0 is NaN), as does refinement that reaches
+    depth ``_QUADRATURE_MAX_DEPTH``, a panel 2**-48 of its interval.
     """
     r = _asarray(r)
     flat = r.ravel()
     out = np.empty_like(flat)
-    for start in range(0, flat.size, _SIMPSON_BLOCK):
-        block = flat[start:start + _SIMPSON_BLOCK]
+    for start in range(0, flat.size, _QUADRATURE_BLOCK):
+        block = flat[start:start + _QUADRATURE_BLOCK]
         n = block.size
-        x0, x2 = np.minimum(block, 0.0), np.maximum(block, 0.0)
-        f0, f1, f2 = f(x0), f(0.5 * (x0 + x2)), f(x2)
-        whole = _simpson(x0, x2, f0, f1, f2)
-        eps = tol * np.maximum(1.0, np.abs(whole))
+        lo, hi = np.minimum(block, 0.0), np.maximum(block, 0.0)
         owner = np.arange(n)
         total = np.zeros(n)
-        for depth in range(_SIMPSON_MAX_DEPTH + 1):
-            xm = 0.5 * (x0 + x2)
-            fl, fr = f(0.5 * (x0 + xm)), f(0.5 * (xm + x2))
-            left = _simpson(x0, xm, f0, fl, f1)
-            right = _simpson(xm, x2, f1, fr, f2)
-            if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
-                raise QuadratureFailure("adaptive Simpson met a non-finite integrand")
-            if depth >= _SIMPSON_MAX_DEPTH:
-                raise QuadratureFailure("adaptive Simpson refinement stalled")
-            diff = left + right - whole
-            done = np.abs(diff) <= 15.0 * eps
-            total += np.bincount(owner[done], weights=(left + right + diff / 15.0)[done],
-                                 minlength=n)
+        for depth in range(_QUADRATURE_MAX_DEPTH):
+            half = 0.5 * (hi - lo)
+            nodes = (lo + half)[:, None] + half[:, None] * _QK15_NODES
+            values = f(nodes.ravel()).reshape(nodes.shape)
+            if not np.all(np.isfinite(values)):
+                raise QuadratureFailure("adaptive Gauss-Kronrod met a non-finite integrand")
+            kronrod = half * (values @ _QK15_KRONROD)
+            gauss = half * (values @ _QK15_GAUSS)
+            if depth == 0:
+                eps = _QUADRATURE_TOL * np.maximum(1.0, np.abs(kronrod))
+            done = np.abs(kronrod - gauss) <= eps
+            total += np.bincount(owner[done], weights=kronrod[done], minlength=n)
             split = ~done
             if not np.any(split):
                 break
-            # open panels continue as their halves [x0, xm] and [xm, x2]
-            x0, xm, x2, f0, f1, f2, fl, fr = (
-                v[split] for v in (x0, xm, x2, f0, f1, f2, fl, fr))
-            x0, x2 = np.concatenate([x0, xm]), np.concatenate([xm, x2])
-            f0, f2 = np.concatenate([f0, f1]), np.concatenate([f1, f2])
-            f1 = np.concatenate([fl, fr])
-            whole = np.concatenate([left[split], right[split]])
-            eps = np.tile(eps[split] / 2.0, 2)
-            owner = np.tile(owner[split], 2)
+            # open panels continue as their halves [lo, mid] and [mid, hi]
+            lo, hi, eps, owner = lo[split], hi[split], eps[split] / 2.0, owner[split]
+            mid = lo + half[split]
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+            eps, owner = np.tile(eps, 2), np.tile(owner, 2)
+        else:
+            raise QuadratureFailure("adaptive Gauss-Kronrod refinement stalled")
         out[start:start + n] = np.where(block < 0.0, -total, total)
     return out.reshape(r.shape)
 
@@ -447,6 +460,8 @@ class PhysicalBeta(ScalarGraph):
     def potential(self, r):
         cd = self.inner.constants().linear_slope
         if cd is not None:
+            # a numpy power: cd**4 overflows to inf past a slope of ~1e77
+            cd = np.float64(cd)
             r = _asarray(r)
             val = 0.5 * self.h_coef * cd * r**2
             if self.s_coef > 0.0:
@@ -524,13 +539,19 @@ def resolvent(graph: ScalarGraph, lam: float, x):
 
 
 def yosida(graph: ScalarGraph, lam: float, x):
-    """Yosida approximation ``(x - J_lam(x))/lam``, clipped into graph(J) where
-    J meets the resolvent's residual test: a single-valued graph gives its
-    value at J, which no cancellation in ``x - J`` at a tiny lam can lose."""
+    """Yosida approximation ``(x - J_lam(x))/lam``, by ``yosida_from_resolvent``
+    at the resolvent of x."""
     if not lam > 0.0:
         raise InvalidArgument("yosida needs lam > 0")
     x = _asarray(x)
-    j = graph.resolvent(lam, x)
+    return yosida_from_resolvent(graph, lam, x, graph.resolvent(lam, x))
+
+
+def yosida_from_resolvent(graph: ScalarGraph, lam: float, x, j):
+    """The Yosida value at x from its resolvent ``j = J_lam(x)``: the
+    quotient ``(x - j)/lam``, clipped into graph(j) where j meets the
+    resolvent's residual test, so a single-valued graph gives its value at
+    j, which no cancellation in ``x - j`` at a tiny lam can lose."""
     target = resolvent_target(x)
     with np.errstate(over="ignore"):
         # inf from a steep graph fails the test; an inf quotient clips back

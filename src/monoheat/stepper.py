@@ -302,7 +302,8 @@ class _StepSolver:
         #              - tau Mb (beta_reg(u) - slope_beta u)
         self._picard_diag = self._jacobian_diagonal(self.split_slope, slope_beta)
         # the lifted unknowns y ~ J_lam(u) on Gamma1 of Newton and of the
-        # sweep, each carried from step to step by its own solver
+        # sweep, both set by ``start`` and each carried from step to step by
+        # its own solver
         self._y = None
         self._picard_y = None
         self.last_boundary_value = None
@@ -318,6 +319,17 @@ class _StepSolver:
 
     def beta_reg(self, u: np.ndarray) -> np.ndarray:
         return gr.regularized_value(self.spec.beta, self.lam, self.eps, u)
+
+    def start(self, u0: np.ndarray) -> np.ndarray:
+        """Level 0's boundary selection ``beta_reg(u0)`` on Gamma1.  At
+        ``lam > 0`` its one resolvent ``J_lam(u0)`` also starts the y of both
+        solvers, whose first step would otherwise solve it again."""
+        u_g1 = u0[self.g1]
+        if self.lam == 0.0:
+            return self.beta_reg(u_g1)
+        self._y = self._picard_y = gr.resolvent(self.spec.beta, self.lam, u_g1)
+        value = gr.yosida_from_resolvent(self.spec.beta, self.lam, u_g1, self._y)
+        return np.clip(value, -1.0 / self.eps, 1.0 / self.eps) if self.eps > 0.0 else value
 
     def rhs(self, v_prev: np.ndarray, t_next: float) -> np.ndarray:
         b = (self.mass * v_prev
@@ -519,8 +531,8 @@ class _StepSolver:
         along ``du`` with y the resolvent of each trial.  A step is accepted
         only when ``r(u)``, with the true regularized value, meets
         ``newton_tol*(1 + |b|)``; at ``lam = 0`` the merit is ``|r(u)|``
-        itself.  y starts at ``J_lam(u_init)`` on the first call and carries
-        over to the next step.
+        itself.  y starts at ``J_lam(u_init)`` on the first call, unless
+        ``start`` has set it, and carries over to the next step.
         """
         lam, g1 = self.lam, self.g1
         tol = self.config.newton_tol * (1.0 + np.linalg.norm(b))
@@ -634,9 +646,10 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
     ``lam`` defaults to the smallest entry of the schedule.  The state
     stores u, v = c0*gamma(u) and the boundary selection ``beta_reg(u)`` at
     every level, on the active boundary nodes only, one column per
-    ``mesh.gamma1_nodes`` entry: level 0's is evaluated at u0, and each
-    step's is the one its acceptance check evaluated on the accepted u
-    (``_StepSolver.residual``), so no level solves a resolvent for it
+    ``mesh.gamma1_nodes`` entry: level 0's is evaluated at u0 from the
+    resolvent that also starts the solvers' y (``_StepSolver.start``), and
+    each step's is the one its acceptance check evaluated on the accepted
+    u (``_StepSolver.residual``), so no level solves a resolvent for it
     again.  ``lam = 0`` needs a single-valued ``beta``.
     """
     lam = config.lambda_schedule[-1] if lam is None else float(lam)
@@ -665,7 +678,7 @@ def solve_transient(spec: ProblemSpec, config: SolverConfig,
     u_hist[0] = u0
     v_hist[0] = spec.v_of(u0)
     xi = np.empty((n_steps + 1, solver.g1.size))
-    xi[0] = solver.beta_reg(u0[solver.g1])
+    xi[0] = solver.start(u0)
 
     for k in range(n_steps):
         try:

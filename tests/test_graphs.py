@@ -1,12 +1,13 @@
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from monoheat import graphs as gr
+from monoheat import fem, graphs as gr
 from monoheat.errors import (
     DomainError,
     GraphAuditError,
@@ -294,7 +295,7 @@ class TestPotential:
     def test_closed_form_for_an_inner_graph_linear_by_its_constants(self, monkeypatch, inner):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran around a linear inner graph")
-        monkeypatch.setattr(gr, "_adaptive_simpson", no_quadrature)
+        monkeypatch.setattr(gr, "_adaptive_kronrod", no_quadrature)
         r = np.linspace(-3.0, 3.0, 13)
         got = gr.PhysicalBeta(1.0, 1.0, inner=inner).potential(r)
         expected = gr.PhysicalBeta(1.0, 1.0, inner=gr.Linear(1.0)).potential(r)
@@ -364,6 +365,55 @@ class TestArrayQuadrature:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 10e6
+
+
+_CLOSED_FORMS = [
+    (gr.Linear(2.0), lambda r: r**2),
+    (gr.SaturatingBiLipschitz(1.0, 1.0), lambda r: r**2 / 2 + abs(r) - mpmath.log1p(abs(r))),
+    (gr.Power(1.0), lambda r: r**2 / 2),
+    (gr.Power(3.0), lambda r: r**4 / 4),
+    (gr.Power(4.0), lambda r: abs(r)**5 / 5),
+    (gr.PhysicalBeta(1.0, 1.0, inner=gr.Linear(2.0)), lambda r: r**2 + 16 * abs(r)**5 / 5),
+    (gr.CompositeSum([gr.Linear(1.0), gr.SaturatingBiLipschitz(0.5, 2.0), gr.Power(3.0)]),
+     lambda r: 3 * r**2 / 4 + 2 * (abs(r) - mpmath.log1p(abs(r))) + r**4 / 4),
+]
+
+
+class TestGaussKronrod:
+    @pytest.mark.parametrize("graph, primitive",
+                             [pytest.param(g, f, id=g.label) for g, f in _CLOSED_FORMS])
+    def test_matches_closed_forms(self, graph, primitive):
+        # the closed forms are evaluated to 40 digits: in doubles,
+        # a - log1p(a) cancels near 0 and leaves saturating's potential at
+        # r = 1e-8 good to only 5e-9; the doubles agree where they are well
+        # conditioned, which ties each primitive to its graph
+        r = np.array([-40.0, -8.0, -1.3, -1e-8, 0.0, 1e-8, 0.42, 8.0, 40.0])
+        with mpmath.workdps(40):
+            exact = np.array([float(primitive(mpmath.mpf(x))) for x in r])
+        got = gr._adaptive_kronrod(graph.value, r)
+        assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact)), got - exact
+        wide = np.abs(r) >= 1.0
+        assert np.allclose(graph.potential(r[wide]), exact[wide], rtol=1e-13, atol=0.0)
+
+    def test_evaluations_per_point(self):
+        # radiative-small's u0: the radiative law around saturating(1, 1) at
+        # the 49 nodes of the 6x6 mesh, at the top of its amplitude range;
+        # the rule takes about 32 evaluations per point there, and adaptive
+        # Simpson at the same target about 270
+        mesh = fem.build_mesh_rect(1.0, 1.0, 6, 6)
+        u0 = np.cos(np.pi * mesh.nodes[:, 0] / 2.0)
+        evaluations = [0]
+
+        def counted(x):
+            evaluations[0] += np.size(x)
+            return _QUADRATURE_BETA.value(x)
+
+        got = gr._adaptive_kronrod(counted, u0)
+        assert u0.size == 49 and evaluations[0] <= 64 * u0.size, evaluations[0] / u0.size
+        for ui, gi in zip(u0, got):
+            ref, _ = quad(lambda s: float(_QUADRATURE_BETA.value(s)), 0.0, ui,
+                          epsabs=0.0, epsrel=1e-13)
+            assert abs(gi - ref) <= 1e-13 * max(1.0, abs(ref)), ui
 
 
 class TestMoreauEnvelope:
@@ -586,8 +636,8 @@ _QUADRATURE_BETA = gr.PhysicalBeta(1.0, 1.0, inner=gr.SaturatingBiLipschitz(1.0,
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda mp: (mp.setattr(gr, "_SIMPSON_MAX_DEPTH", 0), _QUADRATURE_BETA.potential(1.0)),
-     QuadratureFailure, "adaptive Simpson refinement stalled"),
+    (lambda mp: (mp.setattr(gr, "_QUADRATURE_MAX_DEPTH", 0), _QUADRATURE_BETA.potential(1.0)),
+     QuadratureFailure, "adaptive Gauss-Kronrod refinement stalled"),
     (lambda mp: (mp.setattr(gr, "_BISECT_CAP", 1), gr.resolvent(gr.Power(3.0), 1.0, 5.0)),
      NonConvergence, "resolvent iteration for power(3) exceeded 1 iterations"),
     (lambda mp: gr.SaturatingBiLipschitz(0.0, 1.0),
@@ -611,7 +661,7 @@ _QUADRATURE_BETA = gr.PhysicalBeta(1.0, 1.0, inner=gr.SaturatingBiLipschitz(1.0,
      InvalidArgument, "lam_list entries must be positive"),
     (lambda mp: gr.graph_property_suite(gr.Linear(1.0), [1.0], []),
      InvalidArgument, "sample_points must be nonempty"),
-], ids=["simpson_depth", "resolvent_cap", "saturating_alpha", "power_p", "physical_inner",
+], ids=["quadrature_depth", "resolvent_cap", "saturating_alpha", "power_p", "physical_inner",
         "physical_inner_constants", "composite_empty", "yosida_lam", "audit_upper",
         "audit_potential", "suite_lambda", "suite_samples"])
 def test_guards(monkeypatch, call, error, message):

@@ -388,12 +388,18 @@ class TestTransient:
             affine_spec(), u0=1e20,
             beta=gr.PhysicalBeta(1.0, 1.0, inner=gr.SaturatingBiLipschitz(1e60, 1e50))),
          ValidationError, "boundary potential of u0 is not summable"),
+        # around a graph linear by its constants (1e100 + 1 == 1e100) the
+        # closed form's slope**4 overflows to inf, no Python OverflowError
+        (lambda: dataclasses.replace(
+            affine_spec(), u0=1e20,
+            beta=gr.PhysicalBeta(1.0, 1.0, inner=gr.SaturatingBiLipschitz(1e100, 1.0))),
+         ValidationError, "boundary potential of u0 is not summable"),
         (lambda: smooth_initial(fem.assemble(affine_spec().mesh), np.zeros(9), 0.0),
          InvalidArgument, "smoothing parameter must be positive"),
         (lambda: smooth_initial(fem.assemble(affine_spec().mesh), np.full(9, np.nan), 0.1),
          LinearSolveFailure, "smoothing solve produced non-finite values"),
-    ], ids=["g_shape", "h_kind", "u0_shape", "u0_potential_quadrature", "smoothing_lambda",
-            "smoothing_nan"])
+    ], ids=["g_shape", "h_kind", "u0_shape", "u0_potential_quadrature",
+            "u0_potential_closed_form", "smoothing_lambda", "smoothing_nan"])
     def test_library_input_guards(self, make, error, message):
         with pytest.raises(error) as exc:
             make()
@@ -741,9 +747,8 @@ def count_resolvents(monkeypatch):
 class TestLiftedNewton:
     def test_one_resolvent_per_step(self, rng, monkeypatch):
         # the radiative law around a saturating gamma in 2-D: the lifted march
-        # solves the resolvent once to start y, once per step to check the
-        # contract on r(u), and once for the stored xi over the history; so
-        # does the clamp
+        # solves the resolvent once for level 0's xi and y's start, and once
+        # per step to check the contract on r(u); so does the clamp
         spec = random_problem_2d(rng, n=6, T=0.25)
         ops = fem.assemble(spec.mesh)
         calls = count_resolvents(monkeypatch)
@@ -755,7 +760,7 @@ class TestLiftedNewton:
             calls.clear()
             state = solve_transient(spec, cfg, ops=ops)
             assert np.all((1 <= state.iterations) & (state.iterations <= 4))
-            assert len(calls) <= state.n_steps + 2, (eps, len(calls), state.iterations)
+            assert len(calls) <= state.n_steps + 1, (eps, len(calls), state.iterations)
             assert np.any(np.abs(state.xi) == 0.125) == (eps == 8.0)
             for res, b in full_residuals(spec, ops, cfg.tau, 0.0625, state, eps):
                 assert np.linalg.norm(res) <= cfg.newton_tol * (1 + np.linalg.norm(b))
@@ -879,8 +884,9 @@ class TestStoredSelection:
     def test_selection_is_beta_reg_of_u(self, kind, lam, monkeypatch):
         # each level's xi is beta_reg of its stored u, bit for bit, as one
         # evaluation over the whole history gives it; at lam > 0 the march
-        # solves no resolvent for it beyond level 0's: y's start, one check
-        # per accepted step (and per solver under both) and level 0
+        # solves no resolvent for it beyond level 0's, which also starts the
+        # y of each solver, and one check per accepted step (and per solver
+        # under both)
         spec = continuation_spec_8x8()
         ops = fem.assemble(spec.mesh)
         cfg = SolverConfig(tau=0.025, lambda_schedule=(lam,), solver_kind=kind)
@@ -888,7 +894,7 @@ class TestStoredSelection:
         state = solve_transient(spec, cfg, ops=ops)
         g1 = spec.mesh.gamma1_nodes
         solvers = 2 if kind == "both" else 1
-        assert calls == ([g1.size] * (solvers * (1 + state.n_steps) + 1) if lam > 0.0 else [])
+        assert calls == ([g1.size] * (solvers * state.n_steps + 1) if lam > 0.0 else [])
         whole = gr.regularized_value(spec.beta, lam, cfg.epsilon, state.u[:, g1])
         assert state.xi.tobytes() == whole.tobytes()
 
@@ -982,8 +988,9 @@ class TestLiftedPicard:
         merits = self.lie_inside_the_sweep(monkeypatch)
         resolvents = count_resolvents(monkeypatch)
         state = solve_transient(spec, cfg, ops=ops)
-        # y's start, the first sweep, the refused check and its resolve
-        assert events[:4] == [("resolved", True), ("resolved", False),
+        # y's start from level 0's resolvent, the first sweep, the refused
+        # check and its resolve
+        assert events[:4] == [("resolved", False), ("resolved", False),
                               ("residual", False), ("resolved", True)]
         assert events[-1] == ("residual", True)
         assert state.iterations[0] > 1 and len(merits) > 3
